@@ -620,7 +620,7 @@ impl PreparedSolver {
     ///
     /// Panics if `b.len()` differs from the prepared matrix dimension, or
     /// if the simulated machine deadlocks (use
-    /// [`PreparedSolver::try_solve`] to handle that as a value).
+    /// [`PreparedSolver::try_solve`] to handle both as values).
     pub fn solve(&self, b: &[f64]) -> SolveReport {
         match self.try_solve(b) {
             Ok(report) => report,
@@ -628,20 +628,24 @@ impl PreparedSolver {
         }
     }
 
-    /// Solves `A x = b`, surfacing machine-level failures (e.g. a
-    /// fault-induced [`SimError::Deadlock`]) as [`AzulError::Sim`]
-    /// instead of panicking.
+    /// Solves `A x = b`, surfacing a wrong right-hand side and
+    /// machine-level failures (e.g. a fault-induced
+    /// [`SimError::Deadlock`]) as typed errors instead of panicking.
     ///
     /// # Errors
     ///
-    /// Returns [`AzulError::Sim`] when the simulated machine fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the prepared matrix dimension.
+    /// Returns [`AzulError::Input`] when `b.len()` differs from the
+    /// prepared matrix dimension, and [`AzulError::Sim`] when the
+    /// simulated machine fails.
     #[must_use = "a dropped result discards both the solve report and the structured failure"]
     pub fn try_solve(&self, b: &[f64]) -> Result<SolveReport, AzulError> {
-        assert_eq!(b.len(), self.n, "rhs length mismatch");
+        if b.len() != self.n {
+            return Err(AzulError::Input(format!(
+                "rhs length {} does not match the prepared dimension {}",
+                b.len(),
+                self.n
+            )));
+        }
         let pb = match &self.perm {
             Some(p) => p.apply(b),
             None => b.to_vec(),
@@ -683,6 +687,19 @@ mod tests {
         let residual = dense::norm2(&dense::sub(&b, &a.spmv(&report.x)));
         assert!(residual < 1e-7, "residual {residual}");
         assert!(report.gflops > 0.0);
+    }
+
+    #[test]
+    fn try_solve_rejects_wrong_rhs_length_with_typed_error() {
+        let a = generate::grid_laplacian_2d(6, 6);
+        let prepared = Azul::new(AzulConfig::small_test()).prepare(&a).unwrap();
+        for len in [0, a.rows() - 1, a.rows() + 1] {
+            match prepared.try_solve(&vec![1.0; len]) {
+                Err(AzulError::Input(msg)) => assert!(msg.contains("rhs length"), "{msg}"),
+                other => panic!("rhs of length {len}: expected AzulError::Input, got {other:?}"),
+            }
+        }
+        assert!(prepared.try_solve(&rhs(a.rows())).unwrap().converged);
     }
 
     #[test]

@@ -134,6 +134,20 @@ impl TileGrid {
         ]
     }
 
+    /// The port a hop in direction `dir` leaves through (for a hop that
+    /// leaves its tile, so not along a 1-tile ring). On a 2-wide ring
+    /// East and West reach the same neighbor, as do North and South on a
+    /// 2-high one; such a link takes the first of the two in E, W, N, S
+    /// order (the [`TileGrid::neighbors`] order), so every user of link
+    /// directions agrees on one port per link.
+    pub(crate) fn link_direction(&self, dir: Direction) -> Direction {
+        match dir {
+            Direction::West if self.width == 2 => Direction::East,
+            Direction::South if self.height == 2 => Direction::North,
+            d => d,
+        }
+    }
+
     /// The tiles along the XY (dimension-order) route from `a` to `b`,
     /// excluding `a`, including `b`. Takes the shortest wrap-around
     /// direction in each dimension.
@@ -201,6 +215,24 @@ pub enum Direction {
     North,
     /// +y.
     South,
+}
+
+impl Direction {
+    /// The port index of this direction: East, West, North and South
+    /// are 0 to 3, the [`TileGrid::neighbors`] order.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The reverse direction.
+    pub(crate) fn opposite(self) -> Direction {
+        match self {
+            Direction::East => Direction::West,
+            Direction::West => Direction::East,
+            Direction::North => Direction::South,
+            Direction::South => Direction::North,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -278,6 +310,27 @@ mod tests {
         for &t in &route {
             assert!(g.neighbors(prev).contains(&t));
             prev = t;
+        }
+    }
+
+    #[test]
+    fn link_direction_is_the_first_neighbor_that_matches() {
+        for (w, h) in [(1, 3), (2, 2), (2, 5), (3, 2), (4, 4), (5, 3)] {
+            for g in [TileGrid::new(w, h), TileGrid::mesh(w, h)] {
+                for t in 0..g.num_tiles() as u32 {
+                    let n = g.neighbors(t);
+                    let dirs = [
+                        Direction::East,
+                        Direction::West,
+                        Direction::North,
+                        Direction::South,
+                    ];
+                    for d in dirs.into_iter().filter(|&d| g.step(t, d) != t) {
+                        let first = n.iter().position(|&x| x == g.step(t, d)).unwrap();
+                        assert_eq!(g.link_direction(d).index(), first, "{w}x{h} {t} {d:?}");
+                    }
+                }
+            }
         }
     }
 

@@ -35,17 +35,16 @@ impl TrafficReport {
         }
     }
 
-    fn add_tree(&mut self, placement: &Placement, tree: &CommTree) {
+    fn add_tree(&mut self, tree: &CommTree) {
         self.messages += tree.dests().len() as u64;
         self.link_hops += tree.num_links() as u64;
-        let grid = placement.grid();
-        for (from, to) in tree.iter_links() {
-            let dir = link_direction(placement, from, to);
-            let idx = from as usize * 4 + dir;
-            self.per_link[idx] += 1;
-            self.max_link_load = self.max_link_load.max(self.per_link[idx]);
+        for node in tree.nodes() {
+            for &dir in node.child_dirs {
+                let idx = node.tile as usize * 4 + dir.index();
+                self.per_link[idx] += 1;
+                self.max_link_load = self.max_link_load.max(self.per_link[idx]);
+            }
         }
-        let _ = grid;
     }
 
     /// Merges another report into this one.
@@ -61,15 +60,6 @@ impl TrafficReport {
     }
 }
 
-/// Direction index (0..4) of the link from `from` to adjacent tile `to`.
-fn link_direction(placement: &Placement, from: TileId, to: TileId) -> usize {
-    let g = placement.grid();
-    let n = g.neighbors(from);
-    n.iter()
-        .position(|&t| t == to)
-        .expect("tree links connect adjacent tiles")
-}
-
 /// Traffic of one SpMV `y = A x` under `placement`.
 ///
 /// Column multicasts send `x_j` from its home to every tile holding a
@@ -83,11 +73,11 @@ pub fn spmv_traffic(a: &Csr, placement: &Placement) -> TrafficReport {
     let mut report = TrafficReport::new(grid.num_tiles());
     for (j, set) in placement.column_tile_sets(a).iter().enumerate() {
         let tree = CommTree::build(grid, placement.vec_tile(j), set);
-        report.add_tree(placement, &tree);
+        report.add_tree(&tree);
     }
     for (i, set) in placement.row_tile_sets(a).iter().enumerate() {
         let tree = CommTree::build(grid, placement.vec_tile(i), set);
-        report.add_tree(placement, &tree);
+        report.add_tree(&tree);
     }
     report
 }
@@ -117,11 +107,11 @@ pub fn sptrsv_traffic(a: &Csr, placement: &Placement) -> TrafficReport {
         col_sets[j].sort_unstable();
         col_sets[j].dedup();
         let tree = CommTree::build(grid, placement.vec_tile(j), &col_sets[j]);
-        report.add_tree(placement, &tree);
+        report.add_tree(&tree);
         row_sets[j].sort_unstable();
         row_sets[j].dedup();
         let tree = CommTree::build(grid, placement.vec_tile(j), &row_sets[j]);
-        report.add_tree(placement, &tree);
+        report.add_tree(&tree);
     }
     report
 }
@@ -147,8 +137,8 @@ pub fn pcg_iteration_traffic(a: &Csr, placement: &Placement) -> TrafficReport {
     let tree = CommTree::build(grid, 0, &holders);
     for _ in 0..3 {
         let mut t = TrafficReport::new(grid.num_tiles());
-        t.add_tree(placement, &tree); // reduce
-        t.add_tree(placement, &tree); // broadcast
+        t.add_tree(&tree); // reduce
+        t.add_tree(&tree); // broadcast
         report.merge(&t);
     }
     report

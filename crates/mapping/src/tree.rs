@@ -7,24 +7,106 @@
 //! forms a tree in which each link is used exactly once, and intermediate
 //! tiles forward (multicast) or combine (reduction) values.
 
-use crate::grid::{TileGrid, TileId};
-use std::collections::BTreeMap;
+use crate::grid::{Direction, TileGrid, TileId};
 
 /// A communication tree rooted at one tile, spanning a destination set.
 ///
 /// For a multicast, data flows root → leaves; for a reduction the same
 /// tree is used leaves → root, with intermediate tiles combining partials.
+///
+/// The tree is one flat table, because routers read it on every cycle:
+/// a row per tree tile, sorted by tile id, holding the tile's parent,
+/// its children (at most four, one per direction) and the direction of
+/// each link. A lookup is one binary search in one allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommTree {
     root: TileId,
-    /// Child lists, sorted by parent tile.
-    children: BTreeMap<TileId, Vec<TileId>>,
-    /// Parent of every non-root tile in the tree.
-    parent: BTreeMap<TileId, TileId>,
+    /// Every tile of the tree (root, forwarders, leaves), sorted by tile.
+    nodes: Vec<Node>,
     /// Destination (participant) tiles, sorted.
     dests: Vec<TileId>,
-    /// Total number of links (= total hop count of one traversal).
-    links: usize,
+}
+
+/// One tree tile's row in [`CommTree`]'s node table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Node {
+    tile: TileId,
+    /// Parent and the direction of the link up to it; `None` at the root.
+    up: Option<(TileId, Direction)>,
+    /// Children in the order the routes first reached them; the first
+    /// `kid_len` entries are used.
+    kids: [TileId; 4],
+    /// Direction of the link to each child.
+    kid_dirs: [Direction; 4],
+    kid_len: u8,
+    is_dest: bool,
+}
+
+impl Node {
+    fn new(tile: TileId, up: Option<(TileId, Direction)>) -> Self {
+        Node {
+            tile,
+            up,
+            kids: [0; 4],
+            kid_dirs: [Direction::East; 4],
+            kid_len: 0,
+            is_dest: false,
+        }
+    }
+
+    fn view(&self) -> TreeNode<'_> {
+        let len = self.kid_len as usize;
+        TreeNode {
+            tile: self.tile,
+            children: &self.kids[..len],
+            child_dirs: &self.kid_dirs[..len],
+            up: self.up,
+            is_dest: self.is_dest,
+        }
+    }
+}
+
+/// A tree tile's links, as a router reads them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TreeNode<'a> {
+    /// The tile.
+    pub tile: TileId,
+    /// Children, in the order the tree's routes first reached them.
+    pub children: &'a [TileId],
+    /// Direction of the link to each child (parallel to `children`).
+    pub child_dirs: &'a [Direction],
+    /// Parent and the direction of the link up to it; `None` at the root.
+    pub up: Option<(TileId, Direction)>,
+    /// Whether the tile is a destination.
+    pub is_dest: bool,
+}
+
+/// Appends tile `child` to the node table below node `parent`, linked
+/// in direction `dir`; returns the new node's index.
+fn push_child(
+    nodes: &mut Vec<Node>,
+    grid: TileGrid,
+    parent: u32,
+    child: usize,
+    dir: Direction,
+) -> u32 {
+    let p = &mut nodes[parent as usize];
+    p.kids[p.kid_len as usize] = child as TileId;
+    p.kid_dirs[p.kid_len as usize] = grid.link_direction(dir);
+    p.kid_len += 1;
+    let up = (p.tile, grid.link_direction(dir.opposite()));
+    nodes.push(Node::new(child as TileId, Some(up)));
+    (nodes.len() - 1) as u32
+}
+
+/// Tile `k` steps from `origin` along a ring of `n` tiles, forward
+/// (`+`) or backward. `k < n` for every step of a shortest route.
+fn ring_step(origin: usize, k: usize, forward: bool, n: usize) -> usize {
+    if forward {
+        (origin + k) % n
+    } else {
+        (origin + n - k) % n
+    }
 }
 
 impl CommTree {
@@ -33,34 +115,72 @@ impl CommTree {
     /// Duplicate destinations and the root itself are tolerated (the root
     /// is dropped from the destination set — it already has the value).
     pub fn build(grid: TileGrid, root: TileId, dests: &[TileId]) -> Self {
-        let mut children: BTreeMap<TileId, Vec<TileId>> = BTreeMap::new();
-        let mut parent: BTreeMap<TileId, TileId> = BTreeMap::new();
         let mut uniq: Vec<TileId> = dests.iter().copied().filter(|&d| d != root).collect();
         uniq.sort_unstable();
         uniq.dedup();
-        let mut links = 0usize;
+
+        // Each tile of an XY route from `root` is named by its step: the
+        // k-th along root's row (east or west), or the k-th along the
+        // destination's column (south or north) after the row part.
+        // Distinct steps name distinct tiles (shortest offsets never wrap
+        // a ring), so routes from one root share exactly a prefix, and
+        // steps beyond how far the tree already reaches in that row or
+        // column direction are new. The walk appends new tiles in the
+        // order routes reach them, so each parent's children keep that
+        // order, then one sort orders the table by tile.
+        let (w, h) = (grid.width(), grid.height());
+        let (rx, ry) = grid.coord(root);
+        let mut nodes = vec![Node::new(root, None)];
+        // Node index of the tile `k` steps along root's row, east / west.
+        let mut row: [Vec<u32>; 2] = [vec![0], vec![0]];
+        // Per column, south / north: steps reached and the last node.
+        let mut col: Vec<[(usize, u32); 2]> = vec![[(0, 0); 2]; w];
         for &d in &uniq {
-            let mut prev = root;
-            for hop in grid.xy_route(root, d) {
-                if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(hop) {
-                    e.insert(prev);
-                    children.entry(prev).or_default().push(hop);
-                    links += 1;
-                } else {
-                    debug_assert_eq!(
-                        parent[&hop], prev,
-                        "XY routes from one root always agree on parents"
-                    );
-                }
-                prev = hop;
+            let (dx, dy) = (grid.dx(root, d), grid.dy(root, d));
+            let (east, south) = (dx >= 0, dy >= 0);
+            let (nx, ny) = (dx.unsigned_abs(), dy.unsigned_abs());
+            let x_dir = if east {
+                Direction::East
+            } else {
+                Direction::West
+            };
+            let row_nodes = &mut row[usize::from(!east)];
+            for k in row_nodes.len()..=nx {
+                let child = ry * w + ring_step(rx, k, east, w);
+                let parent = row_nodes[k - 1];
+                row_nodes.push(push_child(&mut nodes, grid, parent, child, x_dir));
             }
+            let cx = ring_step(rx, nx, east, w);
+            let y_dir = if south {
+                Direction::South
+            } else {
+                Direction::North
+            };
+            let (reach, last) = &mut col[cx][usize::from(!south)];
+            if *reach == 0 {
+                *last = row_nodes[nx];
+            }
+            for k in *reach + 1..=ny {
+                let child = ring_step(ry, k, south, h) * w + cx;
+                *last = push_child(&mut nodes, grid, *last, child, y_dir);
+            }
+            *reach = (*reach).max(ny);
+        }
+        nodes.sort_unstable_by_key(|n| n.tile);
+        // Programs keep thousands of trees alive: drop the push slack.
+        nodes.shrink_to_fit();
+        uniq.shrink_to_fit();
+        let mut di = 0usize;
+        for n in &mut nodes {
+            while di < uniq.len() && uniq[di] < n.tile {
+                di += 1;
+            }
+            n.is_dest = uniq.get(di) == Some(&n.tile);
         }
         CommTree {
             root,
-            children,
-            parent,
+            nodes,
             dests: uniq,
-            links,
         }
     }
 
@@ -79,35 +199,42 @@ impl CommTree {
         self.dests.binary_search(&t).is_ok()
     }
 
+    /// The links of tree tile `t`, or `None` for tiles outside the tree.
+    pub fn node(&self, t: TileId) -> Option<TreeNode<'_>> {
+        let k = self.nodes.binary_search_by_key(&t, |n| n.tile).ok()?;
+        Some(self.nodes[k].view())
+    }
+
+    /// Every tree tile's links, in tile order.
+    pub fn nodes(&self) -> impl Iterator<Item = TreeNode<'_>> + '_ {
+        self.nodes.iter().map(Node::view)
+    }
+
     /// Children of `t` in the tree (empty for leaves and tiles outside the
     /// tree).
     pub fn children_of(&self, t: TileId) -> &[TileId] {
-        self.children.get(&t).map_or(&[], Vec::as_slice)
+        self.node(t).map_or(&[], |n| n.children)
     }
 
     /// Parent of `t`, or `None` for the root / tiles outside the tree.
     pub fn parent_of(&self, t: TileId) -> Option<TileId> {
-        self.parent.get(&t).copied()
+        self.node(t)?.up.map(|(p, _)| p)
     }
 
     /// Number of tree links; one multicast traverses each exactly once.
     pub fn num_links(&self) -> usize {
-        self.links
+        self.nodes.len() - 1
     }
 
     /// All tiles that participate in the tree (root, forwarders, leaves).
     pub fn tiles(&self) -> Vec<TileId> {
-        let mut v: Vec<TileId> = self.parent.keys().copied().collect();
-        v.push(self.root);
-        v.sort_unstable();
-        v
+        self.nodes.iter().map(|n| n.tile).collect()
     }
 
-    /// Iterates over directed links `(parent, child)`.
+    /// Iterates over directed links `(parent, child)`, by parent tile.
     pub fn iter_links(&self) -> impl Iterator<Item = (TileId, TileId)> + '_ {
-        self.children
-            .iter()
-            .flat_map(|(&p, cs)| cs.iter().map(move |&c| (p, c)))
+        self.nodes()
+            .flat_map(|n| n.children.iter().map(move |&c| (n.tile, c)))
     }
 
     /// For a reduction: the number of inputs each participating tile must
@@ -131,6 +258,7 @@ pub fn point_to_point_hops(grid: TileGrid, root: TileId, dests: &[TileId]) -> us
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn tree_to_single_dest_is_a_path() {
@@ -207,6 +335,110 @@ mod tests {
         assert_eq!(tree.reduction_fan_in(g.id(1, 1)), 1);
         // Root: children + 1 (home's own contribution).
         assert!(tree.reduction_fan_in(root) >= 2);
+    }
+
+    /// The map-based build the flat tables replaced: the union of
+    /// `TileGrid::xy_route` paths, children in first-reached order.
+    struct Reference {
+        children: BTreeMap<TileId, Vec<TileId>>,
+        parent: BTreeMap<TileId, TileId>,
+        dests: Vec<TileId>,
+    }
+
+    fn reference(grid: TileGrid, root: TileId, dests: &[TileId]) -> Reference {
+        let mut r = Reference {
+            children: BTreeMap::new(),
+            parent: BTreeMap::new(),
+            dests: dests.iter().copied().filter(|&d| d != root).collect(),
+        };
+        r.dests.sort_unstable();
+        r.dests.dedup();
+        for &d in &r.dests {
+            let mut prev = root;
+            for hop in grid.xy_route(root, d) {
+                if let Some(&p) = r.parent.get(&hop) {
+                    assert_eq!(p, prev, "XY routes from one root agree on parents");
+                } else {
+                    r.parent.insert(hop, prev);
+                    r.children.entry(prev).or_default().push(hop);
+                }
+                prev = hop;
+            }
+        }
+        r
+    }
+
+    /// The link direction a neighbor scan finds: the position of `to`
+    /// among `from`'s E, W, N, S neighbors.
+    fn scanned_dir(grid: TileGrid, from: TileId, to: TileId) -> usize {
+        grid.neighbors(from).iter().position(|&n| n == to).unwrap()
+    }
+
+    #[test]
+    fn flat_tree_matches_map_reference() {
+        let mut rng = proptest::test_runner::TestRng::from_seed(0x7ee5);
+        let shapes = [
+            (1, 1),
+            (1, 7),
+            (7, 1),
+            (2, 2),
+            (2, 5),
+            (5, 2),
+            (3, 4),
+            (4, 4),
+            (5, 5),
+            (6, 3),
+            (8, 8),
+            (16, 16),
+        ];
+        for &(w, h) in &shapes {
+            for grid in [TileGrid::new(w, h), TileGrid::mesh(w, h)] {
+                let n = grid.num_tiles() as u64;
+                for _ in 0..40 {
+                    let root = rng.below(n) as TileId;
+                    let len = rng.below(2 * n + 1) as usize;
+                    let mut dests: Vec<TileId> = (0..len).map(|_| rng.below(n) as TileId).collect();
+                    if rng.below(2) == 0 {
+                        dests.push(root);
+                    }
+                    if let Some(&d) = dests.first() {
+                        dests.push(d);
+                    }
+                    let tree = CommTree::build(grid, root, &dests);
+                    let r = reference(grid, root, &dests);
+                    let ctx = format!("{w}x{h} torus={} root={root}", grid.is_torus());
+                    assert_eq!(tree.dests(), r.dests.as_slice(), "{ctx}");
+                    assert_eq!(tree.num_links(), r.parent.len(), "{ctx}");
+                    let ref_links: Vec<(TileId, TileId)> = r
+                        .children
+                        .iter()
+                        .flat_map(|(&p, cs)| cs.iter().map(move |&c| (p, c)))
+                        .collect();
+                    assert_eq!(tree.iter_links().collect::<Vec<_>>(), ref_links, "{ctx}");
+                    let mut ref_tiles: Vec<TileId> = r.parent.keys().copied().collect();
+                    ref_tiles.push(root);
+                    ref_tiles.sort_unstable();
+                    assert_eq!(tree.tiles(), ref_tiles, "{ctx}");
+                    for t in 0..n as TileId {
+                        let kids = r.children.get(&t).map_or(&[][..], Vec::as_slice);
+                        assert_eq!(tree.children_of(t), kids, "{ctx} tile {t}");
+                        assert_eq!(tree.parent_of(t), r.parent.get(&t).copied(), "{ctx}");
+                        assert_eq!(tree.is_dest(t), r.dests.contains(&t), "{ctx}");
+                        let Some(node) = tree.node(t) else {
+                            assert!(ref_tiles.binary_search(&t).is_err(), "{ctx}");
+                            continue;
+                        };
+                        assert_eq!(node.is_dest, tree.is_dest(t), "{ctx}");
+                        for (&c, &dir) in node.children.iter().zip(node.child_dirs) {
+                            assert_eq!(dir.index(), scanned_dir(grid, t, c), "{ctx}");
+                        }
+                        if let Some((p, dir)) = node.up {
+                            assert_eq!(dir.index(), scanned_dir(grid, t, p), "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -322,6 +322,21 @@ impl ServeService {
             done_cv: Condvar::new(),
             monitor_cv: Condvar::new(),
         });
+        // The monitor is spawned before the workers on purpose. glibc
+        // hands a new thread the malloc arena most recently freed by an
+        // exited thread, and an earlier service's monitor exits last
+        // (`shutdown` stops it after the drain). Spawned first, the new
+        // monitor takes that small arena back and the new worker gets
+        // the old worker's, whose pages are already resident. In the
+        // other order the worker grows the monitor's arena into a second
+        // one of about 10 MB.
+        let monitor = {
+            let inner = Arc::clone(&inner);
+            std::thread::Builder::new()
+                .name("azul-serve-deadline-monitor".into())
+                .spawn(move || monitor_loop(&inner))
+                .expect("spawn serve deadline monitor thread")
+        };
         let workers = (0..worker_count)
             .map(|i| {
                 let inner = Arc::clone(&inner);
@@ -331,13 +346,6 @@ impl ServeService {
                     .expect("spawn serve worker thread")
             })
             .collect();
-        let monitor = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("azul-serve-deadline-monitor".into())
-                .spawn(move || monitor_loop(&inner))
-                .expect("spawn serve deadline monitor thread")
-        };
         ServeService {
             inner,
             workers,

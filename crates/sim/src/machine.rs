@@ -523,7 +523,7 @@ pub fn run_kernel_checked(
                 sh.pe_mut(t).push_trigger(cfg, trig, &mut stats);
                 trace_wake(&mut stats, 0, t as u32, trigger_code(&trig));
             }
-            if tp.saac.contains_key(&j) {
+            if tp.saac_range(j).is_some() {
                 let trig = Trigger::X {
                     idx: j,
                     val: input[j as usize],

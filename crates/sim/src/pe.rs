@@ -257,18 +257,11 @@ impl Pe {
 
     /// Builds a task from a trigger, or a [`SimError::MisroutedTrigger`]
     /// when the tile program has no slot/range for it (a compiler bug).
-    fn make_task(
-        &mut self,
-        now: u64,
-        tp: &TileProgram,
-        prog: &Program,
-        trig: Trigger,
-    ) -> Result<Task, SimError> {
+    fn make_task(&mut self, now: u64, tp: &TileProgram, trig: Trigger) -> Result<Task, SimError> {
         Ok(match trig {
             Trigger::X { idx, val } => {
-                let &(start, end) = tp
-                    .saac
-                    .get(&idx)
+                let (start, end) = tp
+                    .saac_range(idx)
                     .ok_or_else(|| self.misrouted(now, "x trigger for column", idx))?;
                 Task {
                     value: val,
@@ -279,9 +272,8 @@ impl Pe {
                 }
             }
             Trigger::Partial { idx, val } => {
-                let slot = *tp
-                    .combine_slot
-                    .get(&idx)
+                let slot = tp
+                    .combine_slot(idx)
                     .ok_or_else(|| self.misrouted(now, "partial for row", idx))?;
                 Task {
                     value: val,
@@ -302,11 +294,9 @@ impl Pe {
                 }]),
             },
             Trigger::Solve { idx } => {
-                let slot = *tp
-                    .combine_slot
-                    .get(&idx)
+                let slot = tp
+                    .combine_slot(idx)
                     .ok_or_else(|| self.misrouted(now, "solve trigger for row", idx))?;
-                let _ = prog;
                 Task {
                     value: 0.0,
                     cur: 0,
@@ -361,7 +351,7 @@ impl Pe {
         for c in 0..self.contexts.len() {
             if self.contexts[c].is_none() {
                 if let Some(trig) = self.msg_buffer.pop_front() {
-                    self.contexts[c] = Some(self.make_task(now, tp, prog, trig)?);
+                    self.contexts[c] = Some(self.make_task(now, tp, trig)?);
                 } else {
                     break;
                 }
@@ -466,7 +456,7 @@ impl Pe {
                             val: x,
                         });
                     }
-                    if tp.saac.contains_key(&target) {
+                    if tp.saac_range(target).is_some() {
                         // Local dependents: trigger our own SAAC directly.
                         self.msg_buffer.push_back(Trigger::X {
                             idx: target,
@@ -562,7 +552,7 @@ impl Pe {
         stats: &mut KernelStats,
     ) -> Result<(), SimError> {
         while let Some(trig) = self.msg_buffer.pop_front() {
-            let mut task = self.make_task(now, tp, prog, trig)?;
+            let mut task = self.make_task(now, tp, trig)?;
             loop {
                 // Execute the full op stream with no timing constraints
                 // (slot_ready is ignored by executing effects directly).
@@ -592,7 +582,7 @@ impl Pe {
                                     val: x,
                                 });
                             }
-                            if tp.saac.contains_key(&target) {
+                            if tp.saac_range(target).is_some() {
                                 self.msg_buffer.push_back(Trigger::X {
                                     idx: target,
                                     val: x,
@@ -791,7 +781,7 @@ mod tests {
         let mut stats = KernelStats::default();
         // SpMV start: X triggers for all columns (all local).
         for &j in &tp.send_v {
-            if tp.saac.contains_key(&j) {
+            if tp.saac_range(j).is_some() {
                 pe.push_trigger(
                     &cfg,
                     Trigger::X {
@@ -877,7 +867,7 @@ mod tests {
             let mut stats = KernelStats::default();
             // Many tasks hitting overlapping slots.
             for j in 0..9u32 {
-                if tp.saac.contains_key(&j) {
+                if tp.saac_range(j).is_some() {
                     pe.push_trigger(&cfg, Trigger::X { idx: j, val: 1.0 }, &mut stats);
                 }
             }
@@ -926,7 +916,7 @@ mod tests {
             let mut out = vec![0.0; 9];
             let mut stats = KernelStats::default();
             for j in 0..9u32 {
-                if tp.saac.contains_key(&j) {
+                if tp.saac_range(j).is_some() {
                     pe.push_trigger(&cfg, Trigger::X { idx: j, val: 1.0 }, &mut stats);
                 }
             }
@@ -967,7 +957,7 @@ mod tests {
         let mut out = vec![0.0; 9];
         let mut stats = KernelStats::default();
         for j in 0..9u32 {
-            if tp.saac.contains_key(&j) {
+            if tp.saac_range(j).is_some() {
                 pe.push_trigger(&cfg, Trigger::X { idx: j, val: 2.0 }, &mut stats);
             }
         }

@@ -22,7 +22,6 @@ use azul_mapping::tree::CommTree;
 use azul_mapping::{Placement, TileGrid, TileId};
 use azul_sparse::Csr;
 use azul_telemetry::span;
-use std::collections::BTreeMap;
 
 /// What happens when an accumulator slot's `updates_remaining` hits zero.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,6 +43,17 @@ pub enum SlotAction {
         /// Variable index.
         target: u32,
     },
+}
+
+impl SlotAction {
+    /// The row or variable index the slot accumulates.
+    pub(crate) fn target(self) -> u32 {
+        match self {
+            SlotAction::SendPartial { target }
+            | SlotAction::FinalY { target }
+            | SlotAction::Solve { target } => target,
+        }
+    }
 }
 
 /// A per-tile accumulator slot.
@@ -70,22 +80,43 @@ pub struct Entry {
 /// The compiled program of one tile.
 #[derive(Debug, Clone, Default)]
 pub struct TileProgram {
-    /// ScaleAndAccumCol entry table, grouped by trigger index.
+    /// ScaleAndAccumCol entry table, grouped by ascending trigger index.
     pub entries: Vec<Entry>,
-    /// Trigger index -> `(start, end)` range in `entries`. Ordered so
-    /// program compilation (and thus the schedule) is deterministic.
-    pub saac: BTreeMap<u32, (u32, u32)>,
-    /// Accumulator slots.
+    /// `(trigger, end)` for every trigger with entries on this tile,
+    /// sorted by trigger: a trigger's entries run from the previous
+    /// trigger's `end` (0 for the first) to its own. Read through
+    /// [`TileProgram::saac_range`].
+    saac: Vec<(u32, u32)>,
+    /// Accumulator slots, at most one per target (homes, participants
+    /// and branch combiners of the reduction tree), in ascending target
+    /// order — so the slot table doubles as the target → slot lookup,
+    /// [`TileProgram::combine_slot`].
     pub slots: Vec<SlotDesc>,
-    /// Target index -> slot receiving that target's partials (homes,
-    /// participants and branch combiners of the reduction tree).
-    pub combine_slot: BTreeMap<u32, u32>,
     /// Trigger indices whose value this tile multicasts at kernel start
     /// (SpMV SendV tasks).
     pub send_v: Vec<u32>,
     /// Variables this tile solves unconditionally at kernel start
     /// (SpTRSV rows with no dependences).
     pub initial_solves: Vec<u32>,
+}
+
+impl TileProgram {
+    /// The `(start, end)` range in `entries` of the ScaleAndAccumCol task
+    /// that `trigger`'s value fires on this tile, or `None` when no local
+    /// entry uses it.
+    pub fn saac_range(&self, trigger: u32) -> Option<(u32, u32)> {
+        let k = self.saac.binary_search_by_key(&trigger, |&(t, _)| t).ok()?;
+        let start = k.checked_sub(1).map_or(0, |prev| self.saac[prev].1);
+        Some((start, self.saac[k].1))
+    }
+
+    /// The slot that combines `target`'s partials on this tile, if any.
+    pub fn combine_slot(&self, target: u32) -> Option<u32> {
+        self.slots
+            .binary_search_by_key(&target, |s| s.action.target())
+            .ok()
+            .map(|k| k as u32)
+    }
 }
 
 /// Which kernel a program implements (controls value semantics).
@@ -276,75 +307,81 @@ fn compile(
     let home: Vec<TileId> = placement.vec_tiles().to_vec();
     let mut tiles: Vec<TileProgram> = vec![TileProgram::default(); num_tiles];
 
-    // Group items by (tile, trigger) for entry tables, and collect the
-    // per-trigger and per-target tile sets.
-    let mut by_tile_trigger: BTreeMap<(TileId, u32), Vec<usize>> = BTreeMap::new();
+    // One sort of the items by (tile, trigger), item order within a
+    // group, orders the entry tables. Walking it tile by tile also
+    // collects each trigger's tile set and each target's tile set with
+    // the tile's local FMAC count (the local share of the slot's
+    // `remaining`), already sorted and deduplicated.
+    let mut order: Vec<(TileId, u32, u32)> = items
+        .iter()
+        .enumerate()
+        .map(|(k, it)| (it.tile, it.trigger, k as u32))
+        .collect();
+    order.sort_unstable();
     let mut trigger_tiles: Vec<Vec<TileId>> = vec![Vec::new(); n];
-    let mut target_tiles: Vec<Vec<TileId>> = vec![Vec::new(); n];
-    for (k, it) in items.iter().enumerate() {
-        by_tile_trigger
-            .entry((it.tile, it.trigger))
-            .or_default()
-            .push(k);
-        trigger_tiles[it.trigger as usize].push(it.tile);
-        target_tiles[it.target as usize].push(it.tile);
+    let mut target_tiles: Vec<Vec<(TileId, u32)>> = vec![Vec::new(); n];
+    for &(tile, trigger, k) in &order {
+        let tiles_of = &mut trigger_tiles[trigger as usize];
+        if tiles_of.last() != Some(&tile) {
+            tiles_of.push(tile);
+        }
+        let counts = &mut target_tiles[items[k as usize].target as usize];
+        match counts.last_mut() {
+            Some((t, count)) if *t == tile => *count += 1,
+            _ => counts.push((tile, 1)),
+        }
     }
-    for v in trigger_tiles.iter_mut().chain(target_tiles.iter_mut()) {
-        v.sort_unstable();
-        v.dedup();
-    }
-
-    // Local FMAC count per (tile, target): contributes to slot remaining.
-    let mut local_count: BTreeMap<(TileId, u32), u32> = BTreeMap::new();
-    for it in &items {
-        *local_count.entry((it.tile, it.target)).or_insert(0) += 1;
-    }
+    let local_count = |i: usize, tile: TileId| -> u32 {
+        target_tiles[i]
+            .binary_search_by_key(&tile, |&(t, _)| t)
+            .map_or(0, |k| target_tiles[i][k].1)
+    };
 
     // Multicast trees.
     let mut trees: Vec<CommTree> = Vec::new();
     let mut x_tree: Vec<Option<u32>> = vec![None; n];
     for j in 0..n {
         let root = home[j];
-        let remote: Vec<TileId> = trigger_tiles[j]
-            .iter()
-            .copied()
-            .filter(|&t| t != root)
-            .collect();
-        if !remote.is_empty() {
-            trees.push(CommTree::build(grid, root, &remote));
+        if trigger_tiles[j].iter().any(|&t| t != root) {
+            trees.push(CommTree::build(grid, root, &trigger_tiles[j]));
             x_tree[j] = Some((trees.len() - 1) as u32);
         }
     }
 
     // Reduction trees and slots.
     let mut partial_tree: Vec<Option<u32>> = vec![None; n];
-    // Slot id allocation per tile, keyed by target.
+    let mut participants: Vec<TileId> = Vec::new();
+    // Appends a slot to the tile's table. Targets are visited in
+    // ascending order, so every table stays sorted by target.
     let alloc_slot = |tiles: &mut Vec<TileProgram>,
                       tile: TileId,
-                      target: u32,
                       remaining: u32,
                       action: SlotAction,
-                      init_from_b: bool|
-     -> u32 {
+                      init_from_b: bool| {
         let tp = &mut tiles[tile as usize];
-        let id = tp.slots.len() as u32;
+        debug_assert!(
+            tp.slots
+                .last()
+                .is_none_or(|s| s.action.target() < action.target()),
+            "slots are allocated in ascending target order"
+        );
         tp.slots.push(SlotDesc {
             remaining,
             action,
             init_from_b,
         });
-        tp.combine_slot.insert(target, id);
-        id
     };
 
     for i in 0..n {
         let root = home[i];
-        let participants: Vec<TileId> = target_tiles[i]
-            .iter()
-            .copied()
-            .filter(|&t| t != root)
-            .collect();
-        let home_local = local_count.get(&(root, i as u32)).copied().unwrap_or(0);
+        participants.clear();
+        participants.extend(
+            target_tiles[i]
+                .iter()
+                .map(|&(t, _)| t)
+                .filter(|&t| t != root),
+        );
+        let home_local = local_count(i, root);
 
         let home_action = match kind {
             ProgramKind::Spmv => SlotAction::FinalY { target: i as u32 },
@@ -354,41 +391,31 @@ fn compile(
 
         if participants.is_empty() {
             // All work local to the home tile.
-            let slot = alloc_slot(
-                &mut tiles,
-                root,
-                i as u32,
-                home_local,
-                home_action,
-                init_from_b,
-            );
+            alloc_slot(&mut tiles, root, home_local, home_action, init_from_b);
             if home_local == 0 && kind == ProgramKind::Sptrsv {
                 tiles[root as usize].initial_solves.push(i as u32);
             }
-            let _ = slot;
             continue;
         }
         let tree = CommTree::build(grid, root, &participants);
         let tree_id = trees.len() as u32;
         // Build slots on every combining node of the tree.
-        for t in tree.tiles() {
-            let children = tree.children_of(t).len() as u32;
+        for node in tree.nodes() {
+            let (t, children) = (node.tile, node.children.len() as u32);
             if t == root {
                 alloc_slot(
                     &mut tiles,
                     root,
-                    i as u32,
                     home_local + children,
                     home_action,
                     init_from_b,
                 );
-            } else if tree.is_dest(t) {
-                let local = local_count.get(&(t, i as u32)).copied().unwrap_or(0);
+            } else if node.is_dest {
+                let local = local_count(i, t);
                 debug_assert!(local > 0, "tree dests hold local work");
                 alloc_slot(
                     &mut tiles,
                     t,
-                    i as u32,
                     local + children,
                     SlotAction::SendPartial { target: i as u32 },
                     false,
@@ -397,7 +424,6 @@ fn compile(
                 alloc_slot(
                     &mut tiles,
                     t,
-                    i as u32,
                     children,
                     SlotAction::SendPartial { target: i as u32 },
                     false,
@@ -409,25 +435,23 @@ fn compile(
         partial_tree[i] = Some(tree_id);
     }
 
-    // Entry tables, grouped per (tile, trigger), slots already
-    // allocated. `BTreeMap` iteration is already (tile, trigger)-sorted,
-    // so the emitted tables are order-stable without an explicit sort.
-    for (&(tile, trig), idxs) in &by_tile_trigger {
+    // Entry tables in (tile, trigger) order, slots already allocated.
+    for &(tile, trigger, k) in &order {
         let tp = &mut tiles[tile as usize];
-        let start = tp.entries.len() as u32;
-        for &k in idxs {
-            let it = &items[k];
-            let slot = *tp
-                .combine_slot
-                .get(&it.target)
-                // azul-lint: allow(unwrap-in-pipeline) compile allocated a slot for every local target just above
-                .expect("slot allocated for every local target");
-            tp.entries.push(Entry {
-                slot,
-                coeff: it.coeff,
-            });
+        let it = &items[k as usize];
+        let slot = tp
+            .combine_slot(it.target)
+            // azul-lint: allow(unwrap-in-pipeline) compile allocated a slot for every local target just above
+            .expect("slot allocated for every local target");
+        tp.entries.push(Entry {
+            slot,
+            coeff: it.coeff,
+        });
+        let end = tp.entries.len() as u32;
+        match tp.saac.last_mut() {
+            Some(row) if row.0 == trigger => row.1 = end,
+            _ => tp.saac.push((trigger, end)),
         }
-        tp.saac.insert(trig, (start, tp.entries.len() as u32));
     }
 
     // Initial SendV tasks (SpMV): every trigger whose value is consumed.
@@ -539,10 +563,8 @@ mod tests {
         let home0 = prog.home[0] as usize;
         let has_initial = prog.tiles[home0].initial_solves.contains(&0)
             || prog.tiles[home0]
-                .combine_slot
-                .get(&0)
-                .map(|&s| prog.tiles[home0].slots[s as usize].remaining == 0)
-                .unwrap_or(false);
+                .combine_slot(0)
+                .is_some_and(|s| prog.tiles[home0].slots[s as usize].remaining == 0);
         assert!(has_initial);
     }
 
@@ -556,13 +578,11 @@ mod tests {
         // The last variable has no dependences in the upper solve.
         let n = a.rows();
         let home_last = up.home[n - 1] as usize;
-        let slot = up.tiles[home_last].combine_slot.get(&((n - 1) as u32));
+        let slot = up.tiles[home_last].combine_slot((n - 1) as u32);
         let ready = up.tiles[home_last]
             .initial_solves
             .contains(&((n - 1) as u32))
-            || slot
-                .map(|&s| up.tiles[home_last].slots[s as usize].remaining == 0)
-                .unwrap_or(false);
+            || slot.is_some_and(|s| up.tiles[home_last].slots[s as usize].remaining == 0);
         assert!(ready);
     }
 
@@ -573,7 +593,7 @@ mod tests {
         let prog = Program::compile_sptrsv_lower(&l, &a, &p);
         for (i, &h) in prog.home.iter().enumerate() {
             let tp = &prog.tiles[h as usize];
-            let slot = tp.combine_slot[&(i as u32)];
+            let slot = tp.combine_slot(i as u32).unwrap();
             assert!(tp.slots[slot as usize].init_from_b);
             assert!(matches!(
                 tp.slots[slot as usize].action,

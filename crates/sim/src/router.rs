@@ -278,9 +278,10 @@ pub struct Accept {
 /// and [`Router::next_event`] so the wake analysis can never disagree
 /// with what a real tick would do. Tree links connect mesh neighbors,
 /// so a flit forwards to at most one tile per direction — the fixed
-/// array keeps both callers allocation-free.
+/// array keeps both callers allocation-free. Link directions come
+/// precomputed with each tree node, so a routing decision is one
+/// binary search in the tree's node table.
 fn route_of(program: &Program, tile: TileId, flit: Flit) -> ([(usize, TileId); 4], usize, bool) {
-    let grid = program.grid;
     let t = tile as usize;
     let mut out_dirs = [(0usize, 0 as TileId); 4];
     let mut out_n = 0usize;
@@ -289,28 +290,29 @@ fn route_of(program: &Program, tile: TileId, flit: Flit) -> ([(usize, TileId); 4
         FlitKind::X => {
             // Compiler invariant: every routed x flit got a tree.
             let tree_id = program.x_tree[flit.idx as usize].expect("multicast flit has a tree");
-            let tree = &program.trees[tree_id as usize];
-            for &child in tree.children_of(tile) {
-                let dir = direction_of(grid, tile, child);
-                out_dirs[out_n] = (dir, child);
-                out_n += 1;
+            // A tile outside the tree has nothing to forward or deliver.
+            if let Some(node) = program.trees[tree_id as usize].node(tile) {
+                for (&child, &dir) in node.children.iter().zip(node.child_dirs) {
+                    out_dirs[out_n] = (dir.index(), child);
+                    out_n += 1;
+                }
+                deliver = !flit.outbound && node.is_dest;
             }
-            deliver = !flit.outbound && tree.is_dest(tile);
         }
         FlitKind::Partial => {
-            let is_combiner = program.tiles[t].combine_slot.contains_key(&flit.idx);
+            let is_combiner = program.tiles[t].combine_slot(flit.idx).is_some();
             if !flit.outbound && is_combiner {
                 deliver = true;
             } else {
                 // Compiler invariant: split rows always get a tree.
                 let tree_id =
                     program.partial_tree[flit.idx as usize].expect("partial flit has a tree");
-                let tree = &program.trees[tree_id as usize];
                 // Tree roots combine locally, never route partials.
-                let parent = tree
-                    .parent_of(tile)
+                let (parent, dir) = program.trees[tree_id as usize]
+                    .node(tile)
+                    .and_then(|node| node.up)
                     .expect("non-root tile climbing a reduction tree");
-                out_dirs[out_n] = (direction_of(grid, tile, parent), parent);
+                out_dirs[out_n] = (dir.index(), parent);
                 out_n += 1;
             }
         }
@@ -457,16 +459,6 @@ pub fn tick_routers(
     }
 }
 
-/// Direction index (E/W/N/S as PORT_*) of the link from `from` to
-/// adjacent `to`.
-fn direction_of(grid: azul_mapping::TileGrid, from: TileId, to: TileId) -> usize {
-    grid.neighbors(from)
-        .iter()
-        .position(|&n| n == to)
-        // Mapping invariant: trees are embedded in the mesh.
-        .expect("tree links connect adjacent tiles")
-}
-
 /// The input port on the receiving router for a flit leaving via `dir`.
 fn reverse_port(dir: usize) -> usize {
     match dir {
@@ -597,7 +589,7 @@ mod tests {
         let delivered: Vec<usize> = (0..num).filter(|&t| !deliveries[t].is_empty()).collect();
         assert_eq!(delivered.len(), 1);
         let t = delivered[0];
-        assert!(prog.tiles[t].combine_slot.contains_key(&(i as u32)));
+        assert!(prog.tiles[t].combine_slot(i as u32).is_some());
         // It made progress toward home: either home itself or a tile
         // strictly between.
         let _ = home;
