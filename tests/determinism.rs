@@ -16,11 +16,13 @@
 //! conservation, router occupancy bounds, trace monotonicity and the
 //! aggregate-vs-detail cross-check all hold on every checked run.
 
-use azul::mapping::strategies::{AzulMapper, Mapper};
+use azul::mapping::strategies::{AzulMapper, Mapper, RoundRobinMapper};
 use azul::mapping::TileGrid;
 use azul::sim::bicgstab::{BiCgStabSim, BiCgStabSimConfig};
-use azul::sim::config::SimConfig;
-use azul::sim::faults::{FaultPlan, FaultRecord, IntegrityAudit, IntegrityPolicy, RecoveryRecord};
+use azul::sim::config::{SimConfig, StagnationPolicy};
+use azul::sim::faults::{
+    FaultEvent, FaultKind, FaultPlan, FaultRecord, IntegrityAudit, IntegrityPolicy, RecoveryRecord,
+};
 use azul::sim::gmres::{GmresSim, GmresSimConfig};
 use azul::sim::invariants::{Checker, RULE_FLIT_CONSERVATION};
 use azul::sim::machine::SimError;
@@ -29,6 +31,7 @@ use azul::sim::stats::KernelStats;
 use azul::sim::telemetry::{
     describe_config, fill_fault_report, fill_integrity_report, fill_invariant_report, fill_report,
 };
+use azul::solver::SolveStatus;
 use azul::sparse::generate;
 use azul::telemetry::report::IterationSample;
 use azul::telemetry::trace::{chrome_trace_json, validate_chrome_trace, TraceConfig};
@@ -587,4 +590,277 @@ fn synthetic_conservation_violation_surfaces_as_sim_error() {
     }
     checker.finish(&mut stats);
     assert!(stats.invariant_checks.iter().sum::<u64>() > 0);
+}
+
+/// FNV-1a over the bit patterns of a solution vector: pins every bit of
+/// `x` without storing it.
+fn fnv1a_bits(v: &[f64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for x in v {
+        for byte in x.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The report fields [`serialize_audited`] leaves out, floats as bits.
+struct Summary<'a> {
+    status: SolveStatus,
+    iterations: usize,
+    converged: bool,
+    final_residual: f64,
+    cycles_per_iteration: f64,
+    gflops: f64,
+    kernel_cycles: [f64; 3],
+    /// PCG only: the extrapolated total including setup.
+    total_cycles: Option<u64>,
+    x: &'a [f64],
+}
+
+impl Summary<'_> {
+    fn render(&self) -> String {
+        let kc = self.kernel_cycles.map(f64::to_bits);
+        let mut s = format!(
+            "status: {:?}\niterations: {}\nconverged: {}\nfinal_residual: {:#018x}\n\
+             cycles_per_iteration: {:#018x}\ngflops: {:#018x}\n\
+             kernel_cycles: [{:#018x}, {:#018x}, {:#018x}]\n",
+            self.status,
+            self.iterations,
+            self.converged,
+            self.final_residual.to_bits(),
+            self.cycles_per_iteration.to_bits(),
+            self.gflops.to_bits(),
+            kc[0],
+            kc[1],
+            kc[2],
+        );
+        if let Some(t) = self.total_cycles {
+            s += &format!("total_cycles: {t}\n");
+        }
+        s += &format!("x_fnv1a: {:#018x}\n", fnv1a_bits(self.x));
+        s
+    }
+}
+
+/// The knobs one golden scenario sets on top of the solver defaults.
+struct GoldenScenario {
+    name: &'static str,
+    /// Solve the fault-injection tests' 16×16 Laplacian on a 2×2
+    /// round-robin grid instead of the shared 20×20 / 4×4 scenario.
+    small: bool,
+    faults: Option<FaultPlan>,
+    timed_iterations: usize,
+    integrity: IntegrityPolicy,
+    stagnation: Option<StagnationPolicy>,
+    cycle_budget: u64,
+}
+
+/// The five pinned scenarios: the default back-filled run, a seeded
+/// fault plan with every iteration timed, the full audit battery, a bit
+/// flip before the first checkpoint (rollback to iteration 0), and a
+/// stagnation detector next to a cycle budget that trips.
+fn golden_scenarios() -> Vec<GoldenScenario> {
+    let base = || GoldenScenario {
+        name: "",
+        small: false,
+        faults: None,
+        timed_iterations: 2,
+        integrity: IntegrityPolicy::default(),
+        stagnation: None,
+        cycle_budget: u64::MAX,
+    };
+    vec![
+        GoldenScenario {
+            name: "default",
+            ..base()
+        },
+        GoldenScenario {
+            name: "seeded-faults",
+            faults: seeded_plan(),
+            timed_iterations: 0,
+            ..base()
+        },
+        GoldenScenario {
+            name: "audit",
+            integrity: IntegrityPolicy::audit(),
+            ..base()
+        },
+        GoldenScenario {
+            name: "early-flip",
+            small: true,
+            faults: Some(FaultPlan::new(vec![FaultEvent {
+                at_cycle: 5_300,
+                kind: FaultKind::SramBitFlip {
+                    tile: 0,
+                    slot: 0,
+                    bit: 62,
+                },
+            }])),
+            timed_iterations: 0,
+            integrity: IntegrityPolicy::audit(),
+            ..base()
+        },
+        GoldenScenario {
+            name: "budget",
+            stagnation: Some(StagnationPolicy::default()),
+            cycle_budget: 20_000,
+            ..base()
+        },
+    ]
+}
+
+/// Runs `solver` on one golden scenario and renders the summary line
+/// block followed by the audited telemetry JSON.
+fn golden_text(solver: &str, sc: &GoldenScenario) -> String {
+    let (a, p, grid) = if sc.small {
+        let a = generate::grid_laplacian_2d(16, 16);
+        let grid = TileGrid::new(2, 2);
+        let p = RoundRobinMapper.map(&a, grid);
+        (a, p, grid)
+    } else {
+        setup()
+    };
+    let cfg = engine_cfg(grid, 1, false, false, sc.faults.clone());
+    let b = rhs(a.rows());
+    let (summary, telemetry) = match solver {
+        "pcg" => {
+            let run_cfg = PcgSimConfig {
+                timed_iterations: sc.timed_iterations,
+                integrity: sc.integrity,
+                stagnation: sc.stagnation,
+                cycle_budget: sc.cycle_budget,
+                ..PcgSimConfig::default()
+            };
+            let sim = PcgSim::build(&a, &p, &cfg).expect("pcg build");
+            let r = sim.try_run(&b, &run_cfg).expect("pcg solve");
+            let summary = Summary {
+                status: r.status,
+                iterations: r.iterations,
+                converged: r.converged,
+                final_residual: r.final_residual,
+                cycles_per_iteration: r.cycles_per_iteration,
+                gflops: r.gflops,
+                kernel_cycles: r.kernel_cycles,
+                total_cycles: Some(r.total_cycles),
+                x: &r.x,
+            }
+            .render();
+            let t = serialize_audited(
+                &cfg,
+                &r.stats,
+                &r.fault_events,
+                &r.recoveries,
+                &r.convergence,
+                &r.integrity,
+            );
+            (summary, t)
+        }
+        "bicgstab" => {
+            let run_cfg = BiCgStabSimConfig {
+                timed_iterations: sc.timed_iterations,
+                integrity: sc.integrity,
+                stagnation: sc.stagnation,
+                cycle_budget: sc.cycle_budget,
+                ..BiCgStabSimConfig::default()
+            };
+            let sim = BiCgStabSim::build(&a, &p, &cfg).expect("bicgstab build");
+            let r = sim.try_run(&b, &run_cfg).expect("bicgstab solve");
+            let summary = Summary {
+                status: r.status,
+                iterations: r.iterations,
+                converged: r.converged,
+                final_residual: r.final_residual,
+                cycles_per_iteration: r.cycles_per_iteration,
+                gflops: r.gflops,
+                kernel_cycles: r.kernel_cycles,
+                total_cycles: None,
+                x: &r.x,
+            }
+            .render();
+            let t = serialize_audited(
+                &cfg,
+                &r.stats,
+                &r.fault_events,
+                &r.recoveries,
+                &r.convergence,
+                &r.integrity,
+            );
+            (summary, t)
+        }
+        "gmres" => {
+            let run_cfg = GmresSimConfig {
+                timed_iterations: sc.timed_iterations,
+                integrity: sc.integrity,
+                stagnation: sc.stagnation,
+                cycle_budget: sc.cycle_budget,
+                ..GmresSimConfig::default()
+            };
+            let sim = GmresSim::build(&a, &p, &cfg).expect("gmres build");
+            let r = sim.try_run(&b, &run_cfg).expect("gmres solve");
+            let summary = Summary {
+                status: r.status,
+                iterations: r.iterations,
+                converged: r.converged,
+                final_residual: r.final_residual,
+                cycles_per_iteration: r.cycles_per_iteration,
+                gflops: r.gflops,
+                kernel_cycles: r.kernel_cycles,
+                total_cycles: None,
+                x: &r.x,
+            }
+            .render();
+            let t = serialize_audited(
+                &cfg,
+                &r.stats,
+                &r.fault_events,
+                &r.recoveries,
+                &r.convergence,
+                &r.integrity,
+            );
+            (summary, t)
+        }
+        other => panic!("unknown solver {other}"),
+    };
+    format!("{summary}{telemetry}\n")
+}
+
+/// Compares every golden scenario of `solver` with its file under
+/// `tests/golden/`. A mismatch (or a missing file) writes the actual
+/// output under `target/golden-actual/` so it can be diffed, then fails.
+fn assert_goldens(solver: &str) {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let mut mismatched = Vec::new();
+    for sc in golden_scenarios() {
+        let file = format!("{solver}-{}.txt", sc.name);
+        let got = golden_text(solver, &sc);
+        let want = std::fs::read_to_string(format!("{root}/tests/golden/{file}")).ok();
+        if want.as_deref() != Some(got.as_str()) {
+            let out = format!("{root}/target/golden-actual");
+            std::fs::create_dir_all(&out).expect("create target/golden-actual");
+            std::fs::write(format!("{out}/{file}"), &got).expect("write actual output");
+            mismatched.push(file);
+        }
+    }
+    assert!(
+        mismatched.is_empty(),
+        "{solver}: telemetry differs from the golden files {mismatched:?}; \
+         diff tests/golden/<file> against target/golden-actual/<file>"
+    );
+}
+
+#[test]
+fn pcg_telemetry_matches_golden_files() {
+    assert_goldens("pcg");
+}
+
+#[test]
+fn bicgstab_telemetry_matches_golden_files() {
+    assert_goldens("bicgstab");
+}
+
+#[test]
+fn gmres_telemetry_matches_golden_files() {
+    assert_goldens("gmres");
 }
