@@ -193,12 +193,15 @@ impl From<SimError> for AzulError {
     /// surfaces as the typed [`AzulError::Cancelled`] so callers (the
     /// supervisor, `azul-serve`) can distinguish "the host asked us to
     /// stop" from "the simulated hardware broke" without matching
-    /// through the wrapper.
+    /// through the wrapper. A [`SimError::Input`] is the caller's
+    /// mistake and surfaces as [`AzulError::Input`], which no retry
+    /// fixes.
     fn from(e: SimError) -> Self {
         match e {
             SimError::Cancelled { .. } => AzulError::Cancelled {
                 stage: "solve".into(),
             },
+            SimError::Input { detail } => AzulError::Input(detail),
             other => AzulError::Sim(other),
         }
     }
@@ -950,6 +953,19 @@ mod tests {
             accum_limit: 36_864,
         };
         assert!(cap.to_string().contains("tile 2"), "{cap}");
+    }
+
+    #[test]
+    fn sim_input_errors_convert_to_input() {
+        let e: AzulError = SimError::Input {
+            detail: "rhs length 3 does not match the 4-row matrix".into(),
+        }
+        .into();
+        match &e {
+            AzulError::Input(detail) => assert!(detail.contains("rhs length 3"), "{detail}"),
+            other => panic!("expected AzulError::Input, got {other:?}"),
+        }
+        assert!(std::error::Error::source(&e).is_none(), "Input is a leaf");
     }
 
     #[test]

@@ -736,8 +736,9 @@ impl SolveSupervisor {
                 Err(sim_err) => {
                     // A cancelled kernel ends the whole supervised solve,
                     // typed — it must not be journaled as a sim failure
-                    // or trigger a solver-ladder move.
-                    if matches!(sim_err, SimError::Cancelled { .. }) {
+                    // or trigger a solver-ladder move. Neither may an
+                    // input the frontend rejected: no rung can fix it.
+                    if matches!(sim_err, SimError::Cancelled { .. } | SimError::Input { .. }) {
                         return Err(sim_err.into());
                     }
                     let cycles_spent = match &sim_err {
@@ -745,6 +746,7 @@ impl SolveSupervisor {
                         SimError::Invariant { cycle, .. } => *cycle,
                         SimError::MisroutedTrigger { cycle, .. } => *cycle,
                         SimError::Cancelled { cycle } => *cycle,
+                        SimError::Input { .. } => 0,
                     };
                     failures.push(AttemptFailure {
                         attempt,

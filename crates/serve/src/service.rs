@@ -1136,6 +1136,16 @@ mod tests {
     }
 
     #[test]
+    fn rejected_solver_input_is_never_retried() {
+        let err: AzulError = azul_sim::SimError::Input {
+            detail: "rhs length mismatch".into(),
+        }
+        .into();
+        assert!(matches!(err, AzulError::Input(_)), "{err:?}");
+        assert!(!is_transient(&err));
+    }
+
+    #[test]
     fn journals_are_byte_identical_across_worker_pool_sizes() {
         let batch = || {
             let mut reqs: Vec<SolveRequest> =

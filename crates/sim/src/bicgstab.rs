@@ -9,22 +9,18 @@
 //! paper claims for the hardware.
 
 use crate::config::{SimConfig, StagnationPolicy};
-use crate::faults::{
-    DriftSample, FaultRecord, FaultSession, IntegrityAudit, IntegrityPolicy, IntegrityRecord,
-    RecoveryPolicy, RecoveryRecord,
-};
-use crate::machine::{run_kernel, run_kernel_checked, SimError};
+use crate::faults::{FaultRecord, IntegrityAudit, IntegrityPolicy, RecoveryPolicy, RecoveryRecord};
+use crate::machine::{run_kernel, SimError};
 use crate::program::Program;
+use crate::solve::{ensure, Policy, Solve, Step};
 use crate::stats::{KernelClass, KernelStats};
 use crate::vecops::{VecOp, VecOpModel};
 use azul_mapping::Placement;
-use azul_solver::abft::OperatorChecksum;
 use azul_solver::flops::{self, FlopBreakdown};
 use azul_solver::ic0::ic0;
 use azul_solver::{BreakdownKind, SolveStatus, SolverError};
 use azul_sparse::{dense, Csr};
 use azul_telemetry::report::IterationSample;
-use azul_telemetry::span;
 
 /// Run-time configuration for a BiCGStab simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -150,8 +146,8 @@ impl BiCgStabSim {
     ///
     /// # Panics
     ///
-    /// Panics if `b.len()` differs from the matrix dimension, or if the
-    /// simulated machine deadlocks (use [`BiCgStabSim::try_run`]).
+    /// Panics on any error [`BiCgStabSim::try_run`] returns: a wrong
+    /// right-hand-side length, or a simulated machine that deadlocks.
     pub fn run(&self, b: &[f64], run_cfg: &BiCgStabSimConfig) -> BiCgStabSimReport {
         match self.try_run(b, run_cfg) {
             Ok(report) => report,
@@ -166,722 +162,179 @@ impl BiCgStabSim {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Deadlock`] when a simulated kernel stops making
-    /// progress or exceeds the cycle cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the matrix dimension.
+    /// Returns [`SimError::Input`] when `b.len()` differs from the matrix
+    /// dimension, and [`SimError::Deadlock`] when a simulated kernel stops
+    /// making progress or exceeds the cycle cap.
     #[must_use = "a dropped result discards both the solve report and the structured failure"]
     pub fn try_run(
         &self,
         b: &[f64],
         run_cfg: &BiCgStabSimConfig,
     ) -> Result<BiCgStabSimReport, SimError> {
-        let n = self.a.rows();
-        assert_eq!(b.len(), n, "rhs length mismatch");
-        let mut solve_span = span::span("solve/bicgstab");
-        let timed_budget = if run_cfg.timed_iterations == 0 {
-            usize::MAX
-        } else {
-            run_cfg.timed_iterations
+        let policy = Policy {
+            span: "solve/bicgstab",
+            estimate: false,
+            tol: run_cfg.tol,
+            timed_iterations: run_cfg.timed_iterations,
+            recovery: run_cfg.recovery,
+            stagnation: run_cfg.stagnation,
+            cycle_budget: run_cfg.cycle_budget,
+            integrity: run_cfg.integrity,
         };
+        // No factor checksum: the stored programs are the only copy of the
+        // factor, so the triangular solves are guarded by the drift and
+        // final audits alone.
+        let mut d = Solve::new(&self.cfg, &self.a, None, &self.vec_model, b, policy)?;
+        let mut st = Recurrence::new(b.to_vec());
+        d.start();
 
-        let mut stats = KernelStats::default();
-        let mut kernel_cycles = [0u64; 3];
-        let mut iter_cycles_acc = 0u64;
-        let mut timed_done = 0usize;
-
-        // One fault session spans all timed kernels of the solve.
-        let mut session: Option<FaultSession> = self
-            .cfg
-            .faults
-            .as_ref()
-            .filter(|pl| !pl.is_empty())
-            .map(|pl| FaultSession::new(pl.clone()));
-
-        // Silent-corruption detection state (host-side, not
-        // cycle-charged). BiCGStab stores no factor, so ABFT checksums
-        // cover the SpMV launches; the triangular solves are still
-        // guarded by the drift and final audits.
-        let integrity = run_cfg.integrity;
-        let mut audit = IntegrityAudit::default();
-        let cs_a = if integrity.enabled && integrity.checksum_kernels {
-            Some(OperatorChecksum::new(&self.a))
-        } else {
-            None
-        };
-        let a_inf = if integrity.enabled {
-            self.a.inf_norm()
-        } else {
-            0.0
-        };
-        let bnorm0 = dense::norm2(b);
-
-        // Timed kernel helpers (mirror PcgSim's accounting).
-        let spmv_timed = |v: &[f64],
-                          timing: bool,
-                          stats: &mut KernelStats,
-                          kc: &mut [u64; 3],
-                          acc: &mut u64,
-                          session: &mut Option<FaultSession>|
-         -> Result<Vec<f64>, SimError> {
-            if timing {
-                let (out, s) = run_kernel_checked(&self.cfg, &self.spmv, v, session.as_mut())?;
-                kc[KernelClass::Spmv as usize] += s.cycles;
-                *acc += s.cycles;
-                stats.merge(&s);
-                Ok(out)
-            } else {
-                Ok(self.a.spmv(v))
-            }
-        };
-        // M^-1 v = F^-T (F^-1 v): two triangular solves.
-        let precond = |sim: &Self,
-                       v: &[f64],
-                       timing: bool,
-                       stats: &mut KernelStats,
-                       kc: &mut [u64; 3],
-                       acc: &mut u64,
-                       session: &mut Option<FaultSession>|
-         -> Result<Vec<f64>, SimError> {
-            if timing {
-                let (y, s1) = run_kernel_checked(&sim.cfg, &sim.lower, v, session.as_mut())?;
-                let (z, s2) = run_kernel_checked(&sim.cfg, &sim.upper, &y, session.as_mut())?;
-                kc[KernelClass::Sptrsv as usize] += s1.cycles + s2.cycles;
-                *acc += s1.cycles + s2.cycles;
-                stats.merge(&s1);
-                stats.merge(&s2);
-                Ok(z)
-            } else {
-                // Functional: the programs encode L and L^T solves; use
-                // the stored coefficients via a quick run of the reference
-                // kernels would need l; reuse the compiled inv_diag path
-                // by running the (cheap at small n) kernels functionally.
-                let (y, _) = run_kernel(&sim.cfg_ideal(), &sim.lower, v);
-                let (z, _) = run_kernel(&sim.cfg_ideal(), &sim.upper, &y);
-                Ok(z)
-            }
-        };
-        let vec_cost = |sim: &Self,
-                        op: VecOp,
-                        count: u64,
-                        timing: bool,
-                        stats: &mut KernelStats,
-                        kc: &mut [u64; 3],
-                        acc: &mut u64| {
-            if timing {
-                for _ in 0..count {
-                    let s = sim.vec_model.stats(&sim.cfg, op, n);
-                    kc[KernelClass::VectorOps as usize] += s.cycles;
-                    *acc += s.cycles;
-                    stats.merge(&s);
-                }
-            }
-        };
-
-        // ---- BiCGStab (right preconditioned), initial guess 0 ----
-        let mut x = vec![0.0f64; n];
-        let mut r = b.to_vec();
-        let mut r_hat = r.clone();
-        let (mut rho_old, mut alpha, mut omega) = (1.0f64, 1.0f64, 1.0f64);
-        let mut v = vec![0.0f64; n];
-        let mut p = vec![0.0f64; n];
-        let mut iterations = 0usize;
-        let rnorm0 = dense::norm2(&r);
-        let mut converged = rnorm0 <= run_cfg.tol;
-
-        // Checkpoint / restart state: only x is checkpointed; a rollback
-        // restarts the recurrence (r = b - A x, r̂ = r, ρ = α = ω = 1,
-        // v = p = 0) so corrupted recurrence vectors cannot survive. The
-        // initial snapshot is the starting x at iteration 0, so a fault
-        // before the first checkpoint interval rolls back to a valid
-        // state, never to an uncheckpointed one.
-        let policy = run_cfg.recovery;
-        let mut ck_x = x.clone();
-        let mut ck_iter = 0usize;
-        let mut rollbacks = 0usize;
-        let mut recoveries: Vec<RecoveryRecord> = Vec::new();
-        let mut best_rnorm = rnorm0;
-        let mut breakdown: Option<BreakdownKind> = None;
-
-        // Convergence telemetry: sample 0 is the initial state (BiCGStab
-        // has no timed setup kernels; r starts as b).
-        let mut convergence = vec![IterationSample {
-            iteration: 0,
-            residual: rnorm0,
-            cycles: 0,
-            flops: 0,
-            messages: 0,
-            link_activations: 0,
-        }];
-        let mut untimed: Vec<usize> = Vec::new();
-        let (mut timed_flops, mut timed_msgs, mut timed_links) = (0u64, 0u64, 0u64);
-        // Residual history for the stagnation detector; only maintained
-        // when a policy is configured.
-        let mut rnorm_hist: Vec<f64> = Vec::new();
-
-        // Anomaly handler: with recovery budget left, restart from the
-        // checkpointed x; otherwise stop with a structured breakdown.
-        macro_rules! fault_guard {
-            ($timing:expr, $this_iter:expr, $kind:expr, $reason:expr) => {{
-                if policy.enabled && rollbacks < policy.max_rollbacks {
-                    if $timing {
-                        timed_done += 1;
-                        iter_cycles_acc += $this_iter;
+        while !d.converged && d.iterations < run_cfg.max_iters {
+            d.next()?;
+            match self.iterate(&mut d, &mut st) {
+                Ok(rnorm) => {
+                    if st.omega == 0.0 && !d.converged {
+                        d.breakdown = Some(BreakdownKind::OmegaZero);
+                        break;
                     }
-                    x.copy_from_slice(&ck_x);
-                    r = dense::sub(b, &self.a.spmv(&x));
-                    r_hat = r.clone();
-                    rho_old = 1.0;
-                    alpha = 1.0;
-                    omega = 1.0;
-                    v = vec![0.0; n];
-                    p = vec![0.0; n];
-                    best_rnorm = dense::norm2(&r);
-                    rollbacks += 1;
-                    recoveries.push(RecoveryRecord {
-                        iteration: iterations,
-                        restored_iteration: ck_iter,
-                        reason: $reason,
-                    });
-                    continue;
-                }
-                breakdown = Some($kind);
-                break;
-            }};
-        }
-
-        while !converged && iterations < run_cfg.max_iters {
-            // Cooperative cancellation between iterations (untimed
-            // iterations never enter the cycle engine's own check).
-            if let Some(tok) = &self.cfg.cancel {
-                if tok.is_cancelled() {
-                    return Err(SimError::Cancelled {
-                        cycle: iter_cycles_acc,
-                    });
-                }
-            }
-            if policy.enabled && iterations - ck_iter >= policy.checkpoint_interval.max(1) {
-                ck_x.copy_from_slice(&x);
-                ck_iter = iterations;
-            }
-            let timing = timed_done < timed_budget;
-            let mut this_iter = 0u64;
-            let pre_ops = stats.ops;
-            let pre_msgs = stats.messages;
-            let pre_links = stats.link_activations;
-            let mut push_sample =
-                |residual: f64,
-                 iteration: usize,
-                 this_iter: u64,
-                 stats: &KernelStats,
-                 untimed: &mut Vec<usize>,
-                 convergence: &mut Vec<IterationSample>| {
-                    let mut sample = IterationSample {
-                        iteration,
-                        residual,
-                        cycles: 0,
-                        flops: 0,
-                        messages: 0,
-                        link_activations: 0,
-                    };
-                    if timing {
-                        let d_ops = [
-                            stats.ops[0] - pre_ops[0],
-                            stats.ops[1] - pre_ops[1],
-                            stats.ops[2] - pre_ops[2],
-                            stats.ops[3] - pre_ops[3],
-                        ];
-                        sample.cycles = this_iter;
-                        sample.flops = crate::pcg::flops_of_ops(d_ops);
-                        sample.messages = stats.messages - pre_msgs;
-                        sample.link_activations = stats.link_activations - pre_links;
-                        timed_flops += sample.flops;
-                        timed_msgs += sample.messages;
-                        timed_links += sample.link_activations;
-                    } else {
-                        untimed.push(convergence.len());
-                    }
-                    convergence.push(sample);
-                };
-
-            let rho = dense::dot(&r_hat, &r);
-            vec_cost(
-                self,
-                VecOp::Dot,
-                1,
-                timing,
-                &mut stats,
-                &mut kernel_cycles,
-                &mut this_iter,
-            );
-            if rho == 0.0 {
-                fault_guard!(
-                    timing,
-                    this_iter,
-                    BreakdownKind::RhoZero,
-                    "rho = r_hat.r vanished".to_string()
-                );
-            }
-            if !rho.is_finite() {
-                fault_guard!(
-                    timing,
-                    this_iter,
-                    BreakdownKind::NonFinite,
-                    format!("non-finite rho = {rho}")
-                );
-            }
-            let beta = (rho / rho_old) * (alpha / omega);
-            for i in 0..n {
-                p[i] = r[i] + beta * (p[i] - omega * v[i]);
-            }
-            vec_cost(
-                self,
-                VecOp::Xpby,
-                2,
-                timing,
-                &mut stats,
-                &mut kernel_cycles,
-                &mut this_iter,
-            );
-
-            let y = precond(
-                self,
-                &p,
-                timing,
-                &mut stats,
-                &mut kernel_cycles,
-                &mut this_iter,
-                &mut session,
-            )?;
-            v = spmv_timed(
-                &y,
-                timing,
-                &mut stats,
-                &mut kernel_cycles,
-                &mut this_iter,
-                &mut session,
-            )?;
-            // ABFT: verify the simulated v = A·y against the column
-            // checksums; a confirmed deviation (the reference kernel
-            // disagrees too) feeds the recovery ladder.
-            if timing {
-                if let Some(cs) = &cs_a {
-                    audit.checks += 1;
-                    let check = cs.verify_spmv(&y, &v);
-                    if !check.ok() {
-                        audit.violations.push(IntegrityRecord {
-                            iteration: iterations,
-                            check: "checksum_spmv",
-                            detail: format!("gap {:.3e} > bound {:.3e}", check.gap, check.bound),
-                        });
-                        let reference = self.a.spmv(&y);
-                        if dense::norm2(&dense::sub(&v, &reference)) > check.bound {
-                            fault_guard!(
-                                timing,
-                                this_iter,
-                                BreakdownKind::IntegrityViolation,
-                                format!(
-                                    "spmv checksum gap {:.3e} > bound {:.3e}",
-                                    check.gap, check.bound
-                                )
-                            );
-                        }
-                    }
-                }
-            }
-            let rhat_v = dense::dot(&r_hat, &v);
-            vec_cost(
-                self,
-                VecOp::Dot,
-                1,
-                timing,
-                &mut stats,
-                &mut kernel_cycles,
-                &mut this_iter,
-            );
-            if rhat_v == 0.0 {
-                fault_guard!(
-                    timing,
-                    this_iter,
-                    BreakdownKind::RhatVZero,
-                    "r_hat.v vanished".to_string()
-                );
-            }
-            alpha = rho / rhat_v;
-            if !alpha.is_finite() {
-                fault_guard!(
-                    timing,
-                    this_iter,
-                    BreakdownKind::NonFinite,
-                    format!("non-finite alpha = {alpha}")
-                );
-            }
-            let mut s_vec = r.clone();
-            dense::axpy(-alpha, &v, &mut s_vec);
-            dense::axpy(alpha, &y, &mut x);
-            vec_cost(
-                self,
-                VecOp::Axpy,
-                2,
-                timing,
-                &mut stats,
-                &mut kernel_cycles,
-                &mut this_iter,
-            );
-
-            let snorm = dense::norm2(&s_vec);
-            vec_cost(
-                self,
-                VecOp::Dot,
-                1,
-                timing,
-                &mut stats,
-                &mut kernel_cycles,
-                &mut this_iter,
-            );
-            if snorm <= run_cfg.tol {
-                // Final audit on the half-step exit: never declare
-                // convergence on the recursive s-norm alone. Outside the
-                // drift envelope → recovery ladder; inside it → honest
-                // rounding gap, so fall through and finish the iteration.
-                let mut accept = true;
-                if integrity.enabled && integrity.final_audit {
-                    audit.checks += 1;
-                    let true_r = dense::norm2(&dense::sub(b, &self.a.spmv(&x)));
-                    if true_r > run_cfg.tol {
-                        accept = false;
-                        let floor = 64.0 * f64::EPSILON * (bnorm0 + a_inf * dense::norm2(&x));
-                        if true_r > integrity.drift_factor * snorm + floor {
-                            audit.violations.push(IntegrityRecord {
-                                iteration: iterations + 1,
-                                check: "final_audit",
-                                detail: format!("true {true_r:.3e} > tol, recursive {snorm:.3e}"),
-                            });
-                            fault_guard!(
-                                timing,
-                                this_iter,
-                                BreakdownKind::IntegrityViolation,
-                                format!("final audit: true {true_r:.3e} vs recursive {snorm:.3e}")
-                            );
-                        }
-                    }
-                }
-                if accept {
-                    if timing {
-                        timed_done += 1;
-                        iter_cycles_acc += this_iter;
-                    }
-                    iterations += 1;
-                    converged = true;
-                    push_sample(
-                        snorm,
-                        iterations,
-                        this_iter,
-                        &stats,
-                        &mut untimed,
-                        &mut convergence,
-                    );
-                    break;
-                }
-            }
-
-            let z = precond(
-                self,
-                &s_vec,
-                timing,
-                &mut stats,
-                &mut kernel_cycles,
-                &mut this_iter,
-                &mut session,
-            )?;
-            let t = spmv_timed(
-                &z,
-                timing,
-                &mut stats,
-                &mut kernel_cycles,
-                &mut this_iter,
-                &mut session,
-            )?;
-            // ABFT: same verification for the second SpMV, t = A·z.
-            if timing {
-                if let Some(cs) = &cs_a {
-                    audit.checks += 1;
-                    let check = cs.verify_spmv(&z, &t);
-                    if !check.ok() {
-                        audit.violations.push(IntegrityRecord {
-                            iteration: iterations,
-                            check: "checksum_spmv",
-                            detail: format!("gap {:.3e} > bound {:.3e}", check.gap, check.bound),
-                        });
-                        let reference = self.a.spmv(&z);
-                        if dense::norm2(&dense::sub(&t, &reference)) > check.bound {
-                            fault_guard!(
-                                timing,
-                                this_iter,
-                                BreakdownKind::IntegrityViolation,
-                                format!(
-                                    "spmv checksum gap {:.3e} > bound {:.3e}",
-                                    check.gap, check.bound
-                                )
-                            );
-                        }
-                    }
-                }
-            }
-            let tt = dense::dot(&t, &t);
-            vec_cost(
-                self,
-                VecOp::Dot,
-                2,
-                timing,
-                &mut stats,
-                &mut kernel_cycles,
-                &mut this_iter,
-            );
-            if tt == 0.0 {
-                fault_guard!(
-                    timing,
-                    this_iter,
-                    BreakdownKind::TtZero,
-                    "t.t vanished".to_string()
-                );
-            }
-            omega = dense::dot(&t, &s_vec) / tt;
-            if !omega.is_finite() {
-                fault_guard!(
-                    timing,
-                    this_iter,
-                    BreakdownKind::NonFinite,
-                    format!("non-finite omega = {omega}")
-                );
-            }
-            dense::axpy(omega, &z, &mut x);
-            r = s_vec;
-            dense::axpy(-omega, &t, &mut r);
-            vec_cost(
-                self,
-                VecOp::Axpy,
-                2,
-                timing,
-                &mut stats,
-                &mut kernel_cycles,
-                &mut this_iter,
-            );
-
-            rho_old = rho;
-            let rnorm = dense::norm2(&r);
-            vec_cost(
-                self,
-                VecOp::Dot,
-                1,
-                timing,
-                &mut stats,
-                &mut kernel_cycles,
-                &mut this_iter,
-            );
-            if !rnorm.is_finite() {
-                fault_guard!(
-                    timing,
-                    this_iter,
-                    BreakdownKind::NonFinite,
-                    "non-finite residual norm".to_string()
-                );
-            }
-            if rnorm > policy.divergence_factor * best_rnorm.max(run_cfg.tol) {
-                fault_guard!(
-                    timing,
-                    this_iter,
-                    BreakdownKind::Diverged,
-                    format!("residual {rnorm:.3e} diverged from best {best_rnorm:.3e}")
-                );
-            }
-            best_rnorm = best_rnorm.min(rnorm);
-            // Periodic drift audit: recursive vs. freshly recomputed true
-            // residual (see the PCG frontend for the rationale).
-            let mut tol_met = rnorm <= run_cfg.tol;
-            if integrity.drift_due(iterations + 1) {
-                audit.checks += 1;
-                let true_r = dense::norm2(&dense::sub(b, &self.a.spmv(&x)));
-                audit.drift.push(DriftSample {
-                    iteration: iterations + 1,
-                    recursive: rnorm,
-                    true_residual: true_r,
-                });
-                let floor = 64.0 * f64::EPSILON * (bnorm0 + a_inf * dense::norm2(&x));
-                if true_r > integrity.drift_factor * rnorm + floor {
-                    audit.violations.push(IntegrityRecord {
-                        iteration: iterations + 1,
-                        check: "residual_drift",
-                        detail: format!("true {true_r:.3e} vs recursive {rnorm:.3e}"),
-                    });
-                    fault_guard!(
-                        timing,
-                        this_iter,
-                        BreakdownKind::IntegrityViolation,
-                        format!("residual drift: true {true_r:.3e} vs recursive {rnorm:.3e}")
-                    );
-                }
-            }
-            // Final audit before declaring convergence on the full step.
-            if tol_met && integrity.enabled && integrity.final_audit {
-                audit.checks += 1;
-                let true_r = dense::norm2(&dense::sub(b, &self.a.spmv(&x)));
-                if true_r > run_cfg.tol {
-                    tol_met = false;
-                    let floor = 64.0 * f64::EPSILON * (bnorm0 + a_inf * dense::norm2(&x));
-                    if true_r > integrity.drift_factor * rnorm + floor {
-                        audit.violations.push(IntegrityRecord {
-                            iteration: iterations + 1,
-                            check: "final_audit",
-                            detail: format!("true {true_r:.3e} > tol, recursive {rnorm:.3e}"),
-                        });
-                        fault_guard!(
-                            timing,
-                            this_iter,
-                            BreakdownKind::IntegrityViolation,
-                            format!("final audit: true {true_r:.3e} vs recursive {rnorm:.3e}")
-                        );
-                    }
-                }
-            }
-            iterations += 1;
-            converged = tol_met;
-            if timing {
-                timed_done += 1;
-                iter_cycles_acc += this_iter;
-            }
-            push_sample(
-                rnorm,
-                iterations,
-                this_iter,
-                &stats,
-                &mut untimed,
-                &mut convergence,
-            );
-            if omega == 0.0 && !converged {
-                breakdown = Some(BreakdownKind::OmegaZero);
-                break;
-            }
-            if !converged {
-                if let Some(stag) = run_cfg.stagnation {
-                    rnorm_hist.push(rnorm);
-                    if stag.stagnated(&rnorm_hist) {
-                        breakdown = Some(BreakdownKind::Stagnated);
+                    if d.exhausted(rnorm) {
                         break;
                     }
                 }
-                if run_cfg.cycle_budget != u64::MAX {
-                    // Same extrapolation as the reported steady-state cost.
-                    let spent = if timed_done > 0 {
-                        (iter_cycles_acc as f64 / timed_done as f64 * iterations as f64) as u64
-                    } else {
-                        0
-                    };
-                    if spent >= run_cfg.cycle_budget {
-                        breakdown = Some(BreakdownKind::BudgetExhausted);
+                Err(stop) => {
+                    if !d.recover(stop)? {
                         break;
                     }
+                    st = Recurrence::new(dense::sub(b, &self.a.spmv(&d.x)));
+                    d.reset_best(dense::norm2(&st.r));
                 }
             }
         }
 
-        let cycles_per_iteration = if timed_done > 0 {
-            iter_cycles_acc as f64 / timed_done as f64
-        } else {
-            0.0
-        };
+        let f = d.finish()?;
         // Per-iteration FLOPs: 2 SpMVs, 4 SpTRSVs, ~6 dots + ~6 axpys.
         let flops_per_iteration = FlopBreakdown {
             spmv: 2 * flops::spmv_flops(&self.a),
             sptrsv: 4 * flops::sptrsv_flops(self.nnz_l),
-            vector: 12 * flops::dot_flops(n),
+            vector: 12 * flops::dot_flops(self.a.rows()),
         };
-        let gflops = if cycles_per_iteration > 0.0 {
-            flops_per_iteration.total() as f64 / cycles_per_iteration * self.cfg.clock_ghz
+        let gflops = if f.cycles_per_iteration > 0.0 {
+            flops_per_iteration.total() as f64 / f.cycles_per_iteration * self.cfg.clock_ghz
         } else {
             0.0
         };
-        let per_iter = |k: usize| {
-            if timed_done > 0 {
-                kernel_cycles[k] as f64 / timed_done as f64
-            } else {
-                0.0
-            }
-        };
-        // Untimed iterations get the steady-state averages, mirroring the
-        // cycles_per_iteration extrapolation.
-        if timed_done > 0 {
-            let avg = |sum: u64| (sum as f64 / timed_done as f64).round() as u64;
-            let (af, am, al) = (avg(timed_flops), avg(timed_msgs), avg(timed_links));
-            for &i in &untimed {
-                convergence[i].cycles = cycles_per_iteration.round() as u64;
-                convergence[i].flops = af;
-                convergence[i].messages = am;
-                convergence[i].link_activations = al;
-            }
-        }
-        // Bound the exported convergence history (after the back-fill,
-        // which indexes raw positions) and close the solve-level event
-        // trace with one final sort + compaction pass over the merged
-        // per-kernel segments.
-        crate::telemetry::limit_history(&mut convergence, self.cfg.history_limit);
-        if stats.trace_ev.mask() != 0 {
-            stats.trace_ev.seal();
-        }
-        solve_span.record_cycles((cycles_per_iteration * iterations as f64).round() as u64);
-        solve_span.annotate("iterations", iterations);
-        solve_span.annotate("converged", converged);
-        if !recoveries.is_empty() {
-            solve_span.annotate("rollbacks", recoveries.len());
-        }
-
-        let status = match (converged, breakdown) {
-            (true, _) => SolveStatus::Converged,
-            (false, Some(kind)) => SolveStatus::Breakdown(kind),
-            (false, None) => SolveStatus::MaxIters,
-        };
-        let fault_events = session.map(|s| s.records().to_vec()).unwrap_or_default();
-
-        let final_residual = dense::norm2(&dense::sub(b, &self.a.spmv(&x)));
-
-        // Escape backstop: journal (never mask) a converged flag whose
-        // true residual misses the tolerance. Structurally impossible
-        // while the final audit is armed.
-        if integrity.enabled && converged && final_residual > run_cfg.tol {
-            audit.escapes += 1;
-            audit.violations.push(IntegrityRecord {
-                iteration: iterations,
-                check: "final_audit",
-                detail: format!(
-                    "escape: converged with true residual {final_residual:.3e} > tol {:.3e}",
-                    run_cfg.tol
-                ),
-            });
-        }
-
-        // Solve-level invariant audit over the merged stats.
-        if self.cfg.check_invariants {
-            crate::invariants::check_solve_stats(&mut stats)?;
-        }
-
         Ok(BiCgStabSimReport {
-            x,
-            converged,
-            iterations,
-            final_residual,
-            cycles_per_iteration,
-            kernel_cycles: [per_iter(0), per_iter(1), per_iter(2)],
-            stats,
+            x: f.x,
+            converged: f.converged,
+            iterations: f.iterations,
+            final_residual: f.final_residual,
+            cycles_per_iteration: f.cycles_per_iteration,
+            kernel_cycles: f.kernel_cycles,
+            stats: f.stats,
             flops_per_iteration,
             gflops,
-            status,
-            fault_events,
-            recoveries,
-            integrity: audit,
-            convergence,
+            status: f.status,
+            fault_events: f.fault_events,
+            recoveries: f.recoveries,
+            integrity: f.integrity,
+            convergence: f.convergence,
         })
+    }
+
+    /// One BiCGStab iteration; returns the residual norm it ended on
+    /// (`||s||` on the half-step exit).
+    fn iterate(&self, d: &mut Solve, st: &mut Recurrence) -> Step<f64> {
+        let rho = dense::dot(&st.r_hat, &st.r);
+        d.vec_ops(VecOp::Dot, 1);
+        ensure(rho != 0.0, BreakdownKind::RhoZero, || {
+            "rho = r_hat.r vanished".to_string()
+        })?;
+        ensure(rho.is_finite(), BreakdownKind::NonFinite, || {
+            format!("non-finite rho = {rho}")
+        })?;
+        let beta = (rho / st.rho_old) * (st.alpha / st.omega);
+        for ((p, r), v) in st.p.iter_mut().zip(&st.r).zip(&st.v) {
+            *p = r + beta * (*p - st.omega * v);
+        }
+        d.vec_ops(VecOp::Xpby, 2);
+
+        let y = self.precond(d, &st.p)?;
+        st.v = self.matvec(d, &y)?;
+        let rhat_v = dense::dot(&st.r_hat, &st.v);
+        d.vec_ops(VecOp::Dot, 1);
+        ensure(rhat_v != 0.0, BreakdownKind::RhatVZero, || {
+            "r_hat.v vanished".to_string()
+        })?;
+        let alpha = rho / rhat_v;
+        st.alpha = alpha;
+        ensure(alpha.is_finite(), BreakdownKind::NonFinite, || {
+            format!("non-finite alpha = {alpha}")
+        })?;
+        let mut s = st.r.clone();
+        dense::axpy(-alpha, &st.v, &mut s);
+        dense::axpy(alpha, &y, &mut d.x);
+        d.vec_ops(VecOp::Axpy, 2);
+
+        let snorm = dense::norm2(&s);
+        d.vec_ops(VecOp::Dot, 1);
+        // Half-step exit, audited like the full step's.
+        if d.accept(d.iterations + 1, snorm)? {
+            d.end(snorm, true);
+            return Ok(snorm);
+        }
+
+        let z = self.precond(d, &s)?;
+        let t = self.matvec(d, &z)?;
+        let tt = dense::dot(&t, &t);
+        d.vec_ops(VecOp::Dot, 2);
+        ensure(tt != 0.0, BreakdownKind::TtZero, || {
+            "t.t vanished".to_string()
+        })?;
+        let omega = dense::dot(&t, &s) / tt;
+        st.omega = omega;
+        ensure(omega.is_finite(), BreakdownKind::NonFinite, || {
+            format!("non-finite omega = {omega}")
+        })?;
+        dense::axpy(omega, &z, &mut d.x);
+        st.r = s;
+        dense::axpy(-omega, &t, &mut st.r);
+        d.vec_ops(VecOp::Axpy, 2);
+
+        st.rho_old = rho;
+        let rnorm = dense::norm2(&st.r);
+        d.vec_ops(VecOp::Dot, 1);
+        d.check_residual(rnorm)?;
+        d.drift_audit(d.iterations + 1, rnorm, None)?;
+        let tol_met = d.accept(d.iterations + 1, rnorm)?;
+        d.end(rnorm, tol_met);
+        Ok(rnorm)
+    }
+
+    /// `A v`: cycle-timed and checksum-verified, or the reference kernel.
+    fn matvec(&self, d: &mut Solve, v: &[f64]) -> Step<Vec<f64>> {
+        if !d.timing {
+            return Ok(self.a.spmv(v));
+        }
+        let out = d.timed(&self.spmv, v, KernelClass::Spmv)?;
+        d.verify_spmv(v, &out)?;
+        Ok(out)
+    }
+
+    /// `M^-1 v = F^-T (F^-1 v)`: two triangular solves, cycle-timed or
+    /// run functionally on the Ideal-PE machine. The untimed path runs
+    /// the compiled programs rather than the reference
+    /// `sptrsv_lower`/`sptrsv_lower_transpose` because the two sum in
+    /// different orders: on 4×4 grids the simulated L/Lᵀ solve differs
+    /// bit-for-bit in 183–869 of the 244–1,225 output entries across
+    /// lap20, thermal2 Tiny and nd12k Tiny, so switching would change
+    /// every untimed BiCGStab iterate.
+    fn precond(&self, d: &mut Solve, v: &[f64]) -> Result<Vec<f64>, SimError> {
+        if d.timing {
+            let y = d.timed(&self.lower, v, KernelClass::Sptrsv)?;
+            return d.timed(&self.upper, &y, KernelClass::Sptrsv);
+        }
+        let ideal = self.cfg_ideal();
+        let (y, _) = run_kernel(&ideal, &self.lower, v);
+        Ok(run_kernel(&ideal, &self.upper, &y).0)
     }
 
     /// An ideal-PE twin config used for fast functional-only kernel runs
@@ -895,6 +348,35 @@ impl BiCgStabSim {
             faults: None,
             trace: None,
             ..self.cfg.clone()
+        }
+    }
+}
+
+/// BiCGStab's recurrence state; `x` lives in the driver.
+struct Recurrence {
+    r: Vec<f64>,
+    r_hat: Vec<f64>,
+    rho_old: f64,
+    alpha: f64,
+    omega: f64,
+    v: Vec<f64>,
+    p: Vec<f64>,
+}
+
+impl Recurrence {
+    /// A fresh recurrence from residual `r` (a restart from the
+    /// checkpointed `x` resets r̂, ρ, α, ω exactly like a new solve with a
+    /// warm initial guess).
+    fn new(r: Vec<f64>) -> Self {
+        let n = r.len();
+        Recurrence {
+            r_hat: r.clone(),
+            r,
+            rho_old: 1.0,
+            alpha: 1.0,
+            omega: 1.0,
+            v: vec![0.0; n],
+            p: vec![0.0; n],
         }
     }
 }
@@ -960,6 +442,18 @@ mod tests {
         }
         let last = report.convergence.last().unwrap();
         assert!(last.residual <= 1e-10, "history ends converged");
+    }
+
+    #[test]
+    fn wrong_rhs_length_is_a_typed_input_error() {
+        let a = generate::grid_laplacian_2d(6, 6);
+        let grid = TileGrid::new(2, 2);
+        let p = RoundRobinMapper.map(&a, grid);
+        let sim = BiCgStabSim::build(&a, &p, &SimConfig::azul(grid)).unwrap();
+        let err = sim
+            .try_run(&rhs(a.rows() - 1), &BiCgStabSimConfig::default())
+            .unwrap_err();
+        assert!(matches!(err, SimError::Input { .. }), "{err}");
     }
 
     #[test]

@@ -8,21 +8,18 @@
 //! length, which this simulation exposes in its kernel breakdown.
 
 use crate::config::{SimConfig, StagnationPolicy};
-use crate::faults::{
-    DriftSample, FaultRecord, FaultSession, IntegrityAudit, IntegrityPolicy, IntegrityRecord,
-    RecoveryPolicy, RecoveryRecord,
-};
-use crate::machine::{run_kernel_checked, SimError};
+use crate::faults::{FaultRecord, IntegrityAudit, IntegrityPolicy, RecoveryPolicy, RecoveryRecord};
+use crate::machine::SimError;
 use crate::program::Program;
+use crate::solve::{ensure, Policy, Solve, Step, Stop};
 use crate::stats::{KernelClass, KernelStats};
 use crate::vecops::{VecOp, VecOpModel};
 use azul_mapping::Placement;
-use azul_solver::abft::OperatorChecksum;
 use azul_solver::ic0::ic0;
+use azul_solver::kernels::{sptrsv_lower, sptrsv_lower_transpose};
 use azul_solver::{BreakdownKind, SolveStatus, SolverError};
 use azul_sparse::{dense, Csr};
 use azul_telemetry::report::IterationSample;
-use azul_telemetry::span;
 
 /// Run-time configuration for a GMRES simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,9 +146,9 @@ impl GmresSim {
     ///
     /// # Panics
     ///
-    /// Panics if `b.len()` differs from the matrix dimension,
-    /// `restart == 0`, or the simulated machine deadlocks (use
-    /// [`GmresSim::try_run`]).
+    /// Panics on any error [`GmresSim::try_run`] returns: a wrong
+    /// right-hand-side length, `restart == 0`, or a simulated machine
+    /// that deadlocks.
     pub fn run(&self, b: &[f64], run_cfg: &GmresSimConfig) -> GmresSimReport {
         match self.try_run(b, run_cfg) {
             Ok(report) => report,
@@ -166,519 +163,231 @@ impl GmresSim {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Deadlock`] when a simulated kernel stops making
-    /// progress or exceeds the cycle cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the matrix dimension or
-    /// `restart == 0`.
+    /// Returns [`SimError::Input`] when `b.len()` differs from the matrix
+    /// dimension or `restart == 0`, and [`SimError::Deadlock`] when a
+    /// simulated kernel stops making progress or exceeds the cycle cap.
     #[must_use = "a dropped result discards both the solve report and the structured failure"]
     pub fn try_run(&self, b: &[f64], run_cfg: &GmresSimConfig) -> Result<GmresSimReport, SimError> {
-        let n = self.a.rows();
-        assert_eq!(b.len(), n, "rhs length mismatch");
-        assert!(run_cfg.restart > 0, "restart length must be positive");
-        let mut solve_span = span::span("solve/gmres");
-        let timed_budget = if run_cfg.timed_iterations == 0 {
-            usize::MAX
-        } else {
-            run_cfg.timed_iterations
-        };
-
-        let mut stats = KernelStats::default();
-        let mut kernel_cycles = [0u64; 3];
-        let mut timed_flops = 0u64;
-        let mut timed_done = 0usize;
-        let mut timed_cycles = 0u64;
-
-        // One fault session spans all timed kernels of the solve.
-        let mut session: Option<FaultSession> = self
-            .cfg
-            .faults
-            .as_ref()
-            .filter(|pl| !pl.is_empty())
-            .map(|pl| FaultSession::new(pl.clone()));
-
-        // Silent-corruption detection state (host-side, not
-        // cycle-charged): checksums for the operator and the stored
-        // factor, plus the drift/final audit parameters.
-        let integrity = run_cfg.integrity;
-        let mut audit = IntegrityAudit::default();
-        let checksums = if integrity.enabled && integrity.checksum_kernels {
-            Some((
-                OperatorChecksum::new(&self.a),
-                OperatorChecksum::new(&self.l),
-            ))
-        } else {
-            None
-        };
-        let a_inf = if integrity.enabled {
-            self.a.inf_norm()
-        } else {
-            0.0
-        };
-        let bnorm0 = dense::norm2(b);
-
-        let mut x = vec![0.0f64; n];
-        let mut iterations = 0usize;
-        let mut converged = false;
-
-        // Checkpoint / rollback state: x is checkpointed at each healthy
-        // restart boundary; recovery discards the (possibly corrupted)
-        // Krylov basis and restarts from the checkpoint. The initial
-        // snapshot is the starting x at iteration 0, so a fault before
-        // the first healthy boundary rolls back to a valid state.
-        let policy = run_cfg.recovery;
-        let mut ck_x = x.clone();
-        let mut ck_iter = 0usize;
-        let mut rollbacks = 0usize;
-        let mut recoveries: Vec<RecoveryRecord> = Vec::new();
-        let mut best_beta = f64::INFINITY;
-        let mut breakdown: Option<BreakdownKind> = None;
-
-        // Convergence telemetry: sample 0 is the initial state (x = 0, so
-        // the residual is ||b||).
-        let mut convergence = vec![IterationSample {
-            iteration: 0,
-            residual: dense::norm2(b),
-            cycles: 0,
-            flops: 0,
-            messages: 0,
-            link_activations: 0,
-        }];
-        let mut untimed: Vec<usize> = Vec::new();
-        let (mut conv_flops, mut conv_msgs, mut conv_links) = (0u64, 0u64, 0u64);
-        // Residual-estimate history for the stagnation detector; only
-        // maintained when a policy is configured.
-        let mut rnorm_hist: Vec<f64> = Vec::new();
-
-        'outer: while iterations < run_cfg.max_iters {
-            // Cooperative cancellation between restarts (untimed
-            // iterations never enter the cycle engine's own check).
-            if let Some(tok) = &self.cfg.cancel {
-                if tok.is_cancelled() {
-                    return Err(SimError::Cancelled {
-                        cycle: timed_cycles,
-                    });
-                }
-            }
-            let r = dense::sub(b, &self.a.spmv(&x));
-            let beta = dense::norm2(&r);
-            if !beta.is_finite() || beta > policy.divergence_factor * best_beta.max(run_cfg.tol) {
-                if policy.enabled && rollbacks < policy.max_rollbacks {
-                    x.copy_from_slice(&ck_x);
-                    rollbacks += 1;
-                    recoveries.push(RecoveryRecord {
-                        iteration: iterations,
-                        restored_iteration: ck_iter,
-                        reason: format!("restart residual {beta:e} (best {best_beta:e})"),
-                    });
-                    continue 'outer;
-                }
-                breakdown = Some(if beta.is_finite() {
-                    BreakdownKind::Diverged
-                } else {
-                    BreakdownKind::NonFinite
-                });
-                break;
-            }
-            if beta <= run_cfg.tol {
-                converged = true;
-                break;
-            }
-            best_beta = best_beta.min(beta);
-            if policy.enabled {
-                ck_x.copy_from_slice(&x);
-                ck_iter = iterations;
-            }
-            let k_max = run_cfg.restart.min(run_cfg.max_iters - iterations);
-            let mut v: Vec<Vec<f64>> = Vec::with_capacity(k_max + 1);
-            let mut v0 = r.clone();
-            dense::scale(1.0 / beta, &mut v0);
-            v.push(v0);
-            let mut h = vec![vec![0.0f64; k_max]; k_max + 1];
-            let (mut cs, mut sn) = (vec![0.0f64; k_max], vec![0.0f64; k_max]);
-            let mut g = vec![0.0f64; k_max + 1];
-            g[0] = beta;
-            let mut k_done = 0usize;
-
-            for k in 0..k_max {
-                let timing = timed_done < timed_budget;
-                let mut this_iter = 0u64;
-                let pre_ops = stats.ops;
-                let pre_msgs = stats.messages;
-                let pre_links = stats.link_activations;
-
-                // z = M^-1 v_k (two triangular solves), w = A z.
-                let (z, w) = if timing {
-                    let (y, s1) =
-                        run_kernel_checked(&self.cfg, &self.lower, &v[k], session.as_mut())?;
-                    let (z, s2) = run_kernel_checked(&self.cfg, &self.upper, &y, session.as_mut())?;
-                    kernel_cycles[KernelClass::Sptrsv as usize] += s1.cycles + s2.cycles;
-                    this_iter += s1.cycles + s2.cycles;
-                    stats.merge(&s1);
-                    stats.merge(&s2);
-                    let (w, s3) = run_kernel_checked(&self.cfg, &self.spmv, &z, session.as_mut())?;
-                    kernel_cycles[KernelClass::Spmv as usize] += s3.cycles;
-                    this_iter += s3.cycles;
-                    stats.merge(&s3);
-                    timed_flops += 2 * self.a.nnz() as u64 + 4 * self.l.nnz() as u64;
-                    // ABFT: verify both triangular solves and the SpMV of
-                    // this Arnoldi step. A confirmed deviation (the
-                    // reference kernels disagree too) discards the basis
-                    // and restarts from the checkpoint — the same ladder
-                    // as the non-finite estimate guard below.
-                    if let Some((csa, csl)) = &checksums {
-                        audit.checks += 3;
-                        let c1 = csl.verify_solve(&y, &v[k]);
-                        let c2 = csl.verify_solve_transpose(&z, &y);
-                        let c3 = csa.verify_spmv(&z, &w);
-                        if !c1.ok() || !c2.ok() || !c3.ok() {
-                            let (which, bad) = if !c1.ok() {
-                                ("checksum_sptrsv", c1)
-                            } else if !c2.ok() {
-                                ("checksum_sptrsv", c2)
-                            } else {
-                                ("checksum_spmv", c3)
-                            };
-                            audit.violations.push(IntegrityRecord {
-                                iteration: iterations,
-                                check: which,
-                                detail: format!("gap {:.3e} > bound {:.3e}", bad.gap, bad.bound),
-                            });
-                            let ry = azul_solver::kernels::sptrsv_lower(&self.l, &v[k]);
-                            let rz = azul_solver::kernels::sptrsv_lower_transpose(&self.l, &ry);
-                            let rw = self.a.spmv(&rz);
-                            let dev = dense::norm2(&dense::sub(&z, &rz))
-                                .max(dense::norm2(&dense::sub(&w, &rw)));
-                            if dev > bad.bound {
-                                if policy.enabled && rollbacks < policy.max_rollbacks {
-                                    timed_done += 1;
-                                    timed_cycles += this_iter;
-                                    x.copy_from_slice(&ck_x);
-                                    rollbacks += 1;
-                                    recoveries.push(RecoveryRecord {
-                                        iteration: iterations,
-                                        restored_iteration: ck_iter,
-                                        reason: format!(
-                                            "integrity: {which} gap {:.3e} > bound {:.3e}",
-                                            bad.gap, bad.bound
-                                        ),
-                                    });
-                                    continue 'outer;
-                                }
-                                breakdown = Some(BreakdownKind::IntegrityViolation);
-                                break 'outer;
-                            }
-                        }
-                    }
-                    (z, w)
-                } else {
-                    let y = azul_solver::kernels::sptrsv_lower(&self.l, &v[k]);
-                    let z = azul_solver::kernels::sptrsv_lower_transpose(&self.l, &y);
-                    let w = self.a.spmv(&z);
-                    (z, w)
-                };
-                let _ = z;
-
-                // Modified Gram-Schmidt: k+1 dots and k+1 axpys.
-                let mut w = w;
-                for (j, vj) in v.iter().enumerate().take(k + 1) {
-                    let hjk = dense::dot(&w, vj);
-                    h[j][k] = hjk;
-                    dense::axpy(-hjk, vj, &mut w);
-                    if timing {
-                        for op in [VecOp::Dot, VecOp::Axpy] {
-                            let s = self.vec_model.stats(&self.cfg, op, n);
-                            kernel_cycles[KernelClass::VectorOps as usize] += s.cycles;
-                            this_iter += s.cycles;
-                            stats.merge(&s);
-                        }
-                        timed_flops += 4 * n as u64;
-                    }
-                }
-                let wnorm = dense::norm2(&w);
-                h[k + 1][k] = wnorm;
-                if timing {
-                    let s = self.vec_model.stats(&self.cfg, VecOp::Dot, n);
-                    kernel_cycles[KernelClass::VectorOps as usize] += s.cycles;
-                    this_iter += s.cycles;
-                    stats.merge(&s);
-                    timed_flops += 2 * n as u64;
-                }
-
-                // Givens rotations (scalar work, negligible time).
-                for j in 0..k {
-                    let t = cs[j] * h[j][k] + sn[j] * h[j + 1][k];
-                    h[j + 1][k] = -sn[j] * h[j][k] + cs[j] * h[j + 1][k];
-                    h[j][k] = t;
-                }
-                let denom = (h[k][k] * h[k][k] + h[k + 1][k] * h[k + 1][k]).sqrt();
-                if denom == 0.0 {
-                    k_done = k + 1;
-                    break;
-                }
-                cs[k] = h[k][k] / denom;
-                sn[k] = h[k + 1][k] / denom;
-                h[k][k] = denom;
-                h[k + 1][k] = 0.0;
-                g[k + 1] = -sn[k] * g[k];
-                g[k] *= cs[k];
-
-                // A non-finite residual estimate means the basis is
-                // poisoned (e.g. an injected bit flip): discard it and
-                // restart from the checkpoint without touching x, rather
-                // than spending the rest of the restart cycle on junk.
-                if !g[k + 1].is_finite() {
-                    if policy.enabled && rollbacks < policy.max_rollbacks {
-                        if timing {
-                            timed_done += 1;
-                            timed_cycles += this_iter;
-                        }
-                        x.copy_from_slice(&ck_x);
-                        rollbacks += 1;
-                        recoveries.push(RecoveryRecord {
-                            iteration: iterations,
-                            restored_iteration: ck_iter,
-                            reason: "non-finite Arnoldi residual estimate; basis discarded"
-                                .to_string(),
-                        });
-                        continue 'outer;
-                    }
-                    breakdown = Some(BreakdownKind::NonFinite);
-                    break 'outer;
-                }
-
-                iterations += 1;
-                k_done = k + 1;
-                if timing {
-                    timed_done += 1;
-                    timed_cycles += this_iter;
-                }
-
-                let res = g[k + 1].abs();
-                let mut sample = IterationSample {
-                    iteration: iterations,
-                    residual: res,
-                    cycles: 0,
-                    flops: 0,
-                    messages: 0,
-                    link_activations: 0,
-                };
-                if timing {
-                    let d_ops = [
-                        stats.ops[0] - pre_ops[0],
-                        stats.ops[1] - pre_ops[1],
-                        stats.ops[2] - pre_ops[2],
-                        stats.ops[3] - pre_ops[3],
-                    ];
-                    sample.cycles = this_iter;
-                    sample.flops = crate::pcg::flops_of_ops(d_ops);
-                    sample.messages = stats.messages - pre_msgs;
-                    sample.link_activations = stats.link_activations - pre_links;
-                    conv_flops += sample.flops;
-                    conv_msgs += sample.messages;
-                    conv_links += sample.link_activations;
-                } else {
-                    untimed.push(convergence.len());
-                }
-                convergence.push(sample);
-                // Periodic drift audit: the Givens recurrence estimate
-                // vs. the true residual of the basis solution so far,
-                // materialized on a scratch copy so the Arnoldi state is
-                // untouched. Right preconditioning preserves the true
-                // residual, so the two track each other in a clean run.
-                if integrity.drift_due(iterations) {
-                    audit.checks += 1;
-                    let mut x_probe = x.clone();
-                    self.update_solution(&mut x_probe, &v, &h, &g, k_done);
-                    let true_r = dense::norm2(&dense::sub(b, &self.a.spmv(&x_probe)));
-                    audit.drift.push(DriftSample {
-                        iteration: iterations,
-                        recursive: res,
-                        true_residual: true_r,
-                    });
-                    let floor = 64.0 * f64::EPSILON * (bnorm0 + a_inf * dense::norm2(&x_probe));
-                    if true_r > integrity.drift_factor * res + floor {
-                        audit.violations.push(IntegrityRecord {
-                            iteration: iterations,
-                            check: "residual_drift",
-                            detail: format!("true {true_r:.3e} vs estimate {res:.3e}"),
-                        });
-                        if policy.enabled && rollbacks < policy.max_rollbacks {
-                            x.copy_from_slice(&ck_x);
-                            rollbacks += 1;
-                            recoveries.push(RecoveryRecord {
-                                iteration: iterations,
-                                restored_iteration: ck_iter,
-                                reason: format!(
-                                    "integrity: residual drift true {true_r:.3e} vs estimate {res:.3e}"
-                                ),
-                            });
-                            continue 'outer;
-                        }
-                        breakdown = Some(BreakdownKind::IntegrityViolation);
-                        break 'outer;
-                    }
-                }
-                if res <= run_cfg.tol || wnorm == 0.0 {
-                    self.update_solution(&mut x, &v, &h, &g, k_done);
-                    // Final audit: never declare convergence on the
-                    // Givens estimate alone. An honest rounding gap
-                    // forces a restart (the boundary's true-residual
-                    // check decides); a drift-envelope breach feeds the
-                    // rollback ladder.
-                    let mut accept = res <= run_cfg.tol;
-                    if accept && integrity.enabled && integrity.final_audit {
-                        audit.checks += 1;
-                        let true_r = dense::norm2(&dense::sub(b, &self.a.spmv(&x)));
-                        if true_r > run_cfg.tol {
-                            accept = false;
-                            let floor = 64.0 * f64::EPSILON * (bnorm0 + a_inf * dense::norm2(&x));
-                            if true_r > integrity.drift_factor * res + floor {
-                                audit.violations.push(IntegrityRecord {
-                                    iteration: iterations,
-                                    check: "final_audit",
-                                    detail: format!("true {true_r:.3e} > tol, estimate {res:.3e}"),
-                                });
-                                if policy.enabled && rollbacks < policy.max_rollbacks {
-                                    x.copy_from_slice(&ck_x);
-                                    rollbacks += 1;
-                                    recoveries.push(RecoveryRecord {
-                                        iteration: iterations,
-                                        restored_iteration: ck_iter,
-                                        reason: format!(
-                                            "integrity: final audit true {true_r:.3e} vs estimate {res:.3e}"
-                                        ),
-                                    });
-                                    continue 'outer;
-                                }
-                                breakdown = Some(BreakdownKind::IntegrityViolation);
-                                break 'outer;
-                            }
-                        }
-                    }
-                    converged = accept;
-                    if converged {
-                        break 'outer;
-                    }
-                    continue 'outer;
-                }
-                if let Some(stag) = run_cfg.stagnation {
-                    rnorm_hist.push(res);
-                    if stag.stagnated(&rnorm_hist) {
-                        self.update_solution(&mut x, &v, &h, &g, k_done);
-                        breakdown = Some(BreakdownKind::Stagnated);
-                        break 'outer;
-                    }
-                }
-                if run_cfg.cycle_budget != u64::MAX {
-                    // Same extrapolation as the reported steady-state cost.
-                    let spent = if timed_done > 0 {
-                        (timed_cycles as f64 / timed_done as f64 * iterations as f64) as u64
-                    } else {
-                        0
-                    };
-                    if spent >= run_cfg.cycle_budget {
-                        self.update_solution(&mut x, &v, &h, &g, k_done);
-                        breakdown = Some(BreakdownKind::BudgetExhausted);
-                        break 'outer;
-                    }
-                }
-                let mut vk1 = w;
-                dense::scale(1.0 / wnorm, &mut vk1);
-                v.push(vk1);
-            }
-            self.update_solution(&mut x, &v, &h, &g, k_done);
-        }
-
-        let final_residual = dense::norm2(&dense::sub(b, &self.a.spmv(&x)));
-        let cycles_per_iteration = if timed_done > 0 {
-            timed_cycles as f64 / timed_done as f64
-        } else {
-            0.0
-        };
-        let gflops = if timed_cycles > 0 {
-            timed_flops as f64 / timed_cycles as f64 * self.cfg.clock_ghz
-        } else {
-            0.0
-        };
-        let per = |k: usize| {
-            if timed_done > 0 {
-                kernel_cycles[k] as f64 / timed_done as f64
-            } else {
-                0.0
-            }
-        };
-        // Untimed iterations get the steady-state averages, mirroring the
-        // cycles_per_iteration extrapolation.
-        if timed_done > 0 {
-            let avg = |sum: u64| (sum as f64 / timed_done as f64).round() as u64;
-            let (af, am, al) = (avg(conv_flops), avg(conv_msgs), avg(conv_links));
-            for &i in &untimed {
-                convergence[i].cycles = cycles_per_iteration.round() as u64;
-                convergence[i].flops = af;
-                convergence[i].messages = am;
-                convergence[i].link_activations = al;
-            }
-        }
-        // Bound the exported convergence history (after the back-fill,
-        // which indexes raw positions) and close the solve-level event
-        // trace with one final sort + compaction pass over the merged
-        // per-kernel segments.
-        crate::telemetry::limit_history(&mut convergence, self.cfg.history_limit);
-        if stats.trace_ev.mask() != 0 {
-            stats.trace_ev.seal();
-        }
-        let converged = converged || final_residual <= run_cfg.tol;
-        // Escape backstop: journal (never mask) a converged flag whose
-        // true residual misses the tolerance. `converged` above is only
-        // upgraded by the true residual itself, so this fires only if an
-        // estimate-based exit escaped with the final audit disarmed.
-        if integrity.enabled && converged && final_residual > run_cfg.tol {
-            audit.escapes += 1;
-            audit.violations.push(IntegrityRecord {
-                iteration: iterations,
-                check: "final_audit",
-                detail: format!(
-                    "escape: converged with true residual {final_residual:.3e} > tol {:.3e}",
-                    run_cfg.tol
-                ),
+        if run_cfg.restart == 0 {
+            return Err(SimError::Input {
+                detail: "GMRES restart length must be positive".to_string(),
             });
         }
-        solve_span.record_cycles((cycles_per_iteration * iterations as f64).round() as u64);
-        solve_span.annotate("iterations", iterations);
-        solve_span.annotate("converged", converged);
-        if !recoveries.is_empty() {
-            solve_span.annotate("rollbacks", recoveries.len());
-        }
-        let status = match (converged, breakdown) {
-            (true, _) => SolveStatus::Converged,
-            (false, Some(kind)) => SolveStatus::Breakdown(kind),
-            (false, None) => SolveStatus::MaxIters,
+        let policy = Policy {
+            span: "solve/gmres",
+            estimate: true,
+            tol: run_cfg.tol,
+            timed_iterations: run_cfg.timed_iterations,
+            recovery: run_cfg.recovery,
+            stagnation: run_cfg.stagnation,
+            cycle_budget: run_cfg.cycle_budget,
+            integrity: run_cfg.integrity,
         };
-        let fault_events = session.map(|s| s.records().to_vec()).unwrap_or_default();
+        let mut d = Solve::new(
+            &self.cfg,
+            &self.a,
+            Some(&self.l),
+            &self.vec_model,
+            b,
+            policy,
+        )?;
+        d.start();
 
-        // Solve-level invariant audit over the merged stats.
-        if self.cfg.check_invariants {
-            crate::invariants::check_solve_stats(&mut stats)?;
+        // Analytic FLOPs of the timed iterations, behind `gflops`.
+        let mut timed_flops = 0u64;
+        let mut best_beta = f64::INFINITY;
+        while d.iterations < run_cfg.max_iters {
+            d.cancelled()?;
+            match self.cycle(&mut d, run_cfg, &mut best_beta, &mut timed_flops) {
+                Ok(true) => break,
+                Ok(false) => {}
+                Err(stop) => {
+                    if !d.recover(stop)? {
+                        break;
+                    }
+                }
+            }
         }
 
+        let f = d.finish()?;
+        let gflops = if f.timed_cycles > 0 {
+            timed_flops as f64 / f.timed_cycles as f64 * self.cfg.clock_ghz
+        } else {
+            0.0
+        };
         Ok(GmresSimReport {
-            x,
-            converged,
-            iterations,
-            final_residual,
-            cycles_per_iteration,
-            kernel_cycles: [per(0), per(1), per(2)],
-            stats,
+            x: f.x,
+            converged: f.converged,
+            iterations: f.iterations,
+            final_residual: f.final_residual,
+            cycles_per_iteration: f.cycles_per_iteration,
+            kernel_cycles: f.kernel_cycles,
+            stats: f.stats,
             gflops,
-            status,
-            fault_events,
-            recoveries,
-            integrity: audit,
-            convergence,
+            status: f.status,
+            fault_events: f.fault_events,
+            recoveries: f.recoveries,
+            integrity: f.integrity,
+            convergence: f.convergence,
         })
+    }
+
+    /// One restart cycle from the current `x`; returns whether the solve
+    /// is over. A rollback discards the (possibly corrupted) Krylov basis
+    /// and the next cycle restarts from the checkpointed `x`, which is
+    /// taken at each healthy restart boundary.
+    fn cycle(
+        &self,
+        d: &mut Solve,
+        run_cfg: &GmresSimConfig,
+        best_beta: &mut f64,
+        timed_flops: &mut u64,
+    ) -> Step<bool> {
+        let n = d.x.len();
+        let r = dense::sub(d.b, &self.a.spmv(&d.x));
+        let beta = dense::norm2(&r);
+        let best = *best_beta;
+        if !beta.is_finite() || beta > run_cfg.recovery.divergence_factor * best.max(run_cfg.tol) {
+            let kind = if beta.is_finite() {
+                BreakdownKind::Diverged
+            } else {
+                BreakdownKind::NonFinite
+            };
+            return Err(Stop::Anomaly(
+                kind,
+                format!("restart residual {beta:e} (best {best:e})"),
+            ));
+        }
+        if beta <= run_cfg.tol {
+            d.converged = true;
+            return Ok(true);
+        }
+        *best_beta = best.min(beta);
+        d.checkpoint(false);
+
+        let k_max = run_cfg.restart.min(run_cfg.max_iters - d.iterations);
+        let mut v: Vec<Vec<f64>> = Vec::with_capacity(k_max + 1);
+        let mut v0 = r;
+        dense::scale(1.0 / beta, &mut v0);
+        v.push(v0);
+        let mut h = vec![vec![0.0f64; k_max]; k_max + 1];
+        let (mut cs, mut sn) = (vec![0.0f64; k_max], vec![0.0f64; k_max]);
+        let mut g = vec![0.0f64; k_max + 1];
+        g[0] = beta;
+        let mut k_done = 0usize;
+
+        for k in 0..k_max {
+            d.begin();
+            // z = M^-1 v_k (two triangular solves), w = A z.
+            let mut w = if d.timing {
+                let y = d.timed(&self.lower, &v[k], KernelClass::Sptrsv)?;
+                let z = d.timed(&self.upper, &y, KernelClass::Sptrsv)?;
+                let w = d.timed(&self.spmv, &z, KernelClass::Spmv)?;
+                *timed_flops += 2 * self.a.nnz() as u64 + 4 * self.l.nnz() as u64;
+                // ABFT over both triangular solves and the SpMV of this
+                // Arnoldi step, re-verified together.
+                let checks = d
+                    .factor_checksum()
+                    .zip(d.spmv_checksum())
+                    .map(|(csl, csa)| {
+                        [
+                            ("checksum_sptrsv", csl.verify_solve(&y, &v[k])),
+                            ("checksum_sptrsv", csl.verify_solve_transpose(&z, &y)),
+                            ("checksum_spmv", csa.verify_spmv(&z, &w)),
+                        ]
+                    });
+                if let Some(checks) = checks {
+                    d.abft(&checks, |bad| {
+                        let rz = self.functional_precond(&v[k]);
+                        let rw = self.a.spmv(&rz);
+                        let dev = dense::norm2(&dense::sub(&z, &rz))
+                            .max(dense::norm2(&dense::sub(&w, &rw)));
+                        dev > bad.bound
+                    })?;
+                }
+                w
+            } else {
+                self.a.spmv(&self.functional_precond(&v[k]))
+            };
+
+            // Modified Gram-Schmidt: k+1 dots and k+1 axpys.
+            for (j, vj) in v.iter().enumerate().take(k + 1) {
+                let hjk = dense::dot(&w, vj);
+                h[j][k] = hjk;
+                dense::axpy(-hjk, vj, &mut w);
+                d.vec_ops(VecOp::Dot, 1);
+                d.vec_ops(VecOp::Axpy, 1);
+                if d.timing {
+                    *timed_flops += 4 * n as u64;
+                }
+            }
+            let wnorm = dense::norm2(&w);
+            h[k + 1][k] = wnorm;
+            d.vec_ops(VecOp::Dot, 1);
+            if d.timing {
+                *timed_flops += 2 * n as u64;
+            }
+
+            // Givens rotations (scalar work, negligible time).
+            for j in 0..k {
+                let t = cs[j] * h[j][k] + sn[j] * h[j + 1][k];
+                h[j + 1][k] = -sn[j] * h[j][k] + cs[j] * h[j + 1][k];
+                h[j][k] = t;
+            }
+            let denom = (h[k][k] * h[k][k] + h[k + 1][k] * h[k + 1][k]).sqrt();
+            if denom == 0.0 {
+                d.abandon();
+                k_done = k + 1;
+                break;
+            }
+            cs[k] = h[k][k] / denom;
+            sn[k] = h[k + 1][k] / denom;
+            h[k][k] = denom;
+            h[k + 1][k] = 0.0;
+            g[k + 1] = -sn[k] * g[k];
+            g[k] *= cs[k];
+
+            // A non-finite residual estimate means the basis is poisoned
+            // (e.g. an injected bit flip): discard it rather than spend
+            // the rest of the restart cycle on junk.
+            ensure(g[k + 1].is_finite(), BreakdownKind::NonFinite, || {
+                "non-finite Arnoldi residual estimate; basis discarded".to_string()
+            })?;
+            k_done = k + 1;
+            let res = g[k + 1].abs();
+            d.end(res, false);
+
+            // Drift audit on a probe copy of the basis solution so far, so
+            // the Arnoldi state is untouched. Right preconditioning
+            // preserves the true residual, so the two track each other in
+            // a clean run.
+            if d.drift_due(d.iterations) {
+                let mut probe = d.x.clone();
+                self.update_solution(&mut probe, &v, &h, &g, k_done);
+                d.drift_audit(d.iterations, res, Some(&probe))?;
+            }
+            if res <= run_cfg.tol || wnorm == 0.0 {
+                // Never converge on the Givens estimate alone: an honest
+                // rounding gap forces a restart, whose boundary check on
+                // the true residual decides.
+                self.update_solution(&mut d.x, &v, &h, &g, k_done);
+                d.converged = d.accept(d.iterations, res)?;
+                return Ok(d.converged);
+            }
+            if d.exhausted(res) {
+                self.update_solution(&mut d.x, &v, &h, &g, k_done);
+                return Ok(true);
+            }
+            dense::scale(1.0 / wnorm, &mut w);
+            v.push(w);
+        }
+        self.update_solution(&mut d.x, &v, &h, &g, k_done);
+        Ok(false)
+    }
+
+    /// `M^-1 v = L^-T (L^-1 v)` with the reference kernels.
+    fn functional_precond(&self, v: &[f64]) -> Vec<f64> {
+        sptrsv_lower_transpose(&self.l, &sptrsv_lower(&self.l, v))
     }
 
     /// Back-solves the small least-squares system and applies the
@@ -700,9 +409,7 @@ impl GmresSim {
         for (j, &yj) in y.iter().enumerate() {
             dense::axpy(yj, &v[j], &mut update);
         }
-        let t = azul_solver::kernels::sptrsv_lower(&self.l, &update);
-        let z = azul_solver::kernels::sptrsv_lower_transpose(&self.l, &t);
-        dense::axpy(1.0, &z, x);
+        dense::axpy(1.0, &self.functional_precond(&update), x);
     }
 }
 
@@ -803,9 +510,27 @@ mod tests {
         );
         assert_eq!(
             sum(|s| s.flops),
-            crate::pcg::flops_of_ops(report.stats.ops),
+            crate::solve::flops_of_ops(report.stats.ops),
             "FLOPs leak"
         );
+    }
+
+    #[test]
+    fn bad_input_is_a_typed_error() {
+        let a = generate::grid_laplacian_2d(6, 6);
+        let grid = TileGrid::new(2, 2);
+        let p = RoundRobinMapper.map(&a, grid);
+        let sim = GmresSim::build(&a, &p, &SimConfig::azul(grid)).unwrap();
+        let err = sim
+            .try_run(&rhs(a.rows() + 2), &GmresSimConfig::default())
+            .unwrap_err();
+        assert!(matches!(err, SimError::Input { .. }), "{err}");
+        let zero_restart = GmresSimConfig {
+            restart: 0,
+            ..Default::default()
+        };
+        let err = sim.try_run(&rhs(a.rows()), &zero_restart).unwrap_err();
+        assert!(matches!(err, SimError::Input { .. }), "{err}");
     }
 
     #[test]

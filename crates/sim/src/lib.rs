@@ -29,7 +29,9 @@
 //!   `SimConfig::check_invariants`;
 //! * [`pcg`] — the end-to-end PCG driver (Listing 1 on the accelerator)
 //!   producing per-kernel cycle, operation, traffic and energy-activity
-//!   breakdowns;
+//!   breakdowns; [`bicgstab`] and [`gmres`] run the other Krylov methods
+//!   on the same kernels, and all three share one private solve driver
+//!   for fault recovery, integrity checks and cycle accounting;
 //! * [`telemetry`] — conversion of [`stats::KernelStats`] (including the
 //!   per-PE/per-link detail collected under
 //!   `SimConfig::detailed_stats`) into `azul-telemetry` reports;
@@ -70,6 +72,7 @@ pub mod pe;
 pub mod profile;
 pub mod program;
 pub mod router;
+mod solve;
 pub mod stats;
 pub mod telemetry;
 pub mod vecops;

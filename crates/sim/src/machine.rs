@@ -32,7 +32,7 @@ fn fault_code(kind: &FaultKind) -> u64 {
     }
 }
 
-/// A structured failure of the simulated machine.
+/// A structured failure of a simulated kernel or solve.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The kernel hung: either no counter moved for
@@ -85,6 +85,13 @@ pub enum SimError {
         /// Kernel-local cycle at which the cancellation was observed.
         cycle: u64,
     },
+    /// A solver frontend was handed arguments it cannot run: a
+    /// right-hand side whose length differs from the matrix dimension,
+    /// or a zero GMRES restart length. Nothing was simulated.
+    Input {
+        /// What was wrong with the input.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -113,6 +120,7 @@ impl std::fmt::Display for SimError {
             SimError::Cancelled { cycle } => {
                 write!(f, "kernel cancelled at cycle {cycle}")
             }
+            SimError::Input { detail } => write!(f, "invalid solver input: {detail}"),
         }
     }
 }

@@ -10,28 +10,19 @@
 //! accounting (an FMAC = 2 FLOPs).
 
 use crate::config::{SimConfig, StagnationPolicy};
-use crate::faults::{
-    DriftSample, FaultRecord, FaultSession, IntegrityAudit, IntegrityPolicy, IntegrityRecord,
-    RecoveryPolicy, RecoveryRecord,
-};
-use crate::machine::{run_kernel_checked, SimError};
+use crate::faults::{FaultRecord, IntegrityAudit, IntegrityPolicy, RecoveryPolicy, RecoveryRecord};
+use crate::machine::SimError;
 use crate::program::Program;
+use crate::solve::{ensure, Policy, Solve, Step};
 use crate::stats::{KernelClass, KernelStats};
 use crate::vecops::{VecOp, VecOpModel};
 use azul_mapping::Placement;
-use azul_solver::abft::OperatorChecksum;
 use azul_solver::flops::{self, FlopBreakdown};
 use azul_solver::ic0::ic0;
 use azul_solver::kernels::{sptrsv_lower, sptrsv_lower_transpose};
 use azul_solver::{BreakdownKind, SolveStatus, SolverError};
 use azul_sparse::{dense, Csr};
 use azul_telemetry::report::IterationSample;
-use azul_telemetry::span;
-
-/// FLOPs represented by an op tally (FMAC = 2, Add/Mul = 1, Send = 0).
-pub(crate) fn flops_of_ops(ops: [u64; 4]) -> u64 {
-    2 * ops[0] + ops[1] + ops[2]
-}
 
 /// Run-time configuration of a PCG simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -268,9 +259,8 @@ impl PcgSim {
     ///
     /// # Panics
     ///
-    /// Panics if `b.len()` differs from the matrix dimension, or if the
-    /// simulated machine deadlocks (use [`PcgSim::try_run`] to handle
-    /// that as a value).
+    /// Panics on any error [`PcgSim::try_run`] returns: a wrong
+    /// right-hand-side length, or a simulated machine that deadlocks.
     pub fn run(&self, b: &[f64], run_cfg: &PcgSimConfig) -> PcgSimReport {
         match self.try_run(b, run_cfg) {
             Ok(report) => report,
@@ -287,619 +277,183 @@ impl PcgSim {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Deadlock`] when a simulated kernel stops making
-    /// progress (watchdog) or exceeds the cycle cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the matrix dimension.
+    /// Returns [`SimError::Input`] when `b.len()` differs from the matrix
+    /// dimension, and [`SimError::Deadlock`] when a simulated kernel stops
+    /// making progress (watchdog) or exceeds the cycle cap.
     #[must_use = "a dropped result discards both the solve report and the structured failure"]
     pub fn try_run(&self, b: &[f64], run_cfg: &PcgSimConfig) -> Result<PcgSimReport, SimError> {
-        let n = self.a.rows();
-        assert_eq!(b.len(), n, "rhs length mismatch");
-        let mut solve_span = span::span("solve/pcg");
-        let timed_budget = if run_cfg.timed_iterations == 0 {
-            usize::MAX
-        } else {
-            run_cfg.timed_iterations
+        let policy = Policy {
+            span: "solve/pcg",
+            estimate: false,
+            tol: run_cfg.tol,
+            timed_iterations: run_cfg.timed_iterations,
+            recovery: run_cfg.recovery,
+            stagnation: run_cfg.stagnation,
+            cycle_budget: run_cfg.cycle_budget,
+            integrity: run_cfg.integrity,
         };
+        let factor = self.lower.as_ref().map(|_| &self.l);
+        let mut d = Solve::new(&self.cfg, &self.a, factor, &self.vec_model, b, policy)?;
 
-        let mut stats = KernelStats::default();
-        let mut kernel_cycles = [0u64; 3]; // timed portion only
-        let mut setup_cycles = 0u64;
-
-        // One fault session spans all timed kernels of the solve, so the
-        // plan's global-cycle timeline advances across kernel boundaries.
-        let mut session: Option<FaultSession> = self
-            .cfg
-            .faults
-            .as_ref()
-            .filter(|p| !p.is_empty())
-            .map(|p| FaultSession::new(p.clone()));
-
-        // Silent-corruption detection state. Checksum vectors are
-        // host-side prepare-time artifacts: their construction and each
-        // O(n) verification are not cycle-charged, consistent with the
-        // recovery machinery's functional recomputes.
-        let integrity = run_cfg.integrity;
-        let mut audit = IntegrityAudit::default();
-        let (cs_a, cs_l) = if integrity.enabled && integrity.checksum_kernels {
-            (
-                Some(OperatorChecksum::new(&self.a)),
-                self.lower.as_ref().map(|_| OperatorChecksum::new(&self.l)),
-            )
-        } else {
-            (None, None)
-        };
-        // Rounding floor for the drift audits: 64·ε·(||b|| + ||A||∞·||x||)
-        // with ||x|| folded in at audit time.
-        let a_inf = if integrity.enabled {
-            self.a.inf_norm()
-        } else {
-            0.0
-        };
-        let bnorm0 = dense::norm2(b);
-
-        // Helper closures for timed kernels.
-        let run_timed = |prog: &Program,
-                         input: &[f64],
-                         class: KernelClass,
-                         stats: &mut KernelStats,
-                         kernel_cycles: &mut [u64; 3],
-                         session: &mut Option<FaultSession>|
-         -> Result<(Vec<f64>, u64), SimError> {
-            let (out, s) = run_kernel_checked(&self.cfg, prog, input, session.as_mut())?;
-            let c = s.cycles;
-            kernel_cycles[class as usize] += c;
-            stats.merge(&s);
-            Ok((out, c))
-        };
-        let vec_cost = |model: &VecOpModel,
-                        op: VecOp,
-                        stats: &mut KernelStats,
-                        kernel_cycles: &mut [u64; 3]|
-         -> u64 {
-            let s = model.stats(&self.cfg, op, n);
-            let c = s.cycles;
-            kernel_cycles[KernelClass::VectorOps as usize] += c;
-            stats.merge(&s);
-            c
-        };
-
-        // ---- Setup (timed): r = b; z = p = L^-T L^-1 r; rz = r.z ----
-        let mut x = vec![0.0f64; n];
-        let mut r = b.to_vec();
-        let z0 = match (&self.lower, &self.upper) {
+        // Setup (timed): r = b; z = p = L^-T L^-1 r; rz = r.z
+        let z = match (&self.lower, &self.upper) {
             (Some(lo), Some(up)) => {
-                let (y0, c1) = run_timed(
-                    lo,
-                    &r,
-                    KernelClass::Sptrsv,
-                    &mut stats,
-                    &mut kernel_cycles,
-                    &mut session,
-                )?;
-                let (z0, c2) = run_timed(
-                    up,
-                    &y0,
-                    KernelClass::Sptrsv,
-                    &mut stats,
-                    &mut kernel_cycles,
-                    &mut session,
-                )?;
-                setup_cycles += c1 + c2;
-                z0
+                let y = d.timed(lo, b, KernelClass::Sptrsv)?;
+                d.timed(up, &y, KernelClass::Sptrsv)?
             }
-            _ => r.clone(),
+            _ => b.to_vec(),
         };
-        setup_cycles += vec_cost(&self.vec_model, VecOp::Dot, &mut stats, &mut kernel_cycles);
-        let mut p = z0.clone();
-        let mut z = z0;
-        let mut rz_old = dense::dot(&r, &z);
-        // Reset the per-kernel tally so it reflects iterations only.
-        let setup_kernel_cycles = kernel_cycles;
-        kernel_cycles = [0; 3];
+        d.vec_ops(VecOp::Dot, 1);
+        let mut st = Recurrence {
+            r: b.to_vec(),
+            p: z.clone(),
+            rz: dense::dot(b, &z),
+            z,
+        };
+        d.start();
 
-        let mut iterations = 0usize;
-        let mut timed_done = 0usize;
-        let mut iter_cycles_acc = 0u64;
-        let mut converged = dense::norm2(&r) <= run_cfg.tol;
-
-        // Checkpoint / rollback state. Checkpoints store x only; the
-        // recurrence vectors (r, z, p, rz) are re-derived functionally on
-        // restore, so a fault corrupting them before the first checkpoint
-        // cannot poison the recovery itself. The initial snapshot is the
-        // starting x at iteration 0: a fault striking before the first
-        // checkpoint interval elapses rolls back to the (valid) starting
-        // point, never to uninitialized state.
-        let policy = run_cfg.recovery;
-        let mut ck_x = x.clone();
-        let mut ck_iter = 0usize;
-        let mut rollbacks = 0usize;
-        let mut recoveries: Vec<RecoveryRecord> = Vec::new();
-        let mut best_rnorm = dense::norm2(&r);
-        let mut breakdown: Option<BreakdownKind> = None;
-
-        // Convergence telemetry: sample 0 covers the setup phase (r = b
-        // at this point); untimed iterations are back-filled with the
-        // steady-state averages after the loop.
-        let mut convergence: Vec<IterationSample> = vec![IterationSample {
-            iteration: 0,
-            residual: dense::norm2(&r),
-            cycles: setup_cycles,
-            flops: flops_of_ops(stats.ops),
-            messages: stats.messages,
-            link_activations: stats.link_activations,
-        }];
-        let mut untimed: Vec<usize> = Vec::new();
-        let mut timed_msgs = 0u64;
-        let mut timed_links = 0u64;
-        let mut timed_flops = 0u64;
-        // Residual history for the stagnation detector; only maintained
-        // when a policy is configured.
-        let mut rnorm_hist: Vec<f64> = Vec::new();
-
-        // Numerical-anomaly handler: with recovery budget left, restore
-        // the checkpointed x, re-derive r = b - A x / z / p / r·z with the
-        // reference kernels, and retry the iteration (no iteration count
-        // or convergence sample is consumed — the recompute itself is not
-        // cycle-charged). Out of budget (or recovery disabled), the solve
-        // stops with a structured breakdown status.
-        macro_rules! fault_guard {
-            ($timing:expr, $this_iter:expr, $kind:expr, $reason:expr) => {{
-                if policy.enabled && rollbacks < policy.max_rollbacks {
-                    if $timing {
-                        // Keep the cycle books balanced: the aborted
-                        // attempt's kernels were simulated and merged into
-                        // the per-kernel tallies.
-                        timed_done += 1;
-                        iter_cycles_acc += $this_iter;
-                    }
-                    x.copy_from_slice(&ck_x);
-                    r = dense::sub(b, &self.a.spmv(&x));
-                    z = self.functional_precond(&r);
-                    p = z.clone();
-                    rz_old = dense::dot(&r, &z);
-                    best_rnorm = dense::norm2(&r);
-                    rollbacks += 1;
-                    recoveries.push(RecoveryRecord {
-                        iteration: iterations,
-                        restored_iteration: ck_iter,
-                        reason: $reason,
-                    });
-                    continue;
-                }
-                breakdown = Some($kind);
-                break;
-            }};
-        }
-
-        while !converged && iterations < run_cfg.max_iters {
-            // Cooperative cancellation between iterations: untimed
-            // iterations run on the reference kernels and never enter the
-            // cycle engine, so the machine-level check alone could leave a
-            // long functional stretch uncancellable.
-            if let Some(tok) = &self.cfg.cancel {
-                if tok.is_cancelled() {
-                    return Err(SimError::Cancelled {
-                        cycle: setup_cycles + iter_cycles_acc,
-                    });
-                }
-            }
-            // Take a checkpoint once the previous interval's iterations
-            // all passed the divergence guards.
-            if policy.enabled && iterations - ck_iter >= policy.checkpoint_interval.max(1) {
-                ck_x.copy_from_slice(&x);
-                ck_iter = iterations;
-            }
-            let timing = timed_done < timed_budget;
-            let mut this_iter = 0u64;
-            let pre_ops = stats.ops;
-            let pre_msgs = stats.messages;
-            let pre_links = stats.link_activations;
-
-            // Ap = A p
-            let ap = if timing {
-                let (out, c) = run_timed(
-                    &self.spmv,
-                    &p,
-                    KernelClass::Spmv,
-                    &mut stats,
-                    &mut kernel_cycles,
-                    &mut session,
-                )?;
-                this_iter += c;
-                out
-            } else {
-                self.a.spmv(&p)
-            };
-            // ABFT: verify the simulated SpMV against the column
-            // checksums. On a mismatch, re-verify with the reference
-            // kernel first — only a confirmed deviation charges the
-            // rollback budget (the targeted ladder: re-verify →
-            // rollback → rung escalation).
-            if timing {
-                if let Some(cs) = &cs_a {
-                    audit.checks += 1;
-                    let check = cs.verify_spmv(&p, &ap);
-                    if !check.ok() {
-                        audit.violations.push(IntegrityRecord {
-                            iteration: iterations,
-                            check: "checksum_spmv",
-                            detail: format!("gap {:.3e} > bound {:.3e}", check.gap, check.bound),
-                        });
-                        let reference = self.a.spmv(&p);
-                        if dense::norm2(&dense::sub(&ap, &reference)) > check.bound {
-                            fault_guard!(
-                                timing,
-                                this_iter,
-                                BreakdownKind::IntegrityViolation,
-                                format!(
-                                    "spmv checksum gap {:.3e} > bound {:.3e}",
-                                    check.gap, check.bound
-                                )
-                            );
-                        }
-                    }
-                }
-            }
-            // alpha = rz / (p . Ap)
-            if timing {
-                this_iter += vec_cost(&self.vec_model, VecOp::Dot, &mut stats, &mut kernel_cycles);
-            }
-            let p_ap = dense::dot(&p, &ap);
-            if !p_ap.is_finite() {
-                fault_guard!(
-                    timing,
-                    this_iter,
-                    BreakdownKind::NonFinite,
-                    format!("non-finite p.Ap = {p_ap}")
-                );
-            }
-            if p_ap == 0.0 {
-                fault_guard!(
-                    timing,
-                    this_iter,
-                    BreakdownKind::PApZero,
-                    "p.Ap = 0 (stalled search direction)".to_string()
-                );
-            }
-            let alpha = rz_old / p_ap;
-            // x += alpha p ; r -= alpha Ap
-            dense::axpy(alpha, &p, &mut x);
-            dense::axpy(-alpha, &ap, &mut r);
-            if timing {
-                this_iter += vec_cost(&self.vec_model, VecOp::Axpy, &mut stats, &mut kernel_cycles);
-                this_iter += vec_cost(&self.vec_model, VecOp::Axpy, &mut stats, &mut kernel_cycles);
-                // convergence check (norm)
-                this_iter += vec_cost(&self.vec_model, VecOp::Dot, &mut stats, &mut kernel_cycles);
-            }
-            // z = L^-T L^-1 r (identity when unpreconditioned)
-            let mut trisolve_y: Option<Vec<f64>> = None;
-            z = match (&self.lower, &self.upper) {
-                (Some(lo), Some(up)) => {
-                    let y = if timing {
-                        let (out, c) = run_timed(
-                            lo,
-                            &r,
-                            KernelClass::Sptrsv,
-                            &mut stats,
-                            &mut kernel_cycles,
-                            &mut session,
-                        )?;
-                        this_iter += c;
-                        out
-                    } else {
-                        sptrsv_lower(&self.l, &r)
-                    };
-                    if timing && cs_l.is_some() {
-                        trisolve_y = Some(y.clone());
-                    }
-                    if timing {
-                        let (out, c) = run_timed(
-                            up,
-                            &y,
-                            KernelClass::Sptrsv,
-                            &mut stats,
-                            &mut kernel_cycles,
-                            &mut session,
-                        )?;
-                        this_iter += c;
-                        out
-                    } else {
-                        sptrsv_lower_transpose(&self.l, &y)
-                    }
-                }
-                _ => r.clone(),
-            };
-            // ABFT: verify both triangular solves — the forward solve
-            // against the column checksums of L, the transpose solve
-            // against its row checksums — with the same re-verify-first
-            // ladder as the SpMV check.
-            if let (Some(cs), Some(y)) = (&cs_l, &trisolve_y) {
-                audit.checks += 2;
-                let c1 = cs.verify_solve(y, &r);
-                let c2 = cs.verify_solve_transpose(&z, y);
-                if !c1.ok() || !c2.ok() {
-                    let bad = if c1.ok() { c2 } else { c1 };
-                    audit.violations.push(IntegrityRecord {
-                        iteration: iterations,
-                        check: "checksum_sptrsv",
-                        detail: format!("gap {:.3e} > bound {:.3e}", bad.gap, bad.bound),
-                    });
-                    let reference = self.functional_precond(&r);
-                    if dense::norm2(&dense::sub(&z, &reference)) > c1.bound.max(c2.bound) {
-                        fault_guard!(
-                            timing,
-                            this_iter,
-                            BreakdownKind::IntegrityViolation,
-                            format!(
-                                "sptrsv checksum gap {:.3e} > bound {:.3e}",
-                                bad.gap, bad.bound
-                            )
-                        );
-                    }
-                }
-            }
-            // beta = rz_new / rz_old ; p = z + beta p
-            if timing {
-                this_iter += vec_cost(&self.vec_model, VecOp::Dot, &mut stats, &mut kernel_cycles);
-            }
-            let rz_new = dense::dot(&r, &z);
-            if !rz_new.is_finite() {
-                fault_guard!(
-                    timing,
-                    this_iter,
-                    BreakdownKind::NonFinite,
-                    format!("non-finite r.z = {rz_new}")
-                );
-            }
-            let beta = rz_new / rz_old;
-            dense::xpby(&z, beta, &mut p);
-            if timing {
-                this_iter += vec_cost(&self.vec_model, VecOp::Xpby, &mut stats, &mut kernel_cycles);
-            }
-            rz_old = rz_new;
-
-            let rnorm = dense::norm2(&r);
-            if !rnorm.is_finite() {
-                fault_guard!(
-                    timing,
-                    this_iter,
-                    BreakdownKind::NonFinite,
-                    "non-finite residual norm".to_string()
-                );
-            }
-            if rnorm > policy.divergence_factor * best_rnorm.max(run_cfg.tol) {
-                fault_guard!(
-                    timing,
-                    this_iter,
-                    BreakdownKind::Diverged,
-                    format!("residual {rnorm:.3e} diverged from best {best_rnorm:.3e}")
-                );
-            }
-            best_rnorm = best_rnorm.min(rnorm);
-
-            // Periodic drift audit: the recursive residual the recurrence
-            // carries vs. a freshly recomputed true residual. A fault
-            // below the divergence guard's radar shows up here as the two
-            // histories parting ways.
-            let mut tol_met = rnorm <= run_cfg.tol;
-            if integrity.drift_due(iterations + 1) {
-                audit.checks += 1;
-                let true_r = dense::norm2(&dense::sub(b, &self.a.spmv(&x)));
-                audit.drift.push(DriftSample {
-                    iteration: iterations + 1,
-                    recursive: rnorm,
-                    true_residual: true_r,
-                });
-                let floor = 64.0 * f64::EPSILON * (bnorm0 + a_inf * dense::norm2(&x));
-                if true_r > integrity.drift_factor * rnorm + floor {
-                    audit.violations.push(IntegrityRecord {
-                        iteration: iterations + 1,
-                        check: "residual_drift",
-                        detail: format!("true {true_r:.3e} vs recursive {rnorm:.3e}"),
-                    });
-                    fault_guard!(
-                        timing,
-                        this_iter,
-                        BreakdownKind::IntegrityViolation,
-                        format!("residual drift: true {true_r:.3e} vs recursive {rnorm:.3e}")
-                    );
-                }
-            }
-            // Final audit: never declare convergence on the recursive
-            // residual alone. Outside the drift envelope → corruption →
-            // recovery ladder; inside it → an honest rounding gap, so
-            // keep iterating until the true residual meets the tolerance.
-            if tol_met && integrity.enabled && integrity.final_audit {
-                audit.checks += 1;
-                let true_r = dense::norm2(&dense::sub(b, &self.a.spmv(&x)));
-                if true_r > run_cfg.tol {
-                    tol_met = false;
-                    let floor = 64.0 * f64::EPSILON * (bnorm0 + a_inf * dense::norm2(&x));
-                    if true_r > integrity.drift_factor * rnorm + floor {
-                        audit.violations.push(IntegrityRecord {
-                            iteration: iterations + 1,
-                            check: "final_audit",
-                            detail: format!("true {true_r:.3e} > tol, recursive {rnorm:.3e}"),
-                        });
-                        fault_guard!(
-                            timing,
-                            this_iter,
-                            BreakdownKind::IntegrityViolation,
-                            format!("final audit: true {true_r:.3e} vs recursive {rnorm:.3e}")
-                        );
-                    }
-                }
-            }
-
-            if timing {
-                timed_done += 1;
-                iter_cycles_acc += this_iter;
-            }
-            iterations += 1;
-            converged = tol_met;
-
-            if timing {
-                let dflops = flops_of_ops([
-                    stats.ops[0] - pre_ops[0],
-                    stats.ops[1] - pre_ops[1],
-                    stats.ops[2] - pre_ops[2],
-                    stats.ops[3] - pre_ops[3],
-                ]);
-                timed_flops += dflops;
-                timed_msgs += stats.messages - pre_msgs;
-                timed_links += stats.link_activations - pre_links;
-                convergence.push(IterationSample {
-                    iteration: iterations,
-                    residual: rnorm,
-                    cycles: this_iter,
-                    flops: dflops,
-                    messages: stats.messages - pre_msgs,
-                    link_activations: stats.link_activations - pre_links,
-                });
-            } else {
-                untimed.push(convergence.len());
-                convergence.push(IterationSample {
-                    iteration: iterations,
-                    residual: rnorm,
-                    cycles: 0,
-                    flops: 0,
-                    messages: 0,
-                    link_activations: 0,
-                });
-            }
-
-            if !converged {
-                if let Some(stag) = run_cfg.stagnation {
-                    rnorm_hist.push(rnorm);
-                    if stag.stagnated(&rnorm_hist) {
-                        breakdown = Some(BreakdownKind::Stagnated);
+        while !d.converged && d.iterations < run_cfg.max_iters {
+            d.next()?;
+            match self.iterate(&mut d, &mut st) {
+                Ok(rnorm) => {
+                    if d.exhausted(rnorm) {
                         break;
                     }
                 }
-                if run_cfg.cycle_budget != u64::MAX {
-                    // Same extrapolation as the report's `total_cycles`.
-                    let spent = setup_cycles
-                        + if timed_done > 0 {
-                            (iter_cycles_acc as f64 / timed_done as f64 * iterations as f64) as u64
-                        } else {
-                            0
-                        };
-                    if spent >= run_cfg.cycle_budget {
-                        breakdown = Some(BreakdownKind::BudgetExhausted);
+                Err(stop) => {
+                    if !d.recover(stop)? {
                         break;
                     }
+                    st = self.restart(&mut d);
                 }
             }
         }
 
-        let cycles_per_iteration = if timed_done > 0 {
-            iter_cycles_acc as f64 / timed_done as f64
-        } else {
-            0.0
-        };
-        let total_cycles = setup_cycles + (cycles_per_iteration * iterations as f64) as u64;
+        let f = d.finish()?;
         let nnz_l = if self.lower.is_some() {
             self.l.nnz()
         } else {
             0
         };
         let flops_per_iteration = flops::pcg_iteration_breakdown(&self.a, nnz_l);
-        let gflops = if cycles_per_iteration > 0.0 {
-            flops_per_iteration.total() as f64 / cycles_per_iteration * self.cfg.clock_ghz
+        let gflops = if f.cycles_per_iteration > 0.0 {
+            flops_per_iteration.total() as f64 / f.cycles_per_iteration * self.cfg.clock_ghz
         } else {
             0.0
         };
-        let per_iter_kernel = |k: usize| {
-            if timed_done > 0 {
-                kernel_cycles[k] as f64 / timed_done as f64
-            } else {
-                0.0
-            }
-        };
-        let final_residual = dense::norm2(&dense::sub(b, &self.a.spmv(&x)));
-        let _ = setup_kernel_cycles;
-
-        // Escape backstop: a converged flag with a true residual above
-        // tolerance is the silent wrong answer this subsystem exists to
-        // eliminate. Structurally impossible while the final audit is
-        // armed; journaled (never masked) when it is not.
-        if integrity.enabled && converged && final_residual > run_cfg.tol {
-            audit.escapes += 1;
-            audit.violations.push(IntegrityRecord {
-                iteration: iterations,
-                check: "final_audit",
-                detail: format!(
-                    "escape: converged with true residual {final_residual:.3e} > tol {:.3e}",
-                    run_cfg.tol
-                ),
-            });
-        }
-
-        // Back-fill untimed iterations with steady-state averages, the
-        // same extrapolation `total_cycles` uses.
-        if timed_done > 0 {
-            let avg = |sum: u64| (sum as f64 / timed_done as f64).round() as u64;
-            let (af, am, al) = (avg(timed_flops), avg(timed_msgs), avg(timed_links));
-            for &i in &untimed {
-                convergence[i].cycles = cycles_per_iteration.round() as u64;
-                convergence[i].flops = af;
-                convergence[i].messages = am;
-                convergence[i].link_activations = al;
-            }
-        }
-
-        // Bound the exported convergence history (`history_limit`; the
-        // back-fill above indexes raw positions, so thinning must come
-        // after it) and close the solve-level event trace: kernel merges
-        // concatenated per-kernel segments with cumulative cycle offsets,
-        // so one final seal re-sorts and compacts the whole timeline.
-        crate::telemetry::limit_history(&mut convergence, self.cfg.history_limit);
-        if stats.trace_ev.mask() != 0 {
-            stats.trace_ev.seal();
-        }
-
-        let status = match (converged, breakdown) {
-            (true, _) => SolveStatus::Converged,
-            (false, Some(kind)) => SolveStatus::Breakdown(kind),
-            (false, None) => SolveStatus::MaxIters,
-        };
-        let fault_events = session.map(|s| s.records().to_vec()).unwrap_or_default();
-
-        solve_span.record_cycles(total_cycles);
-        solve_span.annotate("iterations", iterations);
-        solve_span.annotate("converged", converged);
-        if !recoveries.is_empty() {
-            solve_span.annotate("rollbacks", recoveries.len());
-        }
-
-        // Solve-level invariant audit over the merged stats.
-        if self.cfg.check_invariants {
-            crate::invariants::check_solve_stats(&mut stats)?;
-        }
-
         Ok(PcgSimReport {
-            x,
-            converged,
-            iterations,
-            final_residual,
-            timed_iterations: timed_done,
-            cycles_per_iteration,
-            total_cycles,
-            kernel_cycles: [per_iter_kernel(0), per_iter_kernel(1), per_iter_kernel(2)],
-            stats,
+            x: f.x,
+            converged: f.converged,
+            iterations: f.iterations,
+            final_residual: f.final_residual,
+            timed_iterations: f.timed_iterations,
+            cycles_per_iteration: f.cycles_per_iteration,
+            total_cycles: f.total_cycles,
+            kernel_cycles: f.kernel_cycles,
+            stats: f.stats,
             flops_per_iteration,
             gflops,
-            elapsed_seconds: self.cfg.cycles_to_seconds(total_cycles),
-            status,
-            fault_events,
-            recoveries,
-            integrity: audit,
-            convergence,
+            elapsed_seconds: self.cfg.cycles_to_seconds(f.total_cycles),
+            status: f.status,
+            fault_events: f.fault_events,
+            recoveries: f.recoveries,
+            integrity: f.integrity,
+            convergence: f.convergence,
         })
     }
+
+    /// One PCG iteration (Listing 1's loop body); returns `||r||`.
+    fn iterate(&self, d: &mut Solve, st: &mut Recurrence) -> Step<f64> {
+        // Ap = A p, checksum-verified when timed.
+        let ap = if d.timing {
+            let ap = d.timed(&self.spmv, &st.p, KernelClass::Spmv)?;
+            d.verify_spmv(&st.p, &ap)?;
+            ap
+        } else {
+            self.a.spmv(&st.p)
+        };
+        // alpha = rz / (p . Ap)
+        d.vec_ops(VecOp::Dot, 1);
+        let p_ap = dense::dot(&st.p, &ap);
+        ensure(p_ap.is_finite(), BreakdownKind::NonFinite, || {
+            format!("non-finite p.Ap = {p_ap}")
+        })?;
+        ensure(p_ap != 0.0, BreakdownKind::PApZero, || {
+            "p.Ap = 0 (stalled search direction)".to_string()
+        })?;
+        let alpha = st.rz / p_ap;
+        // x += alpha p ; r -= alpha Ap ; convergence check (norm)
+        dense::axpy(alpha, &st.p, &mut d.x);
+        dense::axpy(-alpha, &ap, &mut st.r);
+        d.vec_ops(VecOp::Axpy, 2);
+        d.vec_ops(VecOp::Dot, 1);
+        // z = L^-T L^-1 r (identity when unpreconditioned). Both solves
+        // are checksum-verified when timed: the forward solve against the
+        // column checksums of L, the transpose solve against its rows.
+        st.z = match (&self.lower, &self.upper) {
+            (Some(lo), Some(up)) if d.timing => {
+                let y = d.timed(lo, &st.r, KernelClass::Sptrsv)?;
+                let z = d.timed(up, &y, KernelClass::Sptrsv)?;
+                let checks = d.factor_checksum().map(|cs| {
+                    [
+                        ("checksum_sptrsv", cs.verify_solve(&y, &st.r)),
+                        ("checksum_sptrsv", cs.verify_solve_transpose(&z, &y)),
+                    ]
+                });
+                if let Some(checks) = checks {
+                    let bound = checks[0].1.bound.max(checks[1].1.bound);
+                    d.abft(&checks, |_| {
+                        let reference = self.functional_precond(&st.r);
+                        dense::norm2(&dense::sub(&z, &reference)) > bound
+                    })?;
+                }
+                z
+            }
+            (Some(_), Some(_)) => self.functional_precond(&st.r),
+            _ => st.r.clone(),
+        };
+        // beta = rz_new / rz_old ; p = z + beta p
+        d.vec_ops(VecOp::Dot, 1);
+        let rz_new = dense::dot(&st.r, &st.z);
+        ensure(rz_new.is_finite(), BreakdownKind::NonFinite, || {
+            format!("non-finite r.z = {rz_new}")
+        })?;
+        let beta = rz_new / st.rz;
+        dense::xpby(&st.z, beta, &mut st.p);
+        d.vec_ops(VecOp::Xpby, 1);
+        st.rz = rz_new;
+
+        let rnorm = dense::norm2(&st.r);
+        d.check_residual(rnorm)?;
+        d.drift_audit(d.iterations + 1, rnorm, None)?;
+        let tol_met = d.accept(d.iterations + 1, rnorm)?;
+        d.end(rnorm, tol_met);
+        Ok(rnorm)
+    }
+
+    /// Re-derives the recurrence from the rolled-back `x` with the
+    /// reference kernels, so corrupted state cannot leak through a
+    /// recovery.
+    fn restart(&self, d: &mut Solve) -> Recurrence {
+        let r = dense::sub(d.b, &self.a.spmv(&d.x));
+        let z = self.functional_precond(&r);
+        d.reset_best(dense::norm2(&r));
+        Recurrence {
+            p: z.clone(),
+            rz: dense::dot(&r, &z),
+            r,
+            z,
+        }
+    }
+}
+
+/// PCG's recurrence state; `x` lives in the driver.
+struct Recurrence {
+    r: Vec<f64>,
+    z: Vec<f64>,
+    p: Vec<f64>,
+    /// `r · z` of the previous iteration.
+    rz: f64,
 }
 
 #[cfg(test)]
@@ -1055,6 +609,19 @@ mod tests {
         // A different pattern is rejected.
         let other = generate::grid_laplacian_2d(4, 9);
         assert!(sim.update_values(&other, &p).is_err());
+    }
+
+    #[test]
+    fn wrong_rhs_length_is_a_typed_input_error() {
+        let a = generate::grid_laplacian_2d(6, 6);
+        let grid = TileGrid::new(2, 2);
+        let p = RoundRobinMapper.map(&a, grid);
+        let sim = PcgSim::build(&a, &p, &SimConfig::azul(grid)).unwrap();
+        let err = sim
+            .try_run(&rhs(a.rows() + 1), &PcgSimConfig::default())
+            .unwrap_err();
+        assert!(matches!(err, SimError::Input { .. }), "{err}");
+        assert!(err.to_string().contains("rhs length 37"), "{err}");
     }
 
     #[test]

@@ -468,21 +468,24 @@ mod fault_soak {
 }
 
 mod integrity_soak {
-    //! Randomized single-bit value flips against the audited PCG
-    //! frontend: every flip must be *detected or provably harmless*.
-    //! Detected means a journaled integrity violation, a rollback, or a
-    //! loud structured failure; harmless means the returned iterate's
-    //! true residual `||b - A·x||` still meets the tolerance (with the
-    //! final audit's drift slack). What must never happen is the fourth
-    //! quadrant: `converged` claimed while the true residual is off —
-    //! the silent wrong answer.
+    //! Randomized single-bit value flips against the audited PCG,
+    //! BiCGStab and GMRES frontends: every flip must be *detected or
+    //! provably harmless*. Detected means a journaled integrity
+    //! violation, a rollback, or a loud structured failure; harmless
+    //! means the returned iterate's true residual `||b - A·x||` still
+    //! meets the tolerance (with the final audit's drift slack). What
+    //! must never happen is the fourth quadrant: `converged` claimed
+    //! while the true residual is off — the silent wrong answer.
 
     use azul::mapping::strategies::{Mapper, RoundRobinMapper};
-    use azul::mapping::TileGrid;
+    use azul::mapping::{Placement, TileGrid};
+    use azul::sim::bicgstab::{BiCgStabSim, BiCgStabSimConfig};
     use azul::sim::config::SimConfig;
     use azul::sim::faults::{FaultEvent, FaultKind, FaultPlan, IntegrityPolicy};
+    use azul::sim::gmres::{GmresSim, GmresSimConfig};
+    use azul::sim::machine::SimError;
     use azul::sim::pcg::{PcgSim, PcgSimConfig};
-    use azul::sparse::{dense, generate};
+    use azul::sparse::{dense, generate, Csr};
     use proptest::prelude::*;
 
     fn rhs(n: usize) -> Vec<f64> {
@@ -491,53 +494,93 @@ mod integrity_soak {
             .collect()
     }
 
+    const SOLVERS: [&str; 3] = ["pcg", "bicgstab", "gmres"];
+
+    /// What the property needs from a report: `(escapes, converged, x)`.
+    type Verdict = Result<(u64, bool, Vec<f64>), SimError>;
+
+    /// Runs `solver` with every iteration timed and the full audit on.
+    fn audited_solve(solver: &str, a: &Csr, p: &Placement, cfg: &SimConfig, b: &[f64]) -> Verdict {
+        let integrity = IntegrityPolicy::audit();
+        match solver {
+            "pcg" => {
+                let run_cfg = PcgSimConfig {
+                    timed_iterations: 0,
+                    integrity,
+                    ..Default::default()
+                };
+                let r = PcgSim::build(a, p, cfg)
+                    .expect("build")
+                    .try_run(b, &run_cfg)?;
+                Ok((r.integrity.escapes, r.converged, r.x))
+            }
+            "bicgstab" => {
+                let run_cfg = BiCgStabSimConfig {
+                    timed_iterations: 0,
+                    integrity,
+                    ..Default::default()
+                };
+                let sim = BiCgStabSim::build(a, p, cfg).expect("build");
+                let r = sim.try_run(b, &run_cfg)?;
+                Ok((r.integrity.escapes, r.converged, r.x))
+            }
+            _ => {
+                let run_cfg = GmresSimConfig {
+                    timed_iterations: 0,
+                    integrity,
+                    ..Default::default()
+                };
+                let r = GmresSim::build(a, p, cfg)
+                    .expect("build")
+                    .try_run(b, &run_cfg)?;
+                Ok((r.integrity.escapes, r.converged, r.x))
+            }
+        }
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
+        #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
         fn seeded_single_bit_flips_are_detected_or_harmless(
+            solver in 0usize..3,
             tile in 0u32..4,
             slot in 0u32..2,
             bit in 0u32..64,
             at_cycle in 1_000u64..40_000,
         ) {
+            let solver = SOLVERS[solver];
             let a = generate::grid_laplacian_2d(16, 16);
+            let b = rhs(a.rows());
             let grid = TileGrid::new(2, 2);
             let p = RoundRobinMapper.map(&a, grid);
-            let b = rhs(a.rows());
             let mut cfg = SimConfig::azul(grid);
             cfg.faults = Some(FaultPlan::new(vec![FaultEvent {
                 at_cycle,
                 kind: FaultKind::SramBitFlip { tile, slot, bit },
             }]));
-            let run_cfg = PcgSimConfig {
-                timed_iterations: 0,
-                integrity: IntegrityPolicy::audit(),
-                ..Default::default()
-            };
-            let sim = PcgSim::build(&a, &p, &cfg).expect("build");
             // A loud, typed failure is a detection, not an escape —
             // only an Ok report can carry a silent wrong answer.
-            if let Ok(report) = sim.try_run(&b, &run_cfg) {
+            if let Ok((escapes, converged, x)) = audited_solve(solver, &a, &p, &cfg, &b) {
                 // The mandatory final audit bans silent escapes...
-                prop_assert_eq!(report.integrity.escapes, 0);
+                prop_assert_eq!(escapes, 0, "{} escaped", solver);
                 // ...and the independently recomputed residual
                 // agrees: a converged claim is a true answer.
-                if report.converged {
-                    let ax = a.spmv(&report.x);
+                if converged {
+                    let ax = a.spmv(&x);
                     let r: Vec<f64> = b.iter()
                         .zip(&ax)
                         .map(|(bi, yi)| bi - yi)
                         .collect();
                     let true_r = dense::norm2(&r);
-                    let slack =
-                        run_cfg.integrity.drift_factor * run_cfg.tol;
+                    let policy = IntegrityPolicy::audit();
+                    let slack = policy.drift_factor * PcgSimConfig::default().tol;
                     prop_assert!(
                         true_r <= slack,
-                        "silent escape: converged with true \
+                        "silent escape: {} converged with true \
                          residual {:e} > {:e} (tile {} slot {} \
                          bit {} cycle {})",
-                        true_r, slack, tile, slot, bit, at_cycle
+                        solver, true_r, slack, tile, slot, bit, at_cycle
                     );
                 }
             }
