@@ -17,7 +17,7 @@
 //! aggregate-vs-detail cross-check all hold on every checked run.
 
 use azul::mapping::strategies::{AzulMapper, Mapper, RoundRobinMapper};
-use azul::mapping::TileGrid;
+use azul::mapping::{Placement, TileGrid};
 use azul::sim::bicgstab::{BiCgStabSim, BiCgStabSimConfig};
 use azul::sim::config::{SimConfig, StagnationPolicy};
 use azul::sim::faults::{
@@ -32,12 +32,14 @@ use azul::sim::telemetry::{
     describe_config, fill_fault_report, fill_integrity_report, fill_invariant_report, fill_report,
 };
 use azul::solver::SolveStatus;
+use azul::sparse::coloring::{color_and_permute, ColoringStrategy};
 use azul::sparse::generate;
+use azul::sparse::suite::{self, Scale};
 use azul::telemetry::report::IterationSample;
 use azul::telemetry::trace::{chrome_trace_json, validate_chrome_trace, TraceConfig};
 use azul::telemetry::TelemetryReport;
 
-fn setup() -> (azul::sparse::Csr, azul::mapping::Placement, TileGrid) {
+fn setup() -> (azul::sparse::Csr, Placement, TileGrid) {
     let a = generate::grid_laplacian_2d(20, 20);
     let grid = TileGrid::new(4, 4);
     let p = AzulMapper::fast_default().map(&a, grid);
@@ -592,17 +594,22 @@ fn synthetic_conservation_violation_surfaces_as_sim_error() {
     assert!(stats.invariant_checks.iter().sum::<u64>() > 0);
 }
 
+/// FNV-1a over a byte stream, starting from hash state `h` (pass
+/// [`FNV_OFFSET`] to start fresh).
+fn fnv1a(mut h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    for byte in bytes {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a over the bit patterns of a solution vector: pins every bit of
 /// `x` without storing it.
 fn fnv1a_bits(v: &[f64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for x in v {
-        for byte in x.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    fnv1a(FNV_OFFSET, v.iter().flat_map(|x| x.to_bits().to_le_bytes()))
 }
 
 /// The report fields [`serialize_audited`] leaves out, floats as bits.
@@ -863,4 +870,78 @@ fn bicgstab_telemetry_matches_golden_files() {
 #[test]
 fn gmres_telemetry_matches_golden_files() {
     assert_goldens("gmres");
+}
+
+/// FNV-1a over a placement's nonzero tiles, then its vector tiles.
+fn placement_digest(p: &Placement) -> u64 {
+    let h = fnv1a(
+        FNV_OFFSET,
+        p.nnz_tiles().iter().flat_map(|t| t.to_le_bytes()),
+    );
+    fnv1a(h, p.vec_tiles().iter().flat_map(|t| t.to_le_bytes()))
+}
+
+/// One line per mapping configuration: the six Tiny suite operators of
+/// the serve benchmark on 8x8 with the default Azul mapper, then the
+/// fast and no-time-balancing presets on generated matrices at 2x2 and
+/// 4x4. Every operator is color-permuted first, as `Azul::prepare`
+/// does before mapping.
+fn placement_lines() -> String {
+    let colored =
+        |a: &azul::sparse::Csr| color_and_permute(a, ColoringStrategy::LargestDegreeFirst).0;
+    let mut out = String::new();
+    let mut line = |name: &str, mapper: &str, m: &AzulMapper, a: &azul::sparse::Csr, g: usize| {
+        let p = m.map(a, TileGrid::new(g, g));
+        out += &format!("{name} {g}x{g} {mapper}: {:#018x}\n", placement_digest(&p));
+    };
+    for name in [
+        "crankseg_1",
+        "m_t1",
+        "shipsec1",
+        "consph",
+        "thermal2",
+        "apache2",
+    ] {
+        let spec = suite::by_name(name).expect("serve operator is a suite matrix");
+        let a = colored(&spec.build(Scale::Tiny));
+        line(name, "azul", &AzulMapper::default(), &a, 8);
+    }
+    let generated = [
+        ("laplacian2d-20x20", generate::grid_laplacian_2d(20, 20)),
+        ("fem3d-400", generate::fem_mesh_3d(400, 8, 5)),
+    ];
+    for (name, a) in &generated {
+        let a = colored(a);
+        for g in [2, 4] {
+            line(name, "fast", &AzulMapper::fast_default(), &a, g);
+            line(
+                name,
+                "no-time-balance",
+                &AzulMapper::without_time_balancing(),
+                &a,
+                g,
+            );
+        }
+    }
+    out
+}
+
+/// The mapper's placements are pinned byte for byte: a partitioner change
+/// that moves any vertex shows up here before it shows up as a cycle
+/// count. A mismatch writes the actual lines under
+/// `target/golden-actual/placements.txt`.
+#[test]
+fn placements_match_golden_file() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let got = placement_lines();
+    let want = std::fs::read_to_string(format!("{root}/tests/golden/placements.txt")).ok();
+    if want.as_deref() != Some(got.as_str()) {
+        let out = format!("{root}/target/golden-actual");
+        std::fs::create_dir_all(&out).expect("create target/golden-actual");
+        std::fs::write(format!("{out}/placements.txt"), &got).expect("write actual output");
+        panic!(
+            "placements differ from tests/golden/placements.txt; \
+             diff it against target/golden-actual/placements.txt"
+        );
+    }
 }
