@@ -8,8 +8,16 @@
 //! reads inside the deterministic engine are a determinism hazard
 //! (`azul-lint`'s `wall-clock-in-sim` rule), so the probes here are the
 //! *only* sanctioned wall-clock use inside `crates/sim`, and they are
-//! compiled down to a single relaxed atomic load unless a harness
+//! compiled down to a single thread-local flag load unless a harness
 //! explicitly calls [`enable`].
+//!
+//! Recording is thread-scoped: [`enable`], [`disable`], [`reset`] and
+//! [`snapshot`] act on the calling thread's own flag and totals, and a
+//! probe counts only on a thread that armed it. A harness therefore
+//! profiles the simulator runs on its own thread, which is the
+//! `threads = 1` configuration shares are defined for; shard workers of a
+//! pool, and kernels on other threads of the process (other tests, other
+//! service workers), record nothing into its totals.
 //!
 //! Probe output feeds the `sim_profile` bench, which writes
 //! `BENCH_sim_profile.json` with per-component wall-time shares.
@@ -36,8 +44,7 @@
 //! assert_eq!(snap.calls(Component::TickLoop), 1);
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::cell::Cell;
 use std::time::Instant;
 
 /// Simulator components that receive wall-time attribution. The
@@ -83,47 +90,50 @@ impl Component {
     }
 }
 
-/// Per-component accumulators plus the cheap enabled flag. Relaxed
-/// atomics: shards profile concurrently and exact interleaving does not
-/// matter — only the totals do.
+/// Per-component accumulators plus the cheap enabled flag, one set per
+/// thread.
 struct Profiler {
-    enabled: AtomicBool,
-    wall_ns: [AtomicU64; 6],
-    calls: [AtomicU64; 6],
+    enabled: Cell<bool>,
+    wall_ns: [Cell<u64>; 6],
+    calls: [Cell<u64>; 6],
 }
 
-fn profiler() -> &'static Profiler {
-    static PROFILER: OnceLock<Profiler> = OnceLock::new();
-    PROFILER.get_or_init(|| Profiler {
-        enabled: AtomicBool::new(false),
-        wall_ns: [const { AtomicU64::new(0) }; 6],
-        calls: [const { AtomicU64::new(0) }; 6],
-    })
+thread_local! {
+    static PROFILER: Profiler = const {
+        Profiler {
+            enabled: Cell::new(false),
+            wall_ns: [const { Cell::new(0) }; 6],
+            calls: [const { Cell::new(0) }; 6],
+        }
+    };
 }
 
-/// Turns probe collection on. Call from a harness, never from engine
-/// code — the engine must not know whether it is being profiled.
+/// Turns probe collection on for the calling thread. Call from a
+/// harness, never from engine code — the engine must not know whether it
+/// is being profiled.
 pub fn enable() {
-    profiler().enabled.store(true, Ordering::Release);
+    PROFILER.with(|p| p.enabled.set(true));
 }
 
-/// Turns probe collection off; already-recorded totals are kept.
+/// Turns the calling thread's probe collection off; already-recorded
+/// totals are kept.
 pub fn disable() {
-    profiler().enabled.store(false, Ordering::Release);
+    PROFILER.with(|p| p.enabled.set(false));
 }
 
-/// Whether probes are currently recording.
+/// Whether probes are currently recording on the calling thread.
 pub fn enabled() -> bool {
-    profiler().enabled.load(Ordering::Relaxed)
+    PROFILER.with(|p| p.enabled.get())
 }
 
-/// Zeroes all accumulated totals (does not change the enabled flag).
+/// Zeroes the calling thread's totals (does not change its enabled flag).
 pub fn reset() {
-    let p = profiler();
-    for i in 0..ALL.len() {
-        p.wall_ns[i].store(0, Ordering::Relaxed);
-        p.calls[i].store(0, Ordering::Relaxed);
-    }
+    PROFILER.with(|p| {
+        for i in 0..ALL.len() {
+            p.wall_ns[i].set(0);
+            p.calls[i].set(0);
+        }
+    });
 }
 
 /// Opens a probe scope attributing its wall time to `component`. Inert
@@ -149,10 +159,11 @@ impl Drop for ScopeGuard {
             return;
         };
         let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let p = profiler();
         let i = component as usize;
-        p.wall_ns[i].fetch_add(ns, Ordering::Relaxed);
-        p.calls[i].fetch_add(1, Ordering::Relaxed);
+        PROFILER.with(|p| {
+            p.wall_ns[i].set(p.wall_ns[i].get().saturating_add(ns));
+            p.calls[i].set(p.calls[i].get() + 1);
+        });
     }
 }
 
@@ -201,32 +212,20 @@ impl ProfileSnapshot {
     }
 }
 
-/// Copies the current totals.
+/// Copies the calling thread's current totals.
 pub fn snapshot() -> ProfileSnapshot {
-    let p = profiler();
-    let mut snap = ProfileSnapshot::default();
-    for i in 0..ALL.len() {
-        snap.wall_ns[i] = p.wall_ns[i].load(Ordering::Relaxed);
-        snap.calls[i] = p.calls[i].load(Ordering::Relaxed);
-    }
-    snap
+    PROFILER.with(|p| ProfileSnapshot {
+        wall_ns: p.wall_ns.each_ref().map(Cell::get),
+        calls: p.calls.each_ref().map(Cell::get),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    // Profile tests share one global accumulator; run them under one
-    // lock so parallel test threads don't fight over it.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn disabled_probes_record_nothing() {
-        let _guard = serial();
         disable();
         reset();
         {
@@ -239,7 +238,6 @@ mod tests {
 
     #[test]
     fn enabled_probes_accumulate_calls_and_time() {
-        let _guard = serial();
         reset();
         enable();
         {
@@ -261,7 +259,6 @@ mod tests {
 
     #[test]
     fn shares_cover_the_tick_loop() {
-        let _guard = serial();
         reset();
         enable();
         {
