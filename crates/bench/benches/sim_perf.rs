@@ -1,26 +1,24 @@
 //! Engine throughput: wall-clock cost of the cycle-accurate simulation
-//! itself across the host-side engine knobs (worker threads ×
-//! idle-cycle fast-forward).
+//! itself, and how much host work parking idle tiles saves.
 //!
 //! Unlike the `fig*`/`table*` targets, this bench measures the
-//! *simulator*, not the simulated accelerator: simulated cycles per
-//! host second for the same scenarios under every engine
-//! configuration. The knobs must be performance-only — each run's
-//! telemetry is re-serialized and compared byte-for-byte against the
-//! `threads=1, fast_forward=off` baseline; any divergence aborts the
-//! bench.
+//! *simulator*, not the simulated accelerator. Three sections:
 //!
-//! Two sections:
-//!
-//! 1. **PCG engine matrix** — a full solve across (threads ×
-//!    fast_forward). Thread scaling is bounded by host cores (the pool
-//!    is capped at `available_parallelism`, so on a 1-core runner the
-//!    thread axis measures sharding overhead only).
-//! 2. **SpTRSV-heavy kernel** — a serial tridiagonal chain across the
-//!    full grid, the dependence-limited tail the fast-forward path
-//!    exists for: nearly every tile is idle nearly every cycle, so the
-//!    clock can leap between events. The headline is the single-worker
-//!    fast-forward speedup here.
+//! 1. **PCG across worker threads** — a full solve with 1, 2 and 4
+//!    shards. Each run's telemetry is re-serialized and compared
+//!    byte-for-byte against `threads=1`; any divergence aborts the
+//!    bench. Thread scaling is bounded by host cores (the pool is capped
+//!    at `available_parallelism`, so on a 1-core runner the thread axis
+//!    measures sharding overhead only).
+//! 2. **SpTRSV serial chain** — a tridiagonal chain round-robined
+//!    across the grid, the dependence-limited tail where nearly every
+//!    tile waits nearly every cycle, at three hop latencies.
+//! 3. **Idle-heavy 64x64** — a serial chain on 16 tiles spread across
+//!    the paper's 64x64 machine. The headline is exact and
+//!    host-independent: the tile-cycles the per-cycle loop would tick
+//!    (ticked + credited) over the tile-cycles the engine really ticked.
+//!    It must be at least 10; CI's trend check also holds it to the
+//!    committed baseline.
 
 use azul_bench::{header, prepare, row, telemetry_report, write_bench_artifact, BenchCtx};
 use azul_mapping::strategies::{Mapper, RoundRobinMapper};
@@ -28,21 +26,38 @@ use azul_mapping::{Placement, TileGrid};
 use azul_sim::config::SimConfig;
 use azul_sim::machine::run_kernel;
 use azul_sim::pcg::PcgSim;
+use azul_sim::profile;
 use azul_sim::program::Program;
+use azul_sim::stats::KernelStats;
 use azul_sparse::suite::Scale;
 use azul_sparse::{generate, suite};
 use azul_telemetry::TelemetryReport;
 use std::time::Instant;
 
-/// Engine configurations under test: (worker threads, fast_forward).
-const CONFIGS: [(usize, bool); 6] = [
-    (1, false),
-    (1, true),
-    (2, false),
-    (2, true),
-    (4, false),
-    (4, true),
-];
+/// Worker-thread counts under test.
+const THREADS: [usize; 3] = [1, 2, 4];
+
+/// One kernel run with its wall time and the engine's host work:
+/// `(stats, wall seconds, ticked, credited)` tile-cycles.
+fn counted_run(cfg: &SimConfig, prog: &Program, b: &[f64]) -> (KernelStats, f64, u64, u64) {
+    profile::reset();
+    let t0 = Instant::now();
+    let (_, stats) = run_kernel(cfg, prog, b);
+    let wall = t0.elapsed().as_secs_f64();
+    let snap = profile::snapshot();
+    (
+        stats,
+        wall,
+        snap.ticked_tile_cycles,
+        snap.credited_tile_cycles,
+    )
+}
+
+/// `(ticked + credited) / ticked`: how many tile-cycles of the
+/// per-cycle loop each real tick stands for.
+fn tile_cycle_ratio(ticked: u64, credited: u64) -> f64 {
+    (ticked + credited) as f64 / ticked.max(1) as f64
+}
 
 fn main() {
     let ctx = BenchCtx::from_env();
@@ -60,17 +75,11 @@ fn main() {
     );
     let mut reports: Vec<TelemetryReport> = Vec::new();
 
-    // Section 1: full PCG solves across the engine matrix.
-    header(
-        "sim_perf §1 — PCG engine throughput across (threads x fast_forward)",
-        "",
-    );
+    // Section 1: full PCG solves across worker threads.
+    header("sim_perf §1 — PCG engine throughput across threads", "");
     row(
-        "matrix t/ff",
-        &CONFIGS
-            .iter()
-            .map(|&(t, ff)| format!("{}w {}", t, if ff { "ff" } else { "--" }))
-            .collect::<Vec<_>>(),
+        "threads",
+        &THREADS.iter().map(|t| format!("{t}w")).collect::<Vec<_>>(),
     );
     for name in ["nd12k", "thermal2"] {
         let m = prepare(suite::by_name(name).unwrap(), ctx.scale);
@@ -78,33 +87,30 @@ fn main() {
         let mut cells = Vec::new();
         let mut walls = Vec::new();
         let mut baseline_json = String::new();
-        for &(threads, ff) in &CONFIGS {
+        for &threads in &THREADS {
             let mut cfg = SimConfig::azul(ctx.grid);
             cfg.threads = threads;
-            cfg.fast_forward = ff;
             let sim = PcgSim::build(&m.a, &placement, &cfg).expect("IC(0) succeeds");
             let t0 = Instant::now();
             let rep = sim.run(&m.b, &ctx.pcg_cfg());
             let wall = t0.elapsed().as_secs_f64();
             // Self-check before annotating with host timings: every
-            // engine configuration must produce byte-identical
-            // telemetry. This is the bench-side guard behind the
-            // determinism test suite.
+            // thread count must produce byte-identical telemetry. This
+            // is the bench-side guard behind the determinism test suite.
             let mut doc = telemetry_report(&m, &cfg, &rep);
             let key = doc.to_json().to_string_pretty();
-            if threads == 1 && !ff {
+            if threads == 1 {
                 baseline_json = key;
             } else {
                 assert_eq!(
                     key, baseline_json,
-                    "{name}: telemetry diverged at threads={threads} fast_forward={ff}"
+                    "{name}: telemetry diverged at threads={threads}"
                 );
             }
             let mcps = rep.total_cycles as f64 / wall / 1.0e6;
             doc.scenario_field("section", "pcg");
             doc.scenario_field("tracing", false);
             doc.scenario_field("threads", threads as u64);
-            doc.scenario_field("fast_forward", ff);
             doc.scenario_field("wall_seconds", wall);
             doc.scenario_field("sim_mcycles_per_sec", mcps);
             reports.push(doc);
@@ -113,9 +119,9 @@ fn main() {
         }
         row(name, &cells);
         println!(
-            "{name:<14} threads=4 vs threads=1: {:.2}x   ff vs base (1 worker): {:.2}x",
-            walls[0] / walls[4],
-            walls[0] / walls[1]
+            "{name:<14} threads=2 vs threads=1: {:.2}x   threads=4 vs threads=1: {:.2}x",
+            walls[0] / walls[1],
+            walls[0] / walls[2]
         );
     }
 
@@ -123,13 +129,8 @@ fn main() {
     // chain serializes the whole solve, and round-robin placement puts
     // every consecutive row on a different tile, so each row pays a
     // full NoC transit during which exactly one flit exists
-    // machine-wide. At the paper's NoC-latency sensitivity points the
-    // machine is idle for most cycles and the fast-forward path does
-    // all the work.
-    header(
-        "sim_perf §2 — SpTRSV serial chain (fast-forward territory)",
-        "",
-    );
+    // machine-wide.
+    header("sim_perf §2 — SpTRSV serial chain", "");
     let n = 64 * ctx.grid.num_tiles();
     let a = generate::tridiagonal(n);
     let l = a.lower_triangle();
@@ -138,65 +139,47 @@ fn main() {
     let b: Vec<f64> = (0..n)
         .map(|i| 1.0 + ((i * 31 % 17) as f64) / 17.0)
         .collect();
-    row("hop", &["base".into(), "ff".into(), "speedup".into()]);
-    let mut headline = 0.0f64;
+    row(
+        "hop",
+        &["wall".into(), "Mc/s".into(), "tile-cycle ratio".into()],
+    );
     for hop in [1u32, 4, 16] {
-        let mut wall = [0.0f64; 2];
-        let mut base = None;
-        let mut cycles = 0u64;
-        for (i, ff) in [false, true].into_iter().enumerate() {
-            let mut cfg = SimConfig::azul(ctx.grid);
-            cfg.hop_latency = hop;
-            cfg.fast_forward = ff;
-            let t0 = Instant::now();
-            let (x, stats) = run_kernel(&cfg, &prog, &b);
-            wall[i] = t0.elapsed().as_secs_f64();
-            cycles = stats.cycles;
-            let mut doc = TelemetryReport::default();
-            doc.scenario_field("section", "sptrsv");
-            doc.scenario_field("tracing", false);
-            doc.scenario_field("kernel", "sptrsv_lower");
-            doc.scenario_field("matrix", "tridiagonal");
-            doc.scenario_field("n", n as u64);
-            doc.scenario_field("hop_latency", hop as u64);
-            doc.scenario_field("fast_forward", ff);
-            doc.scenario_field("wall_seconds", wall[i]);
-            doc.scenario_field("sim_mcycles_per_sec", stats.cycles as f64 / wall[i] / 1.0e6);
-            azul_sim::telemetry::fill_report(&mut doc, &cfg, &stats);
-            reports.push(doc);
-            match &base {
-                None => base = Some((x, stats)),
-                Some((bx, bs)) => {
-                    assert_eq!(&x, bx, "sptrsv output diverged under fast-forward");
-                    assert_eq!(&stats, bs, "sptrsv stats diverged under fast-forward");
-                }
-            }
-        }
-        let speedup = wall[0] / wall[1];
+        let mut cfg = SimConfig::azul(ctx.grid);
+        cfg.hop_latency = hop;
+        let (stats, wall, ticked, credited) = counted_run(&cfg, &prog, &b);
+        let ratio = tile_cycle_ratio(ticked, credited);
+        let mcps = stats.cycles as f64 / wall / 1.0e6;
+        let mut doc = TelemetryReport::default();
+        doc.scenario_field("section", "sptrsv");
+        doc.scenario_field("tracing", false);
+        doc.scenario_field("kernel", "sptrsv_lower");
+        doc.scenario_field("matrix", "tridiagonal");
+        doc.scenario_field("n", n as u64);
+        doc.scenario_field("hop_latency", hop as u64);
+        doc.scenario_field("wall_seconds", wall);
+        doc.scenario_field("sim_mcycles_per_sec", mcps);
+        doc.scenario_field("ticked_tile_cycles", ticked);
+        doc.scenario_field("credited_tile_cycles", credited);
+        azul_sim::telemetry::fill_report(&mut doc, &cfg, &stats);
+        reports.push(doc);
         row(
-            &format!("{hop} ({cycles} cyc)"),
+            &format!("{hop} ({} cyc)", stats.cycles),
             &[
-                format!("{:.0} ms", wall[0] * 1e3),
-                format!("{:.0} ms", wall[1] * 1e3),
-                format!("{speedup:.2}x"),
+                format!("{:.0} ms", wall * 1e3),
+                format!("{mcps:.2}"),
+                format!("{ratio:.2}x"),
             ],
         );
-        headline = headline.max(speedup);
     }
 
-    // Section 3: the event-engine headline — a mostly-idle machine.
-    // The paper's machine is 64x64; a serial chain hand-placed onto 16
+    // Section 3: the parking headline — a mostly-idle machine. The
+    // paper's machine is 64x64; a serial chain hand-placed onto 16
     // tiles spread across it leaves 4080 tiles untouched and, of the 16
     // live ones, at most one or two with anything to do on any given
-    // cycle. The reference engine still ticks every reference-active
-    // tile every cycle; the event engine ticks only *due* tiles
-    // (O(active) per step) and jumps the clock across the long NoC
-    // transits. This section is the trend guard for CI: `bench-smoke`
-    // diffs `event_speedup` against the committed baseline.
-    header(
-        "sim_perf §3 — idle-heavy 64x64 topology (event-engine territory)",
-        "",
-    );
+    // cycle. The per-cycle loop would tick every tile holding a flit in
+    // a 128-cycle transit; parking ticks a tile only when it can act,
+    // and jumps the clock while nothing can.
+    header("sim_perf §3 — idle-heavy 64x64 topology", "");
     let big = TileGrid::square(64);
     let n3 = match ctx.scale {
         Scale::Tiny => 2_048,
@@ -219,70 +202,46 @@ fn main() {
     let b3: Vec<f64> = (0..n3)
         .map(|i| 1.0 + ((i * 31 % 17) as f64) / 17.0)
         .collect();
-    row("engine", &["base".into(), "event".into(), "speedup".into()]);
-    let mut event_speedup = 0.0f64;
-    {
-        let mut wall = [0.0f64; 2];
-        let mut base = None;
-        let mut cycles = 0u64;
-        for (i, event) in [false, true].into_iter().enumerate() {
-            let mut cfg = SimConfig::azul(big);
-            cfg.hop_latency = 128;
-            cfg.event_engine = event;
-            let t0 = Instant::now();
-            let (x, stats) = run_kernel(&cfg, &prog3, &b3);
-            wall[i] = t0.elapsed().as_secs_f64();
-            cycles = stats.cycles;
-            let mut doc = TelemetryReport::default();
-            doc.scenario_field("section", "idle_heavy");
-            doc.scenario_field("tracing", false);
-            doc.scenario_field("kernel", "sptrsv_lower");
-            doc.scenario_field("matrix", "tridiagonal");
-            doc.scenario_field("n", n3 as u64);
-            doc.scenario_field("grid", "64x64");
-            doc.scenario_field("active_tiles", spots.len() as u64);
-            doc.scenario_field("hop_latency", 128u64);
-            doc.scenario_field("event_engine", event);
-            doc.scenario_field("wall_seconds", wall[i]);
-            doc.scenario_field("sim_mcycles_per_sec", stats.cycles as f64 / wall[i] / 1.0e6);
-            if event {
-                event_speedup = wall[0] / wall[1];
-                doc.scenario_field("event_speedup", event_speedup);
-            }
-            azul_sim::telemetry::fill_report(&mut doc, &cfg, &stats);
-            reports.push(doc);
-            match &base {
-                None => base = Some((x, stats)),
-                Some((bx, bs)) => {
-                    assert_eq!(&x, bx, "output diverged under the event engine");
-                    assert_eq!(&stats, bs, "stats diverged under the event engine");
-                }
-            }
-        }
-        row(
-            &format!("64x64/{} act ({cycles} cyc)", spots.len()),
-            &[
-                format!("{:.0} ms", wall[0] * 1e3),
-                format!("{:.0} ms", wall[1] * 1e3),
-                format!("{event_speedup:.2}x"),
-            ],
-        );
-    }
+    let mut cfg = SimConfig::azul(big);
+    cfg.hop_latency = 128;
+    let (stats, wall, ticked, credited) = counted_run(&cfg, &prog3, &b3);
+    let ratio = tile_cycle_ratio(ticked, credited);
+    let mut doc = TelemetryReport::default();
+    doc.scenario_field("section", "idle_heavy");
+    doc.scenario_field("tracing", false);
+    doc.scenario_field("kernel", "sptrsv_lower");
+    doc.scenario_field("matrix", "tridiagonal");
+    doc.scenario_field("n", n3 as u64);
+    doc.scenario_field("grid", "64x64");
+    doc.scenario_field("active_tiles", spots.len() as u64);
+    doc.scenario_field("hop_latency", 128u64);
+    doc.scenario_field("wall_seconds", wall);
+    doc.scenario_field("sim_mcycles_per_sec", stats.cycles as f64 / wall / 1.0e6);
+    doc.scenario_field("ticked_tile_cycles", ticked);
+    doc.scenario_field("credited_tile_cycles", credited);
+    azul_sim::telemetry::fill_report(&mut doc, &cfg, &stats);
+    reports.push(doc);
+    row(
+        "grid/active",
+        &["cycles".into(), "wall".into(), "tile-cycle ratio".into()],
+    );
+    row(
+        &format!("64x64/{}", spots.len()),
+        &[
+            format!("{}", stats.cycles),
+            format!("{:.0} ms", wall * 1e3),
+            format!("{ratio:.2}x"),
+        ],
+    );
 
     match write_bench_artifact("sim_perf", &reports) {
         Ok(p) => println!("wrote {}", p.display()),
         Err(e) => println!("artifact write failed: {e}"),
     }
-    println!("headline: fast-forward speedup on SpTRSV chain {headline:.2}x");
-    println!("headline: event-engine speedup on idle-heavy 64x64 {event_speedup:.2}x");
+    println!("headline: parking tile-cycle ratio on idle-heavy 64x64 {ratio:.2}x");
     assert!(
-        headline >= 2.0,
-        "fast-forward should cut wall-clock at least 2x on the \
-         dependence-limited SpTRSV chain (got {headline:.2}x)"
-    );
-    assert!(
-        event_speedup >= 10.0,
-        "the event engine should cut wall-clock at least 10x on the \
-         idle-heavy 64x64 topology (got {event_speedup:.2}x)"
+        ratio >= 10.0,
+        "parking should stand in for at least 10 ticks per real tick on \
+         the idle-heavy 64x64 topology (got {ratio:.2}x)"
     );
 }

@@ -2,8 +2,8 @@
 //!
 //! The companion of `sim_perf`: that bench measures *how fast* the tick
 //! engine runs, this one measures *where the time goes* inside it —
-//! router arbitration, PE execute, the barrier/commit phase,
-//! fast-forward scanning, and stats sampling, attributed via the
+//! router arbitration, PE execute, the barrier/commit phase, waking
+//! parked tiles, and stats sampling, attributed via the
 //! [`azul_sim::profile`] probes (the only sanctioned wall-clock use in
 //! the sim crate; see the `wall-clock-in-sim` lint rule).
 //!
@@ -36,9 +36,6 @@ fn main() {
     // loop" would stop being a partition of anything.
     let mut cfg = SimConfig::azul(ctx.grid);
     cfg.threads = 1;
-    // Fast-forward on, so its scanning cost shows up as a component
-    // instead of hiding inside "other" idle ticks.
-    cfg.fast_forward = true;
     let sim = PcgSim::build(&m.a, &placement, &cfg).expect("IC(0) succeeds on suite matrices");
 
     profile::reset();

@@ -15,13 +15,12 @@
 //! wall-timing dependent by nature (that is the point of cancellation),
 //! but because the flag is only sampled in the serial prologue of the
 //! cycle loop, a cancellation never tears a cycle in half — the abort
-//! lands on a cycle boundary for any `threads` / `fast_forward` /
-//! `event_engine` setting, and a token that is never tripped perturbs
-//! nothing: the fast path is one branch per iteration. Cancellation is
-//! deliberately *not* an event-engine wake source: a cancel landing
-//! inside a jumped span is observed at the next event, which is the
-//! same "once per loop iteration" granularity the reference engine
-//! documents (see `docs/PERFORMANCE.md`).
+//! lands on a cycle boundary for any `threads` setting, and a token
+//! that is never tripped perturbs nothing: the fast path is one branch
+//! per iteration. Cancellation is deliberately *not* a wake source for
+//! parked tiles: a cancel landing inside a clock jump is observed at
+//! the cycle the jump lands on, the same "once per loop iteration"
+//! granularity (see `docs/PERFORMANCE.md`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

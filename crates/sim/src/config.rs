@@ -92,24 +92,6 @@ pub struct SimConfig {
     /// is a host-side performance knob, not simulated hardware, so it
     /// is deliberately absent from telemetry scenario descriptions.
     pub threads: usize,
-    /// Idle-cycle fast-forward: when no active component can make
-    /// progress, jump the machine clock straight to the next event
-    /// (PE timer expiry, flit arrival, fault-timeline point) instead of
-    /// ticking empty cycles. Collapses the long dependence-limited
-    /// SpTRSV tails. Bit-for-bit identical to ticking every cycle —
-    /// skipped cycles replicate their stall/idle/trace/audit accounting
-    /// — and, like [`SimConfig::threads`], absent from telemetry.
-    pub fast_forward: bool,
-    /// Event-driven tick engine (`docs/PERFORMANCE.md`): every component
-    /// reports a next-event time into a per-shard calendar queue and
-    /// only *due* tiles are ticked, so a mostly-idle machine costs
-    /// O(active) per step instead of O(tiles). Subsumes
-    /// [`SimConfig::fast_forward`] — the machine-wide skip is the
-    /// degenerate case where no tile is due — and carries the same
-    /// contract: outputs, statistics, traces and fault schedules are
-    /// bit-for-bit identical to the reference engine (threads=1, no
-    /// fast-forward). Host-side knob, absent from telemetry.
-    pub event_engine: bool,
     /// Cycle-accurate event tracing
     /// ([`azul_telemetry::trace`]). `None` (the default) keeps the
     /// zero-trace fast path: every hook is guarded by one branch on an
@@ -117,8 +99,7 @@ pub struct SimConfig {
     /// records category-filtered [`azul_telemetry::trace::TraceEvent`]s
     /// into `KernelStats::trace_ev` with deterministic bounded
     /// sampling; traced output is byte-identical across
-    /// [`SimConfig::threads`], [`SimConfig::fast_forward`] and repeated
-    /// seeded-fault runs.
+    /// [`SimConfig::threads`] and repeated seeded-fault runs.
     pub trace: Option<TraceConfig>,
     /// Cooperative cancellation ([`crate::cancel`]). `None` (the
     /// default) keeps the fast path: the tick engine pays one branch
@@ -237,8 +218,6 @@ impl SimConfig {
             faults: None,
             check_invariants: cfg!(debug_assertions),
             threads: 1,
-            fast_forward: false,
-            event_engine: false,
             trace: None,
             cancel: None,
             history_limit: 0,
@@ -305,13 +284,9 @@ mod tests {
 
     #[test]
     fn engine_knobs_default_to_reference_path() {
-        // threads=1 / fast_forward=off is the reference engine; sweeps
-        // opt in explicitly so the default path stays byte-identical to
-        // the seed behavior.
+        // One thread by default; sweeps opt in explicitly.
         let cfg = SimConfig::azul(TileGrid::square(4));
         assert_eq!(cfg.threads, 1);
-        assert!(!cfg.fast_forward);
-        assert!(!cfg.event_engine, "event engine is opt-in");
         assert!(cfg.trace.is_none(), "tracing is opt-in");
         assert_eq!(cfg.history_limit, 0, "history is unbounded by default");
         assert!(cfg.cancel.is_none(), "cancellation is opt-in");

@@ -300,37 +300,6 @@ impl FaultSession {
         &self.active
     }
 
-    /// The next *global* cycle at which this session's state changes:
-    /// the earlier of the next unfired event's scheduled cycle and the
-    /// earliest active-window expiry. `u64::MAX` when nothing is
-    /// pending. The fast-forward engine must not skip past this point —
-    /// events journal their firing cycle and expiries re-sync router/PE
-    /// fault state, so both must land on a really-ticked cycle.
-    pub(crate) fn next_timeline_cycle(&self) -> u64 {
-        let next_event = self
-            .plan
-            .events
-            .get(self.next)
-            .map_or(u64::MAX, |e| e.at_cycle);
-        next_event.min(self.earliest_expiry)
-    }
-
-    /// [`FaultSession::next_timeline_cycle`] converted to the current
-    /// kernel's *local* clock, or `None` when nothing is pending. Both
-    /// skip engines clamp their jump targets with this: a fault window
-    /// opening (or expiring) *inside* a skipped span must shorten the
-    /// skip so the window state change lands on a really-iterated
-    /// cycle — firing it late would journal the wrong cycle and apply
-    /// the outage to the wrong span of traffic.
-    pub(crate) fn next_timeline_local(&self) -> Option<u64> {
-        let g = self.next_timeline_cycle();
-        if g == u64::MAX {
-            None
-        } else {
-            Some(g.saturating_sub(self.global_cycle(0)))
-        }
-    }
-
     /// Whether the watchdog should hold off: a *finite* outage window is
     /// in force, so apparent no-progress may resolve on its own when the
     /// window closes. Permanent faults (PeKill) do not suspend the

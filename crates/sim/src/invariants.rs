@@ -133,10 +133,9 @@ impl Checker {
 
     /// Credits `n` occupancy-rule evaluations performed outside this
     /// checker: by shard workers (which run [`check_router_occupancy`]
-    /// against their own routers), by the fast-forward engine (skipped
-    /// cycles would each have audited every active router), or by the
-    /// event engine's lazy span crediting (a parked tile's `k` skipped
-    /// cycles are credited in one call when the span ends). Because
+    /// against their own routers), or by a parked tile's span credit
+    /// (its `k` skipped ticks would each have audited its router, and
+    /// are credited in one call when it wakes). Because
     /// `KernelStats::invariant_checks` participates in stats equality,
     /// the determinism suite audits this crediting byte-for-byte. No-op
     /// when occupancy auditing is off.

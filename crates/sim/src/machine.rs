@@ -6,9 +6,16 @@
 //! vector carries real `f64` results that are validated against the
 //! reference solvers.
 //!
-//! An active-tile list keeps the per-cycle cost proportional to the tiles
-//! that actually have work, which matters in the long dependence-limited
-//! tails of SpTRSV.
+//! There is one engine, a per-cycle loop over an active-tile list, so
+//! the per-cycle cost is proportional to the tiles that have work. A tile
+//! that has work but provably cannot act for a while — a flit in a long
+//! hop, a RAW hazard window, a dependence not yet arrived — is *parked*
+//! until its wake cycle instead of being ticked, and its skipped cycles
+//! are credited in one step when it wakes; when every busy tile is
+//! parked the clock jumps to the earliest wake. This matters in the long
+//! dependence-limited tails of SpTRSV. Results are byte-identical to
+//! ticking every busy tile every cycle, which the unit tests check
+//! against exactly that loop (the oracle). See `docs/PERFORMANCE.md`.
 
 use crate::config::SimConfig;
 use crate::faults::{FaultEvent, FaultKind, FaultSession};
@@ -18,6 +25,8 @@ use crate::program::Program;
 use crate::router::{tick_router, Accept, Delivery, FlitKind, Router};
 use crate::stats::KernelStats;
 use azul_telemetry::trace::{TraceEvent, TraceKind, CAT_FAULT, CAT_KERNEL};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -78,16 +87,17 @@ pub enum SimError {
     /// [`CancelToken`](crate::CancelToken) armed via
     /// [`SimConfig::cancel`] tripped. The flag is sampled once per loop
     /// iteration at a serial point, so the abort always lands on a cycle
-    /// boundary regardless of `threads` / `fast_forward`. Not a machine
+    /// boundary regardless of `threads` or parked tiles. Not a machine
     /// failure — the host asked the run to stop (deadline, client gone,
     /// service shutdown).
     Cancelled {
         /// Kernel-local cycle at which the cancellation was observed.
         cycle: u64,
     },
-    /// A solver frontend was handed arguments it cannot run: a
-    /// right-hand side whose length differs from the matrix dimension,
-    /// or a zero GMRES restart length. Nothing was simulated.
+    /// The simulator was handed arguments it cannot run: a right-hand
+    /// side or kernel input whose length differs from the matrix
+    /// dimension, a config grid unlike the program's, or a zero GMRES
+    /// restart length. Nothing was simulated.
     Input {
         /// What was wrong with the input.
         detail: String,
@@ -120,7 +130,7 @@ impl std::fmt::Display for SimError {
             SimError::Cancelled { cycle } => {
                 write!(f, "kernel cancelled at cycle {cycle}")
             }
-            SimError::Input { detail } => write!(f, "invalid solver input: {detail}"),
+            SimError::Input { detail } => write!(f, "invalid simulator input: {detail}"),
         }
     }
 }
@@ -153,8 +163,9 @@ struct Shard {
     outbox: Vec<Accept>,
     /// Output-vector writes produced this cycle; applied at the barrier.
     out_buf: Vec<(u32, f64)>,
-    /// Tiles of `bucket` still holding work after their tick.
-    still: Vec<usize>,
+    /// Tiles of `bucket` still holding work after their tick, with
+    /// whether the tick made progress.
+    still: Vec<(usize, bool)>,
     /// This shard's stats delta (`cycles` stays 0; merge adds counters).
     stats: KernelStats,
     /// Occupancy-rule evaluations performed by this shard's ticks.
@@ -180,10 +191,6 @@ impl Shard {
 
     fn pe_ref(&self, t: usize) -> &Pe {
         &self.pes[t - self.lo]
-    }
-
-    fn stalled_at(&self, t: usize) -> bool {
-        self.stalled[t - self.lo]
     }
 }
 
@@ -225,7 +232,7 @@ fn tick_shard(
         let local = t - lo;
         // Router first: deliveries trigger PE tasks this same cycle.
         deliveries.clear();
-        {
+        let mut progressed = {
             let _p =
                 profiling.then(|| crate::profile::scope(crate::profile::Component::RouterTick));
             tick_router(
@@ -236,8 +243,8 @@ fn tick_shard(
                 deliveries,
                 outbox,
                 stats,
-            );
-        }
+            )
+        };
         for d in deliveries.iter() {
             let trig = match d.flit.kind {
                 FlitKind::X => Trigger::X {
@@ -272,9 +279,12 @@ fn tick_shard(
             // Misrouted triggers surface through the same first-error-
             // wins channel as invariant violations; the barrier commit
             // aborts the kernel with the typed error.
-            if let Err(e) = ticked {
-                if err.is_none() {
-                    *err = Some(e);
+            match ticked {
+                Ok(p) => progressed |= p,
+                Err(e) => {
+                    if err.is_none() {
+                        *err = Some(e);
+                    }
                 }
             }
         }
@@ -292,7 +302,7 @@ fn tick_shard(
         // Re-arm check (pre-barrier view): tiles receiving an accept
         // this cycle are re-activated from the outbox instead.
         if local_pes[local].has_work() || local_routers[local].occupancy() > 0 {
-            still.push(t);
+            still.push((t, progressed));
         }
     }
 }
@@ -347,6 +357,107 @@ struct ParallelCtx {
     stop: AtomicBool,
 }
 
+/// Consecutive no-progress ticks after which a busy tile is considered
+/// for parking. A single quiet tick is routine (a RAW hazard window, a
+/// flit one hop out) and usually followed by progress, so the wake
+/// analysis only runs from the second one on.
+const PARK_AFTER_QUIET_TICKS: u8 = 2;
+
+/// Host work done by one kernel run, in tile-cycles: `ticked` tile
+/// ticks executed, and `credited` tile-cycles a parked tile was
+/// credited for instead of being ticked. Their sum is exactly the
+/// tick count of the per-cycle loop with parking off.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct TileCycles {
+    ticked: u64,
+    credited: u64,
+}
+
+/// Coordinator-side parking state (`docs/PERFORMANCE.md`).
+///
+/// A parked tile is one the per-cycle loop would still tick every
+/// cycle, but which provably cannot act before `wake[t]`: its PE wake
+/// profile ([`Pe::wake_profile`]) and router head analysis
+/// ([`Router::next_event`]) bound the next cycle it could forward,
+/// deliver, refill or issue. Those skipped ticks would only rotate the
+/// router's arbitration cursor and record idle/stall and occupancy-audit
+/// bookkeeping, which is credited **once**, when the tile wakes, over
+/// `[since[t], wake)`. An arrival only pulls `wake[t]` earlier and never
+/// restarts the span, so a mid-span wake cannot double-credit.
+struct Parking {
+    /// Consecutive ticks without progress, per tile.
+    quiet: Vec<u8>,
+    parked: Vec<bool>,
+    /// Meaningful only while parked.
+    wake: Vec<u64>,
+    /// First cycle of the parked span not yet credited.
+    since: Vec<u64>,
+    class: Vec<PeSkipClass>,
+    /// Min-heap of `(wake, tile)` with lazy deletion: an entry is live
+    /// only while it matches `wake[t]` of a parked tile. Wakes only move
+    /// earlier within a span, so stale entries are always later ones.
+    calendar: BinaryHeap<Reverse<(u64, usize)>>,
+    num_parked: usize,
+    counts: TileCycles,
+}
+
+impl Parking {
+    fn new(num_tiles: usize) -> Self {
+        Parking {
+            quiet: vec![0; num_tiles],
+            parked: vec![false; num_tiles],
+            wake: vec![0; num_tiles],
+            since: vec![0; num_tiles],
+            class: vec![PeSkipClass::Silent; num_tiles],
+            calendar: BinaryHeap::new(),
+            num_parked: 0,
+            counts: TileCycles::default(),
+        }
+    }
+
+    fn park(&mut self, t: usize, since: u64, class: PeSkipClass, wake: u64) {
+        self.parked[t] = true;
+        self.num_parked += 1;
+        self.since[t] = since;
+        self.class[t] = class;
+        self.wake[t] = wake;
+        self.calendar.push(Reverse((wake, t)));
+    }
+
+    /// An arrival at parked tile `t` that becomes serviceable at `at`.
+    fn pull(&mut self, t: usize, at: u64) {
+        if at < self.wake[t] {
+            self.wake[t] = at;
+            self.calendar.push(Reverse((at, t)));
+        }
+    }
+
+    /// The earliest live wake, discarding stale calendar entries.
+    fn next_wake(&mut self) -> Option<u64> {
+        while let Some(&Reverse((w, t))) = self.calendar.peek() {
+            if self.parked[t] && self.wake[t] == w {
+                return Some(w);
+            }
+            self.calendar.pop();
+        }
+        None
+    }
+
+    /// Unparks the next tile due at or before `now`, returning it with
+    /// its span's skip class and uncredited length.
+    fn pop_due(&mut self, now: u64) -> Option<(usize, PeSkipClass, u64)> {
+        if self.next_wake()? > now {
+            return None;
+        }
+        let Reverse((_, t)) = self.calendar.pop()?;
+        self.parked[t] = false;
+        self.num_parked -= 1;
+        let k = now - self.since[t];
+        self.counts.credited += k;
+        Some((t, self.class[t], k))
+    }
+}
+
 /// Runs `program` on the simulated machine.
 ///
 /// `input` is the trigger vector: `x` for SpMV, `b` for SpTRSV. Returns
@@ -358,8 +469,8 @@ struct ParallelCtx {
 ///
 /// # Panics
 ///
-/// Panics if `input.len() != program.n`, or on any [`SimError`] (the
-/// `max_kernel_cycles` / watchdog deadlock tripwires).
+/// Panics on any [`SimError`]: a wrong input length or grid, or the
+/// `max_kernel_cycles` / watchdog deadlock tripwires.
 pub fn run_kernel(cfg: &SimConfig, program: &Program, input: &[f64]) -> (Vec<f64>, KernelStats) {
     match run_kernel_checked(cfg, program, input, None) {
         Ok(r) => r,
@@ -379,15 +490,12 @@ pub fn run_kernel(cfg: &SimConfig, program: &Program, input: &[f64]) -> (Vec<f64
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Deadlock`] when the kernel exceeds
+/// Returns [`SimError::Input`] when `input.len() != program.n` or the
+/// config grid does not match the program grid (nothing is simulated),
+/// and [`SimError::Deadlock`] when the kernel exceeds
 /// `cfg.max_kernel_cycles`, or when no forward progress is observed for
 /// `cfg.watchdog_no_progress_cycles` consecutive cycles (e.g. after a
 /// `PeKill` fault strands undrained work).
-///
-/// # Panics
-///
-/// Panics if `input.len() != program.n` or the config grid does not
-/// match the program grid (caller bugs, not machine failures).
 #[must_use = "a dropped result discards both the kernel output and the structured failure"]
 pub fn run_kernel_checked(
     cfg: &SimConfig,
@@ -395,13 +503,50 @@ pub fn run_kernel_checked(
     input: &[f64],
     faults: Option<&mut FaultSession>,
 ) -> Result<(Vec<f64>, KernelStats), SimError> {
-    assert_eq!(input.len(), program.n, "input length mismatch");
+    let (out, stats, counts) = run_engine(cfg, program, input, faults, true)?;
+    crate::profile::count_tile_cycles(counts.ticked, counts.credited);
+    Ok((out, stats))
+}
+
+/// The per-cycle oracle: the same loop as [`run_kernel_checked`] with
+/// parking off, so every tile with work ticks every cycle.
+#[cfg(test)]
+fn run_kernel_oracle(
+    cfg: &SimConfig,
+    program: &Program,
+    input: &[f64],
+    faults: Option<&mut FaultSession>,
+) -> Result<(Vec<f64>, KernelStats, TileCycles), SimError> {
+    run_engine(cfg, program, input, faults, false)
+}
+
+/// The tick engine behind [`run_kernel_checked`]; `allow_parking`
+/// false is the per-cycle oracle. Also returns the host work done.
+fn run_engine(
+    cfg: &SimConfig,
+    program: &Program,
+    input: &[f64],
+    faults: Option<&mut FaultSession>,
+    allow_parking: bool,
+) -> Result<(Vec<f64>, KernelStats, TileCycles), SimError> {
+    if input.len() != program.n {
+        return Err(SimError::Input {
+            detail: format!(
+                "kernel input has length {}, program expects {}",
+                input.len(),
+                program.n
+            ),
+        });
+    }
     let num_tiles = cfg.grid.num_tiles();
-    assert_eq!(
-        num_tiles,
-        program.grid.num_tiles(),
-        "config grid must match program grid"
-    );
+    if num_tiles != program.grid.num_tiles() {
+        return Err(SimError::Input {
+            detail: format!(
+                "config grid has {num_tiles} tiles, program was compiled for {}",
+                program.grid.num_tiles()
+            ),
+        });
+    }
 
     let mut stats = KernelStats::default();
     if cfg.detailed_stats {
@@ -491,6 +636,9 @@ pub fn run_kernel_checked(
     };
     let mut session: Option<&mut FaultSession> = faults.or(local_session.as_mut());
     let faulting = session.as_ref().is_some_and(|s| !s.fault_free());
+    // Fault runs tick every active tile every cycle: window openings,
+    // expiries and injected stalls then need no wake bookkeeping.
+    let parking = allow_parking && !faulting;
     let check_occupancy = inv.occupancy_active();
     let mut fired: Vec<FaultEvent> = Vec::new();
     // Windows opened in an earlier kernel of the same session (e.g. a
@@ -508,7 +656,8 @@ pub fn run_kernel_checked(
         }
     }
 
-    // Active-tile tracking: a tile ticks while it has router or PE work.
+    // Active-tile tracking: a tile ticks while it has router or PE work
+    // and is not parked.
     let mut active: Vec<usize> = Vec::with_capacity(num_tiles);
     let mut on_list: Vec<bool> = vec![false; num_tiles];
     let activate = |t: usize, active: &mut Vec<usize>, on_list: &mut Vec<bool>| {
@@ -517,6 +666,7 @@ pub fn run_kernel_checked(
             active.push(t);
         }
     };
+    let mut park = Parking::new(if parking { num_tiles } else { 0 });
 
     // Kernel-start triggers.
     for t in 0..num_tiles {
@@ -597,35 +747,6 @@ pub fn run_kernel_checked(
             }
         }
 
-        // Event-driven engine: same worker pool, same shard protocol,
-        // but only *due* tiles tick each iteration (see
-        // `run_event_loop`). The reference loop below stays the
-        // bit-exactness oracle.
-        if cfg.event_engine {
-            let r = run_event_loop(
-                cfg,
-                program,
-                input,
-                &shards,
-                &shard_of,
-                &ctx,
-                &mut stats,
-                &mut inv,
-                &mut out,
-                &mut session,
-                faulting,
-                check_occupancy,
-                &mut fired,
-                &active,
-                &mut now,
-            );
-            if ctx.pool > 1 {
-                ctx.stop.store(true, Ordering::Release);
-                ctx.barrier_a.wait();
-            }
-            return r;
-        }
-
         let mut body = || -> Result<(), SimError> {
             // The coordinator holds every shard lock between cycle
             // barriers; during the parallel tick phase the guards are
@@ -634,7 +755,6 @@ pub fn run_kernel_checked(
                 .iter()
                 .map(|m| m.lock().expect("shard lock poisoned"))
                 .collect();
-            let mut skip_classes: Vec<(usize, PeSkipClass)> = Vec::new();
 
             // Host-profiling: one flag load per kernel; the TickLoop
             // scope encloses every inner probe so component shares can
@@ -643,15 +763,13 @@ pub fn run_kernel_checked(
             let _prof_loop =
                 profiling.then(|| crate::profile::scope(crate::profile::Component::TickLoop));
 
-            while !active.is_empty() {
+            while !active.is_empty() || park.num_parked > 0 {
                 // Cooperative cancellation: sampled once per iteration at
                 // this serial point — the boundary right after the previous
-                // cycle's barrier commit — so an abort always lands on a
-                // cycle boundary with every cross-shard effect applied, for
-                // any `threads` / `fast_forward` setting. The fast-forward
-                // path re-enters here after its jump, so a long tickless
-                // skip cannot outrun the check. Untripped (or absent)
-                // tokens cost one branch.
+                // cycle's barrier commit, or right after a clock jump — so
+                // an abort always lands on a cycle boundary with every
+                // cross-shard effect applied. Untripped (or absent) tokens
+                // cost one branch.
                 if let Some(tok) = &cfg.cancel {
                     if tok.is_cancelled() {
                         if let Some(s) = session.as_deref_mut() {
@@ -663,7 +781,6 @@ pub fn run_kernel_checked(
 
                 // Fault schedule: fire due events, expire windows, re-sync
                 // injected router/PE state when the window set changes.
-                let mut suspends_now = false;
                 if faulting {
                     // azul-lint: allow(unwrap-in-pipeline) `faulting` is derived from `session.is_some_and` above
                     let s = session.as_deref_mut().expect("faulting implies session");
@@ -719,8 +836,7 @@ pub fn run_kernel_checked(
                             ),
                         }
                     }
-                    suspends_now = s.suspends_watchdog(now);
-                    if suspends_now {
+                    if s.suspends_watchdog(now) {
                         last_progress = now;
                     }
                 }
@@ -739,8 +855,7 @@ pub fn run_kernel_checked(
                     sig_snk += g.stats.router_traversals;
                 }
                 let signature = sig_ops + sig_src + sig_snk;
-                let progressed = signature != last_signature;
-                if progressed {
+                if signature != last_signature {
                     last_signature = signature;
                     last_progress = now;
                 }
@@ -779,90 +894,49 @@ pub fn run_kernel_checked(
                 }
                 drop(_prof_stats);
 
-                // Idle-cycle fast-forward: on a zero-progress cycle, jump
-                // the clock to the next cycle anything can happen — the
-                // earliest router head becoming ready, PE wake-up
-                // (busy_until / RAW slot_ready), fault timeline event or
-                // window expiry, watchdog trip, or the kernel deadline —
-                // crediting the skipped cycles to the same per-tile
-                // idle/stall counters and trace samples the ticked path
-                // would have produced. A zero-progress cycle cannot change
-                // machine state — except the router arbitration cursors,
-                // which rotate on every tick and are replayed below — so
-                // skipping to the next event is exact.
-                if cfg.fast_forward && !progressed {
-                    let _prof_ff = profiling
-                        .then(|| crate::profile::scope(crate::profile::Component::FastForward));
-                    let mut ne = cfg.max_kernel_cycles;
-                    if cfg.watchdog_no_progress_cycles > 0 {
-                        ne = ne.min(last_progress.saturating_add(cfg.watchdog_no_progress_cycles));
-                    }
-                    if faulting {
-                        // azul-lint: allow(unwrap-in-pipeline) `faulting` is derived from `session.is_some_and` above
-                        let s = session.as_deref_mut().expect("faulting implies session");
-                        if let Some(l) = s.next_timeline_local() {
-                            ne = ne.min(l);
+                // Wake parked tiles that are due, crediting each span once
+                // with what its skipped ticks would have recorded: the
+                // arbitration-cursor rotation, the idle/stall counters and
+                // the occupancy audits.
+                if park.num_parked > 0 {
+                    let _prof_park =
+                        profiling.then(|| crate::profile::scope(crate::profile::Component::Park));
+                    while let Some((t, class, k)) = park.pop_due(now) {
+                        guards[shard_of[t]].router_mut(t).advance_rr(k);
+                        match class {
+                            PeSkipClass::Idle => stats.idle_at_n(t as u32, k),
+                            PeSkipClass::Stall => stats.stall_at_n(t as u32, k),
+                            PeSkipClass::Silent => {}
                         }
+                        inv.credit_occupancy_checks(k);
+                        activate(t, &mut active, &mut on_list);
                     }
-                    skip_classes.clear();
-                    for &t in &active {
-                        let g = &guards[shard_of[t]];
-                        if let Some(e) = g.router_ref(t).next_event(now, program) {
-                            ne = ne.min(e);
+                    // Nothing to tick: jump the clock to the earliest wake,
+                    // clamped so the watchdog and the deadline fire on the
+                    // cycle they would have fired ticking. The skipped
+                    // cycles change no state, so the progress samples they
+                    // would have taken are replayed, and the watchdog
+                    // refresh (constant across the span) lands on its last
+                    // cycle.
+                    if active.is_empty() {
+                        let mut ne = cfg.max_kernel_cycles;
+                        if cfg.watchdog_no_progress_cycles > 0 {
+                            ne = ne
+                                .min(last_progress.saturating_add(cfg.watchdog_no_progress_cycles));
                         }
-                        let (class, wake) = if faulting && g.stalled_at(t) {
-                            (PeSkipClass::Silent, None)
-                        } else {
-                            g.pe_ref(t).wake_profile(
-                                now,
-                                cfg,
-                                program.tile(t as u32),
-                                g.router_ref(t).can_inject(),
-                            )
-                        };
-                        if let Some(w) = wake {
+                        if let Some(w) = park.next_wake() {
                             ne = ne.min(w);
                         }
-                        skip_classes.push((t, class));
-                    }
-                    if ne > now {
-                        let k = ne - now;
-                        for &(t, class) in &skip_classes {
-                            // The ticked path rotates every active
-                            // router's arbitration cursor each cycle,
-                            // work or not; replay it or arbitration
-                            // order diverges after the skip.
-                            guards[shard_of[t]].router_mut(t).advance_rr(k);
-                            match class {
-                                PeSkipClass::Idle => stats.idle_at_n(t as u32, k),
-                                PeSkipClass::Stall => stats.stall_at_n(t as u32, k),
-                                PeSkipClass::Silent => {}
-                            }
-                        }
-                        inv.credit_occupancy_checks(k * active.len() as u64);
                         if cfg.trace_interval > 0 {
-                            let mut total = stats.total_ops();
-                            for g in guards.iter() {
-                                total += g.stats.total_ops();
-                            }
+                            let total = ops_total(&stats, &guards);
                             let iv = cfg.trace_interval;
-                            let mut c = if now.is_multiple_of(iv) {
-                                now
-                            } else {
-                                now.next_multiple_of(iv)
-                            };
+                            let mut c = now.next_multiple_of(iv);
                             while c < ne {
                                 stats.trace.push((c, total));
                                 c += iv;
                             }
                         }
-                        // The ticked path refreshes `last_progress` every
-                        // cycle while flits are in flight or a fault
-                        // window suspends the watchdog; both conditions
-                        // are constant across the skipped (tickless)
-                        // range, so replicate the refresh at its last
-                        // cycle.
-                        if inflight_ctr > 0 || suspends_now {
+                        if inflight_ctr > 0 {
                             last_progress = ne - 1;
                         }
                         now = ne;
@@ -871,6 +945,7 @@ pub fn run_kernel_checked(
                 }
 
                 // Partition this cycle's active tiles into their shards.
+                park.counts.ticked += active.len() as u64;
                 for g in guards.iter_mut() {
                     g.bucket.clear();
                 }
@@ -902,9 +977,9 @@ pub fn run_kernel_checked(
                 }
 
                 // Serial commit, always in shard order so results do not
-                // depend on worker scheduling: first error wins, deferred
-                // link transfers land, buffered output writes land, and
-                // still-busy tiles re-arm.
+                // depend on worker scheduling: first error wins, still-busy
+                // tiles re-arm or park, deferred link transfers land, and
+                // buffered output writes land.
                 let _prof_commit = profiling
                     .then(|| crate::profile::scope(crate::profile::Component::BarrierCommit));
                 for g in guards.iter_mut() {
@@ -915,29 +990,60 @@ pub fn run_kernel_checked(
                         return Err(e);
                     }
                 }
-                for s in 0..num_shards {
-                    let mut accepts = std::mem::take(&mut guards[s].outbox);
-                    for a in &accepts {
-                        let d = a.dest as usize;
-                        guards[shard_of[d]].router_mut(d).apply_accept(
-                            a.port as usize,
-                            a.ready,
-                            a.flit,
-                        );
-                        activate(d, &mut active, &mut on_list);
-                    }
-                    accepts.clear();
-                    guards[s].outbox = accepts;
-                }
                 for g in guards.iter_mut() {
+                    for &(t, progressed) in &g.still {
+                        if parking {
+                            if progressed {
+                                park.quiet[t] = 0;
+                            } else {
+                                park.quiet[t] = park.quiet[t].saturating_add(1);
+                                if park.quiet[t] >= PARK_AFTER_QUIET_TICKS {
+                                    if let Some((class, w)) = wake_of(g, t, now + 1, cfg, program) {
+                                        if w > now + 1 {
+                                            park.park(t, now + 1, class, w);
+                                            continue;
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                        activate(t, &mut active, &mut on_list);
+                    }
+                    g.still.clear();
                     for &(i, v) in &g.out_buf {
                         out[i as usize] = v;
                     }
                     g.out_buf.clear();
-                    for &t in &g.still {
-                        activate(t, &mut active, &mut on_list);
+                }
+                for s in 0..num_shards {
+                    let mut accepts = std::mem::take(&mut guards[s].outbox);
+                    for a in &accepts {
+                        let d = a.dest as usize;
+                        let g = &mut guards[shard_of[d]];
+                        g.router_mut(d)
+                            .apply_accept(a.port as usize, a.ready, a.flit);
+                        // An arrival only ever pulls a parked tile's wake
+                        // earlier. An idle tile whose new flit is not ready
+                        // next cycle parks straight away: its PE is empty,
+                        // so the span until the flit is ready is pure idle
+                        // time.
+                        let at = a.ready.max(now + 1);
+                        if parking && park.parked[d] {
+                            park.pull(d, at);
+                        } else if parking && !on_list[d] && at > now + 1 {
+                            let (class, _) = g.pe_ref(d).wake_profile(
+                                now + 1,
+                                cfg,
+                                program.tile(d as u32),
+                                g.router_ref(d).can_inject(),
+                            );
+                            park.park(d, now + 1, class, at);
+                        } else {
+                            activate(d, &mut active, &mut on_list);
+                        }
                     }
-                    g.still.clear();
+                    accepts.clear();
+                    guards[s].outbox = accepts;
                 }
                 drop(_prof_commit);
 
@@ -945,11 +1051,7 @@ pub fn run_kernel_checked(
                 if cfg.trace_interval > 0 && now.is_multiple_of(cfg.trace_interval) {
                     let _p =
                         profiling.then(|| crate::profile::scope(crate::profile::Component::Stats));
-                    let mut total = stats.total_ops();
-                    for g in guards.iter() {
-                        total += g.stats.total_ops();
-                    }
-                    stats.trace.push((now, total));
+                    stats.trace.push((now, ops_total(&stats, &guards)));
                 }
 
                 now += 1;
@@ -1011,7 +1113,34 @@ pub fn run_kernel_checked(
         s.end_kernel(now);
     }
     end_check?;
-    Ok((out, stats))
+    Ok((out, stats, park.counts))
+}
+
+/// Operations issued so far: the main ledger plus every shard delta.
+fn ops_total(stats: &KernelStats, guards: &[std::sync::MutexGuard<'_, Shard>]) -> u64 {
+    stats.total_ops() + guards.iter().map(|g| g.stats.total_ops()).sum::<u64>()
+}
+
+/// The skip class and earliest action cycle of tile `t` as of cycle
+/// `now`, right after its tick at `now - 1`: the earlier of its PE's
+/// wake profile and its router's next head event. `None` when neither
+/// reports a self-driven wake.
+fn wake_of(
+    sh: &Shard,
+    t: usize,
+    now: u64,
+    cfg: &SimConfig,
+    program: &Program,
+) -> Option<(PeSkipClass, u64)> {
+    let router = sh.router_ref(t);
+    let (class, pe_wake) =
+        sh.pe_ref(t)
+            .wake_profile(now, cfg, program.tile(t as u32), router.can_inject());
+    let wake = match (pe_wake, router.next_event(now)) {
+        (Some(a), Some(b)) => a.min(b),
+        (a, b) => a.or(b)?,
+    };
+    Some((class, wake))
 }
 
 /// Re-applies the session's active fault windows onto freshly cleared
@@ -1059,484 +1188,8 @@ fn sync_fault_state<S: std::ops::DerefMut<Target = Shard>>(
     }
 }
 
-/// The event-driven tick engine (`cfg.event_engine`): instead of
-/// ticking every reference-active tile every cycle, each tile reports a
-/// next-event (wake) time into a per-shard calendar queue and only
-/// *due* tiles tick, so a mostly-idle machine costs O(active) per step.
-/// The machine-wide fast-forward is the degenerate case where no tile
-/// is due at all and the clock jumps straight to the earliest calendar
-/// entry.
-///
-/// A tile is in one of three states:
-/// * **inactive** — no PE work and an empty router; exactly the tiles
-///   the reference engine drops from its active list. Never ticked,
-///   never credited; revived only by a flit arrival.
-/// * **parked** — reference-active, but provably unobservable until
-///   `wake[t]`: its PE profile ([`Pe::wake_profile`]) and router head
-///   analysis ([`Router::next_event`]) bound the next cycle it could
-///   act, and a failed issue never mutates PE state, so the tile is
-///   frozen. The reference engine still ticks it every cycle, though:
-///   those ticks rotate the router's arbitration cursor and record
-///   idle/stall/audit bookkeeping. That per-cycle bookkeeping is
-///   credited **lazily** — exactly once, when the tile wakes — over
-///   `[since[t], now)`. Arrivals and fault-window changes only move
-///   `wake` *earlier* (ending the span sooner); they never re-credit,
-///   which is what makes a mid-span re-arm single-credit by
-///   construction.
-/// * **due/ticking** — popped from the calendar this cycle; ticked by
-///   the shared [`tick_shard`] exactly as the reference engine would.
-///
-/// Wake sources feeding the calendars: PE timers (`busy_until`, RAW
-/// `slot_ready`), router queue heads, flit arrivals (commit phase),
-/// fault-timeline points (timeline clamp + wake-all-parked on window
-/// changes), the watchdog horizon and the kernel deadline. The cancel
-/// token and the progress-trace stride are *not* wake sources: cancel
-/// is sampled once per iteration at the serial point (as documented on
-/// [`SimError::Cancelled`]), and trace samples over tickless spans are
-/// replayed arithmetically since the sampled totals cannot change.
-#[allow(clippy::too_many_arguments)] // coordinator-side scheduling state, sized once
-fn run_event_loop(
-    cfg: &SimConfig,
-    program: &Program,
-    input: &[f64],
-    shards: &[Mutex<Shard>],
-    shard_of: &[usize],
-    ctx: &ParallelCtx,
-    stats: &mut KernelStats,
-    inv: &mut Checker,
-    out: &mut [f64],
-    session: &mut Option<&mut FaultSession>,
-    faulting: bool,
-    check_occupancy: bool,
-    fired: &mut Vec<FaultEvent>,
-    start_active: &[usize],
-    now: &mut u64,
-) -> Result<(), SimError> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let num_tiles = cfg.grid.num_tiles();
-    let num_shards = shards.len();
-
-    // Coordinator-side scheduling state. `wake[t]` is only meaningful
-    // while `parked[t]`; `u64::MAX` means no self-driven wake (the tile
-    // waits on an arrival or a fault-window change). `since[t]` is the
-    // first cycle of the current parked span not yet credited.
-    let mut wake: Vec<u64> = vec![u64::MAX; num_tiles];
-    let mut since: Vec<u64> = vec![0u64; num_tiles];
-    let mut class: Vec<PeSkipClass> = vec![PeSkipClass::Silent; num_tiles];
-    let mut parked: Vec<bool> = vec![false; num_tiles];
-    let mut ticking: Vec<bool> = vec![false; num_tiles];
-    // Per-shard calendar queues (min-heaps with lazy deletion: an entry
-    // is live only while it still matches `wake[t]` of a parked tile;
-    // `wake` only ever moves earlier within a span, so stale entries
-    // are always larger and harmlessly discarded).
-    let mut calendars: Vec<BinaryHeap<Reverse<(u64, usize)>>> = (0..num_shards)
-        .map(|_| BinaryHeap::with_capacity(8))
-        .collect();
-    // Reference-active tiles (parked + ticking); quiescence = 0.
-    let mut live = 0usize;
-
-    for &t in start_active {
-        parked[t] = true;
-        wake[t] = 0;
-        since[t] = 0;
-        live += 1;
-        calendars[shard_of[t]].push(Reverse((0, t)));
-    }
-
-    let mut guards: Vec<std::sync::MutexGuard<'_, Shard>> = shards
-        .iter()
-        .map(|m| m.lock().expect("shard lock poisoned"))
-        .collect();
-
-    // Watchdog state, updated exactly as the reference loop does on the
-    // iterations this engine takes; across jumped (tickless) spans the
-    // refresh conditions are constant and replicated at the span's last
-    // cycle, mirroring the machine-wide fast-forward.
-    let mut last_signature = u64::MAX;
-    let mut last_progress = 0u64;
-
-    let profiling = crate::profile::enabled();
-    let _prof_loop = profiling.then(|| crate::profile::scope(crate::profile::Component::TickLoop));
-
-    while live > 0 {
-        let now_c = *now;
-        // Cooperative cancellation: once per iteration at this serial
-        // point, same contract as the reference loop.
-        if let Some(tok) = &cfg.cancel {
-            if tok.is_cancelled() {
-                if let Some(s) = session.as_deref_mut() {
-                    s.end_kernel(now_c);
-                }
-                return Err(SimError::Cancelled { cycle: now_c });
-            }
-        }
-
-        // Fault schedule: identical to the reference loop, except that a
-        // window-set change additionally re-arms every parked tile *this
-        // cycle*: a closed outage can free a head-of-line-blocked router
-        // (which reported no self-wake), and a fresh window changes how
-        // cycles are accounted from here on. The tiles' already-accrued
-        // span credits stay valid — the span simply ends now.
-        let mut suspends_now = false;
-        if faulting {
-            // azul-lint: allow(unwrap-in-pipeline) `faulting` is derived from `session.is_some_and` above
-            let s = session.as_deref_mut().expect("faulting implies session");
-            fired.clear();
-            let trace_faults = stats.trace_ev.wants(CAT_FAULT);
-            let prev_windows = if trace_faults {
-                s.active_windows().to_vec()
-            } else {
-                Vec::new()
-            };
-            if s.advance(now_c, num_tiles, fired) {
-                sync_fault_state(s, now_c, &mut guards, shard_of);
-                if trace_faults {
-                    for &(kind, until) in s.active_windows() {
-                        if !prev_windows.contains(&(kind, until)) {
-                            stats.trace_ev.push(TraceEvent {
-                                cycle: now_c,
-                                tile: kind.tile(),
-                                kind: TraceKind::FaultFire,
-                                arg: fault_code(&kind),
-                            });
-                        }
-                    }
-                }
-                for t in 0..num_tiles {
-                    if parked[t] && wake[t] > now_c {
-                        wake[t] = now_c;
-                        calendars[shard_of[t]].push(Reverse((now_c, t)));
-                    }
-                }
-            }
-            for ev in fired.drain(..) {
-                if trace_faults {
-                    stats.trace_ev.push(TraceEvent {
-                        cycle: now_c,
-                        tile: ev.kind.tile(),
-                        kind: TraceKind::FaultFire,
-                        arg: fault_code(&ev.kind),
-                    });
-                }
-                let FaultKind::SramBitFlip { tile, slot, bit } = ev.kind else {
-                    unreachable!("only bit flips are handed to the machine");
-                };
-                // A bit flip changes a value, never timing: the reference
-                // engine does not activate the tile for it either, so no
-                // wake is scheduled.
-                let gnow = s.global_cycle(now_c);
-                match guards[shard_of[tile as usize]]
-                    .pe_mut(tile as usize)
-                    .flip_slot_bit(slot, bit)
-                {
-                    Some((old, new)) => {
-                        s.record(gnow, ev.kind, true, format!("{old:e} -> {new:e}"));
-                    }
-                    None => s.record(
-                        gnow,
-                        ev.kind,
-                        false,
-                        format!("tile {tile} has no slot {slot}"),
-                    ),
-                }
-            }
-            suspends_now = s.suspends_watchdog(now_c);
-            if suspends_now {
-                last_progress = now_c;
-            }
-        }
-
-        // Watchdog sweep — same signature, same refresh rules as the
-        // reference loop. Parked tiles cannot move the signature (their
-        // reference ticks record only idle/stall bookkeeping), so
-        // sweeping just the iterations this engine takes is exact.
-        let _prof_stats =
-            profiling.then(|| crate::profile::scope(crate::profile::Component::Stats));
-        let mut sig_ops = stats.total_ops();
-        let mut sig_src = stats.messages + stats.link_activations;
-        let mut sig_snk = stats.router_traversals;
-        for g in guards.iter() {
-            sig_ops += g.stats.total_ops();
-            sig_src += g.stats.messages + g.stats.link_activations;
-            sig_snk += g.stats.router_traversals;
-        }
-        let signature = sig_ops + sig_src + sig_snk;
-        if signature != last_signature {
-            last_signature = signature;
-            last_progress = now_c;
-        }
-        let inflight_ctr = sig_src.saturating_sub(sig_snk);
-        if inflight_ctr > 0 {
-            last_progress = now_c;
-        }
-        let wedged = cfg.watchdog_no_progress_cycles > 0
-            && now_c.saturating_sub(last_progress) >= cfg.watchdog_no_progress_cycles;
-        if wedged || now_c >= cfg.max_kernel_cycles {
-            let mut stalled_pes: Vec<u32> = Vec::new();
-            let mut inflight_flits = 0usize;
-            for g in guards.iter() {
-                for (i, pe) in g.pes.iter().enumerate() {
-                    if pe.has_work() {
-                        stalled_pes.push((g.lo + i) as u32);
-                    }
-                }
-                inflight_flits += g.routers.iter().map(Router::occupancy).sum::<usize>();
-            }
-            if let Some(s) = session.as_deref_mut() {
-                s.end_kernel(now_c);
-            }
-            return Err(SimError::Deadlock {
-                cycle: now_c,
-                stalled_pes,
-                inflight_flits,
-            });
-        }
-        drop(_prof_stats);
-
-        // Pop due tiles into their shard buckets, crediting each parked
-        // span exactly once as it ends: the arbitration-cursor replay,
-        // the per-class idle/stall counters and the occupancy-audit
-        // budget the reference ticks would have produced. Buckets are
-        // sorted so the intra-shard tick order is deterministic.
-        let mut any_due = false;
-        let mut occ_credit = 0u64;
-        for (s, cal) in calendars.iter_mut().enumerate() {
-            let g = &mut guards[s];
-            g.bucket.clear();
-            while let Some(&Reverse((w, t))) = cal.peek() {
-                if w > now_c {
-                    break;
-                }
-                cal.pop();
-                if !parked[t] || wake[t] != w {
-                    continue; // lazily deleted (stale) entry
-                }
-                parked[t] = false;
-                ticking[t] = true;
-                g.bucket.push(t);
-            }
-            g.bucket.sort_unstable();
-            for i in 0..g.bucket.len() {
-                let t = g.bucket[i];
-                let k = now_c - since[t];
-                if k == 0 {
-                    continue;
-                }
-                g.router_mut(t).advance_rr(k);
-                match class[t] {
-                    PeSkipClass::Idle => stats.idle_at_n(t as u32, k),
-                    PeSkipClass::Stall => stats.stall_at_n(t as u32, k),
-                    PeSkipClass::Silent => {}
-                }
-                occ_credit += k;
-            }
-            any_due |= !g.bucket.is_empty();
-        }
-        inv.credit_occupancy_checks(occ_credit);
-
-        // No tile due: the degenerate machine-wide skip. Jump to the
-        // earliest calendar entry, clamped by the fault timeline, the
-        // watchdog horizon and the deadline, replaying the tickless
-        // trace samples.
-        if !any_due {
-            let _prof_ff =
-                profiling.then(|| crate::profile::scope(crate::profile::Component::FastForward));
-            let mut ne = cfg.max_kernel_cycles;
-            if cfg.watchdog_no_progress_cycles > 0 {
-                ne = ne.min(last_progress.saturating_add(cfg.watchdog_no_progress_cycles));
-            }
-            if faulting {
-                // azul-lint: allow(unwrap-in-pipeline) `faulting` is derived from `session.is_some_and` above
-                let s = session.as_deref_mut().expect("faulting implies session");
-                if let Some(l) = s.next_timeline_local() {
-                    ne = ne.min(l);
-                }
-            }
-            for cal in calendars.iter_mut() {
-                while let Some(&Reverse((w, t))) = cal.peek() {
-                    if parked[t] && wake[t] == w {
-                        ne = ne.min(w);
-                        break;
-                    }
-                    cal.pop();
-                }
-            }
-            if ne > now_c {
-                if cfg.trace_interval > 0 {
-                    let mut total = stats.total_ops();
-                    for g in guards.iter() {
-                        total += g.stats.total_ops();
-                    }
-                    let iv = cfg.trace_interval;
-                    let mut c = if now_c.is_multiple_of(iv) {
-                        now_c
-                    } else {
-                        now_c.next_multiple_of(iv)
-                    };
-                    while c < ne {
-                        stats.trace.push((c, total));
-                        c += iv;
-                    }
-                }
-                if inflight_ctr > 0 || suspends_now {
-                    last_progress = ne - 1;
-                }
-                *now = ne;
-                continue;
-            }
-        }
-
-        // Parallel phase: tick the due buckets, exactly as the
-        // reference loop does.
-        if ctx.pool > 1 {
-            ctx.cycle_now.store(now_c, Ordering::Release);
-            guards.clear();
-            ctx.barrier_a.wait();
-            let mut s = 0usize;
-            while s < num_shards {
-                let mut sh = shards[s].lock().expect("shard lock poisoned");
-                tick_shard(
-                    &mut sh,
-                    now_c,
-                    cfg,
-                    program,
-                    input,
-                    faulting,
-                    check_occupancy,
-                );
-                s += ctx.pool;
-            }
-            ctx.barrier_b.wait();
-            guards = shards
-                .iter()
-                .map(|m| m.lock().expect("shard lock poisoned"))
-                .collect();
-        } else {
-            for g in guards.iter_mut() {
-                tick_shard(g, now_c, cfg, program, input, faulting, check_occupancy);
-            }
-        }
-
-        // Serial commit in shard order: first error wins, deferred
-        // arrivals land (scheduling their destinations), buffered
-        // output writes land, and ticked tiles re-park or retire.
-        let _prof_commit =
-            profiling.then(|| crate::profile::scope(crate::profile::Component::BarrierCommit));
-        for g in guards.iter_mut() {
-            if let Some(e) = g.err.take() {
-                if let Some(s) = session.as_deref_mut() {
-                    s.end_kernel(now_c);
-                }
-                return Err(e);
-            }
-        }
-        for s in 0..num_shards {
-            let mut accepts = std::mem::take(&mut guards[s].outbox);
-            for a in &accepts {
-                let d = a.dest as usize;
-                guards[shard_of[d]]
-                    .router_mut(d)
-                    .apply_accept(a.port as usize, a.ready, a.flit);
-                // Arrivals only ever move a wake *earlier*; they never
-                // restart a span's crediting (`since` is untouched), so
-                // a mid-span re-arm cannot double-credit.
-                let arrival = a.ready.max(now_c + 1);
-                if ticking[d] {
-                    // Re-parked below with the new flit in view.
-                } else if parked[d] {
-                    if arrival < wake[d] {
-                        wake[d] = arrival;
-                        calendars[shard_of[d]].push(Reverse((arrival, d)));
-                    }
-                } else {
-                    // Revived from inactive: the PE is empty, so the new
-                    // span is pure idle time (Silent under Ideal) until
-                    // the head becomes ready.
-                    parked[d] = true;
-                    live += 1;
-                    since[d] = now_c + 1;
-                    let gd = &guards[shard_of[d]];
-                    class[d] = gd
-                        .pe_ref(d)
-                        .wake_profile(
-                            now_c + 1,
-                            cfg,
-                            program.tile(d as u32),
-                            gd.router_ref(d).can_inject(),
-                        )
-                        .0;
-                    wake[d] = arrival;
-                    calendars[shard_of[d]].push(Reverse((arrival, d)));
-                }
-            }
-            accepts.clear();
-            guards[s].outbox = accepts;
-        }
-        for g in guards.iter_mut() {
-            for &(i, v) in &g.out_buf {
-                out[i as usize] = v;
-            }
-            g.out_buf.clear();
-        }
-        // Re-park every ticked tile from its fresh post-tick state (the
-        // arrivals above are already applied, so the router analysis
-        // sees them): retire it if it went fully quiet, otherwise
-        // compute its next wake and open a new credit span at `now + 1`.
-        for s in 0..num_shards {
-            let g = &guards[s];
-            for &t in &g.bucket {
-                ticking[t] = false;
-                if !g.pe_ref(t).has_work() && g.router_ref(t).occupancy() == 0 {
-                    live -= 1;
-                    wake[t] = u64::MAX;
-                    continue;
-                }
-                let (cl, pe_wake) = if faulting && g.stalled_at(t) {
-                    // Injected PE stall/kill: the PE tick is skipped
-                    // entirely (no idle/stall stats), but the router
-                    // still ticks — its head analysis bounds the wake.
-                    (PeSkipClass::Silent, None)
-                } else {
-                    g.pe_ref(t).wake_profile(
-                        now_c + 1,
-                        cfg,
-                        program.tile(t as u32),
-                        g.router_ref(t).can_inject(),
-                    )
-                };
-                let router_wake = g.router_ref(t).next_event(now_c + 1, program);
-                let w = match (pe_wake, router_wake) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                parked[t] = true;
-                class[t] = cl;
-                since[t] = now_c + 1;
-                wake[t] = w.map_or(u64::MAX, |w| w.max(now_c + 1));
-                if wake[t] != u64::MAX {
-                    calendars[s].push(Reverse((wake[t], t)));
-                }
-            }
-        }
-        drop(_prof_commit);
-
-        // Progress trace sample (Fig. 17), same serial point as the
-        // reference loop.
-        if cfg.trace_interval > 0 && now_c.is_multiple_of(cfg.trace_interval) {
-            let _p = profiling.then(|| crate::profile::scope(crate::profile::Component::Stats));
-            let mut total = stats.total_ops();
-            for g in guards.iter() {
-                total += g.stats.total_ops();
-            }
-            stats.trace.push((now_c, total));
-        }
-
-        *now = now_c + 1;
-    }
-    Ok(())
-}
+#[cfg(test)]
+mod oracle_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1772,12 +1425,30 @@ mod tests {
         }
     }
 
+    /// Parking engine and per-cycle oracle on the same inputs: asserts
+    /// byte-identical results and that the engine's ticked plus credited
+    /// tile-cycles are exactly the oracle's ticks. Returns the engine's
+    /// result and host work.
+    fn assert_matches_oracle(
+        cfg: &SimConfig,
+        prog: &Program,
+        input: &[f64],
+    ) -> ((Vec<f64>, KernelStats), TileCycles) {
+        let (ox, os, oc) = run_kernel_oracle(cfg, prog, input, None).expect("oracle run");
+        let (x, s, c) = run_engine(cfg, prog, input, None, true).expect("engine run");
+        assert_eq!(x, ox, "output diverged from the oracle");
+        assert_eq!(s, os, "stats diverged from the oracle");
+        assert_eq!(oc.credited, 0, "the oracle never parks");
+        assert_eq!(c.ticked + c.credited, oc.ticked, "tile-cycle accounting");
+        ((x, s), c)
+    }
+
     #[test]
-    fn engine_results_invariant_to_thread_count_and_fast_forward() {
-        // The engine contract: shard count, worker pool and idle-cycle
-        // fast-forward are pure host knobs — outputs and every statistic
-        // (including per-tile detail and the progress trace) must be
-        // bit-identical across all of them.
+    fn engine_results_invariant_to_thread_count_and_parking() {
+        // The engine contract: shard count, worker pool and parking are
+        // pure host mechanics — outputs and every statistic (including
+        // per-tile detail and the progress trace) must be bit-identical
+        // to the per-cycle oracle.
         let a = generate::grid_laplacian_2d(10, 10);
         let l = ic0(&a).unwrap();
         let grid = TileGrid::new(4, 4);
@@ -1785,81 +1456,63 @@ mod tests {
         let spmv = Program::compile_spmv(&a, &p);
         let trsv = Program::compile_sptrsv_lower(&l, &a, &p);
         let input = test_input(a.rows());
-        let run = |threads: usize, ff: bool, event: bool, prog: &Program| {
+        let cfg_with = |threads: usize| {
             let mut cfg = SimConfig::azul(grid);
             cfg.threads = threads;
-            cfg.fast_forward = ff;
-            cfg.event_engine = event;
             cfg.detailed_stats = true;
             cfg.check_invariants = true;
+            cfg.trace_interval = 7;
             // Event tracing is part of the contract too: the sealed
             // buffer (events, order and drop accounting) must be
             // bit-identical across every engine configuration.
             cfg.trace = Some(azul_telemetry::trace::TraceConfig::default());
-            run_kernel(&cfg, prog, &input)
+            cfg
         };
         for prog in [&spmv, &trsv] {
-            let base = run(1, false, false, prog);
+            let (base, _) = assert_matches_oracle(&cfg_with(1), prog, &input);
             assert!(
                 !base.1.trace_ev.events.is_empty(),
                 "traced kernel must record events"
             );
-            for threads in [1usize, 3, 16] {
-                for (ff, event) in [(false, false), (true, false), (false, true), (true, true)] {
-                    let got = run(threads, ff, event, prog);
-                    assert_eq!(
-                        got.0, base.0,
-                        "output diverged at threads={threads} ff={ff} event={event}"
-                    );
-                    assert_eq!(
-                        got.1, base.1,
-                        "stats diverged at threads={threads} ff={ff} event={event}"
-                    );
-                }
+            for threads in [3usize, 16] {
+                let got = run_kernel(&cfg_with(threads), prog, &input);
+                assert_eq!(got, base, "diverged at threads={threads}");
             }
         }
     }
 
     #[test]
     fn event_engine_wakes_context_blocked_behind_issued_send() {
-        // Regression: the event engine parks each tile until its
-        // earliest predicted wake. A PE issues at most one operation
-        // per cycle, so after a tick that issued from context A,
-        // context B can hold a Send whose injection would succeed
-        // (`can_inject` true, router possibly empty). The original
-        // `wake_profile` treated every Send front as "router-bound, no
-        // self-driven wake" — sound for the machine-wide fast-forward
-        // (which only consults profiles on zero-progress cycles, where
-        // an issueable Send cannot exist) but a lost wakeup here: the
-        // tile parked with no wake and an event-less router, and the
-        // kernel wedged with zero in-flight flits. This is the exact
-        // program/mapping that exposed it.
+        // Regression: parking bounds a tile's next action by its PE
+        // wake profile. A PE issues at most one operation per cycle, so
+        // after a tick that issued from context A, context B can hold a
+        // Send whose injection would succeed (`can_inject` true, router
+        // possibly empty). Treating every Send front as "router-bound,
+        // no self-driven wake" parked such a tile with no wake and an
+        // event-less router, and the kernel wedged with zero in-flight
+        // flits. This is the exact program/mapping that exposed it.
         let a = generate::grid_laplacian_2d(10, 10);
         let grid = TileGrid::new(4, 4);
         let p = AzulMapper::default().map(&a, grid);
         let prog = Program::compile_spmv(&a, &p);
         let input = test_input(a.rows());
-        let reference = run_kernel(&SimConfig::azul(grid), &prog, &input);
         let mut cfg = SimConfig::azul(grid);
-        cfg.event_engine = true;
         // Tight watchdog: a reintroduced lost wakeup fails fast instead
         // of burning the full default horizon.
         cfg.watchdog_no_progress_cycles = 2_000;
-        let got = run_kernel_checked(&cfg, &prog, &input, None)
-            .expect("pending Send behind an issued op must re-arm the tile");
-        assert_eq!(got, reference);
+        assert_matches_oracle(&cfg, &prog, &input);
     }
 
     #[test]
     fn fast_forward_never_skips_past_blocked_head() {
         // Regression (over-skip audit): a LinkDown outage parks a
-        // head-of-line flit with *no* self-driven wake. A skip engine
-        // that jumps past the window anyway would silently deflate the
-        // cycle count — the solve would appear to finish before the
-        // outage even closed. Blocking every output of the first three
-        // tiles for `outage` cycles forces the serial chain to wait the
-        // window out: the faulted run must outlast it, and both skip
-        // engines must agree with the reference bit-for-bit.
+        // head-of-line flit with *no* self-driven wake. An engine that
+        // jumps past the window anyway would silently deflate the cycle
+        // count — the solve would appear to finish before the outage
+        // even closed. Blocking every output of the first three tiles
+        // for `outage` cycles forces the serial chain to wait the window
+        // out: the faulted run must outlast it and match the oracle
+        // bit-for-bit.
         let a = generate::tridiagonal(48);
         let l = a.lower_triangle();
         let grid = TileGrid::new(2, 2);
@@ -1881,47 +1534,34 @@ mod tests {
             }
         }
         let plan = crate::faults::FaultPlan::new(events);
-        let run = |ff: bool, event: bool, faults: bool| {
-            let mut cfg = SimConfig::azul(grid);
-            cfg.fast_forward = ff;
-            cfg.event_engine = event;
-            cfg.detailed_stats = true;
-            cfg.check_invariants = true;
-            if faults {
-                cfg.faults = Some(plan.clone());
-            }
-            run_kernel(&cfg, &prog, &b)
-        };
-        let clean = run(false, false, false);
-        let reference = run(false, false, true);
+        let mut cfg = SimConfig::azul(grid);
+        cfg.detailed_stats = true;
+        cfg.check_invariants = true;
+        let (clean, _) = assert_matches_oracle(&cfg, &prog, &b);
+        cfg.faults = Some(plan);
+        let (faulted, counts) = assert_matches_oracle(&cfg, &prog, &b);
         assert!(
             clean.1.cycles < outage,
             "sanity: the clean solve must finish inside the window"
         );
         assert!(
-            reference.1.cycles > outage,
+            faulted.1.cycles > outage,
             "the blocked chain must wait the outage out"
         );
-        for (ff, event) in [(true, false), (false, true), (true, true)] {
-            let got = run(ff, event, true);
-            assert_eq!(
-                got, reference,
-                "skip engine deflated the blocked run at ff={ff} event={event}"
-            );
-        }
+        assert_eq!(counts.credited, 0, "fault runs never park");
         let expect = sptrsv_lower(&l, &b);
-        assert!(dense::rel_l2_diff(&reference.0, &expect) < 1e-10);
+        assert!(dense::rel_l2_diff(&faulted.0, &expect) < 1e-10);
     }
 
     #[test]
     fn fault_timeline_is_byte_identical_across_engines() {
-        // Regression: a fault window opening (or expiring) *inside* a
-        // span the event engine wanted to jump over must clamp the jump
-        // target, or the event fires late: the journal records the
+        // Regression: a fault window opening (or expiring) inside a
+        // span a tile would otherwise sleep through must land on the
+        // cycle the per-cycle loop fires it, or the journal records the
         // wrong cycle and the outage covers the wrong traffic. Seeded
         // plans across SpMV + SpTRSV (threaded through one session so
         // events land mid-solve) must journal identical records — cycle,
-        // kind, applied flag and note — with the event engine on or off.
+        // kind, applied flag and note — in the engine and the oracle.
         let a = generate::grid_laplacian_2d(10, 10);
         let l = ic0(&a).unwrap();
         let grid = TileGrid::new(4, 4);
@@ -1931,24 +1571,22 @@ mod tests {
         let input = test_input(a.rows());
         for seed in [3u64, 11, 42] {
             let plan = crate::faults::FaultPlan::seeded(seed, grid.num_tiles(), 6, 4_000);
-            let run = |event: bool| {
+            let run = |parking: bool| {
                 let mut cfg = SimConfig::azul(grid);
-                cfg.event_engine = event;
                 cfg.detailed_stats = true;
                 cfg.check_invariants = true;
                 let mut session = FaultSession::new(plan.clone());
-                let r1 = run_kernel_checked(&cfg, &spmv, &input, Some(&mut session))
-                    .expect("windowed faults resolve");
-                let r2 = run_kernel_checked(&cfg, &trsv, &input, Some(&mut session))
-                    .expect("windowed faults resolve");
+                let mut go = |prog: &Program| {
+                    run_engine(&cfg, prog, &input, Some(&mut session), parking)
+                        .expect("windowed faults resolve")
+                };
+                let r1 = go(&spmv);
+                let r2 = go(&trsv);
                 (r1, r2, session.records().to_vec())
             };
             let base = run(false);
             let got = run(true);
-            assert_eq!(
-                got.2, base.2,
-                "fault journal diverged under the event engine at seed {seed}"
-            );
+            assert_eq!(got.2, base.2, "fault journal diverged at seed {seed}");
             assert_eq!(got.0, base.0, "spmv diverged at seed {seed}");
             assert_eq!(got.1, base.1, "sptrsv diverged at seed {seed}");
         }
@@ -1956,14 +1594,14 @@ mod tests {
 
     #[test]
     fn mid_span_rearm_credits_skipped_cycles_once() {
-        // Regression (double-credit audit): when a delivery re-arms a
-        // parked tile mid-span, the span's idle/stall cycles must be
-        // credited exactly once — at the wake — never again when the
-        // arrival moves the wake earlier. The serial tridiagonal chain
-        // parks every tile between messages; sweeping the hop latency
-        // shifts arrivals across park/wake edges. Per-tile detail stats
-        // and the invariant-audit counters (both part of `KernelStats`
-        // equality) would expose any double or missed credit.
+        // Regression (double-credit audit): when a delivery pulls a
+        // parked tile's wake earlier, the span's idle/stall cycles must
+        // be credited exactly once — at the wake — never again when the
+        // arrival moves the wake. The serial tridiagonal chain parks
+        // every tile between messages; sweeping the hop latency shifts
+        // arrivals across park/wake edges. Per-tile detail stats and the
+        // invariant-audit counters (both part of `KernelStats` equality)
+        // would expose any double or missed credit.
         let a = generate::tridiagonal(48);
         let l = a.lower_triangle();
         let grid = TileGrid::new(2, 2);
@@ -1971,18 +1609,41 @@ mod tests {
         let prog = Program::compile_sptrsv_lower(&l, &a, &p);
         let b = test_input(48);
         for hop in [1u32, 2, 3, 5, 8, 13] {
-            let run = |event: bool| {
-                let mut cfg = SimConfig::azul(grid);
-                cfg.hop_latency = hop;
-                cfg.event_engine = event;
-                cfg.detailed_stats = true;
-                cfg.check_invariants = true;
-                run_kernel(&cfg, &prog, &b)
-            };
-            let reference = run(false);
-            let got = run(true);
-            assert_eq!(got, reference, "credit divergence at hop_latency {hop}");
+            let mut cfg = SimConfig::azul(grid);
+            cfg.hop_latency = hop;
+            cfg.detailed_stats = true;
+            cfg.check_invariants = true;
+            let (_, counts) = assert_matches_oracle(&cfg, &prog, &b);
+            if hop >= 5 {
+                assert!(counts.credited > 0, "hop {hop}: long transits must park");
+            }
         }
+    }
+
+    #[test]
+    fn wrong_input_length_is_a_typed_error() {
+        let a = generate::grid_laplacian_2d(4, 4);
+        let grid = TileGrid::new(2, 2);
+        let prog = Program::compile_spmv(&a, &RoundRobinMapper.map(&a, grid));
+        let err = run_kernel_checked(&SimConfig::azul(grid), &prog, &[1.0; 3], None)
+            .expect_err("a short input must be rejected");
+        assert!(
+            matches!(&err, SimError::Input { detail } if detail.contains("length 3")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn grid_mismatch_is_a_typed_error() {
+        let a = generate::grid_laplacian_2d(4, 4);
+        let prog = Program::compile_spmv(&a, &RoundRobinMapper.map(&a, TileGrid::new(2, 2)));
+        let cfg = SimConfig::azul(TileGrid::new(4, 4));
+        let err = run_kernel_checked(&cfg, &prog, &test_input(a.rows()), None)
+            .expect_err("a config grid unlike the program's must be rejected");
+        assert!(
+            matches!(&err, SimError::Input { detail } if detail.contains("16 tiles")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -109,12 +109,12 @@ pub enum Trigger {
 
 /// Where completed output values (`y[i]` / solved `x[i]`) land.
 ///
-/// The serial reference engine writes straight into the caller's output
-/// vector; the sharded engine buffers `(row, value)` pairs per shard and
-/// applies them at the cycle barrier so concurrently ticking shards
-/// never alias the output slice. Each row has exactly one home tile, so
-/// at most one write targets any row per cycle and buffered application
-/// order cannot change the result.
+/// The tick engine buffers `(row, value)` pairs per shard and applies
+/// them at the cycle barrier so concurrently ticking shards never alias
+/// the output slice; single-PE harnesses write straight into the output
+/// vector. Each row has exactly one home tile, so at most one write
+/// targets any row per cycle and buffered application order cannot
+/// change the result.
 #[derive(Debug)]
 pub enum OutSink<'a> {
     /// Write directly into the output vector.
@@ -133,7 +133,7 @@ impl OutSink<'_> {
     }
 }
 
-/// How a PE accounts for fast-forwarded (skipped) cycles. Classes map
+/// How a PE accounts for the skipped cycles of a parked tile. Classes map
 /// one-to-one onto what a real tick of a zero-progress cycle would have
 /// recorded — see [`Pe::wake_profile`] and `docs/PERFORMANCE.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,7 +144,7 @@ pub(crate) enum PeSkipClass {
     /// count `stall_at` each cycle.
     Stall,
     /// Active but recording no per-cycle stats (Ideal model, Dalorex
-    /// bookkeeping busy window, fault-stalled tiles).
+    /// bookkeeping busy window).
     Silent,
 }
 
@@ -326,8 +326,8 @@ impl Pe {
         }
     }
 
-    /// One PE cycle. Returns `true` if the PE still has work after the
-    /// tick (for the machine's active-tile tracking), or a
+    /// One PE cycle. Returns whether the PE made progress — refilled a
+    /// context from the message buffer or issued an operation — or a
     /// [`SimError::MisroutedTrigger`] when a dequeued trigger has no
     /// entry in the tile program.
     #[allow(clippy::too_many_arguments)]
@@ -343,15 +343,18 @@ impl Pe {
         stats: &mut KernelStats,
     ) -> Result<bool, SimError> {
         if cfg.pe_model == PeModel::Ideal {
+            let drained = !self.msg_buffer.is_empty();
             self.tick_ideal(now, tp, prog, router, input, out, stats)?;
-            return Ok(self.has_work());
+            return Ok(drained);
         }
 
         // Refill free contexts from the message buffer.
+        let mut refilled = false;
         for c in 0..self.contexts.len() {
             if self.contexts[c].is_none() {
                 if let Some(trig) = self.msg_buffer.pop_front() {
                     self.contexts[c] = Some(self.make_task(now, tp, trig)?);
+                    refilled = true;
                 } else {
                     break;
                 }
@@ -365,14 +368,13 @@ impl Pe {
 
         // Dalorex bookkeeping stall.
         if now < self.busy_until {
-            return Ok(true);
+            return Ok(refilled);
         }
 
         // Pick the first context (round-robin from `rr`) with an
         // issueable operation; single-context configs degrade to
         // in-order behavior.
         let nctx = self.contexts.len();
-        let mut issued = false;
         for k in 0..nctx {
             let c = (self.rr + k) % nctx;
             let Some(task) = self.contexts[c].take() else {
@@ -380,21 +382,18 @@ impl Pe {
             };
             let mut task = task;
             if self.try_issue(now, cfg, tp, prog, router, input, out, stats, &mut task) {
-                issued = true;
                 if task.done() {
                     self.contexts[c] = None;
                 } else {
                     self.contexts[c] = Some(task);
                 }
                 self.rr = (c + 1) % nctx;
-                break;
+                return Ok(true);
             }
             self.contexts[c] = Some(task);
         }
-        if !issued {
-            stats.stall_at(self.tile);
-        }
-        Ok(self.has_work())
+        stats.stall_at(self.tile);
+        Ok(refilled)
     }
 
     /// Attempts to issue `task`'s next operation. Returns whether an
@@ -658,12 +657,10 @@ impl Pe {
     /// can revive it).
     ///
     /// Valid whenever the PE has not ticked since cycle `now - 1`, so
-    /// its state is frozen as of `now`: the machine-wide fast-forward
-    /// consults it on zero-progress cycles (where every issueable
-    /// operation would have bumped a signature counter), and the
-    /// event-driven engine consults it right after a tick at `now - 1`
-    /// to park the tile until the reported wake. A `Some(w)` with
-    /// `w <= now` means "cannot skip — tick at `now`". The class is
+    /// its state is frozen as of `now`: the engine consults it right
+    /// after a tick at `now - 1` to park the tile until the reported
+    /// wake. A `Some(w)` with `w <= now` means "cannot skip — tick at
+    /// `now`". The class is
     /// stable across the whole parked span: flit arrivals only touch
     /// the router, and a delivery (which would change the class) can
     /// only happen during a tick, which re-evaluates the profile.
@@ -672,7 +669,7 @@ impl Pe {
     /// operation is a send can issue at `now` when the queue has room,
     /// so it pins the wake to `now`. When the queue is full the send
     /// reports no wake of its own — the router then necessarily holds
-    /// flits, so its `Router::next_event` bounds the skip instead.
+    /// flits, so its `Router::next_event` bounds the park instead.
     /// (Passing `false` here with an injectable send pending would
     /// strand the tile: the PE may have issued a *different* context's
     /// operation on its last tick, leaving the send unattempted with an
@@ -746,11 +743,6 @@ impl Pe {
         let old = *v;
         *v = f64::from_bits(old.to_bits() ^ (1u64 << (bit % 64)));
         Some((old, *v))
-    }
-
-    /// Number of accumulator slots this PE holds.
-    pub fn num_slots(&self) -> usize {
-        self.slot_vals.len()
     }
 }
 

@@ -3,11 +3,12 @@
 //! Simulated-time tracing ([`azul_telemetry::trace`]) answers "what did
 //! the modeled hardware do"; this module answers "what does the
 //! simulator itself spend host cycles on" — the tick loop, router
-//! arbitration, PE execution, the barrier/commit phase, fast-forward
-//! scanning, and stats sampling. The two must never mix: wall-clock
-//! reads inside the deterministic engine are a determinism hazard
-//! (`azul-lint`'s `wall-clock-in-sim` rule), so the probes here are the
-//! *only* sanctioned wall-clock use inside `crates/sim`, and they are
+//! arbitration, PE execution, the barrier/commit phase, waking parked
+//! tiles, and stats sampling — and how many tile ticks parking saved.
+//! The two must never mix: wall-clock reads inside the deterministic
+//! engine are a determinism hazard (`azul-lint`'s `wall-clock-in-sim`
+//! rule), so the probes here are the *only* sanctioned wall-clock use
+//! inside `crates/sim`, and they are
 //! compiled down to a single thread-local flag load unless a harness
 //! explicitly calls [`enable`].
 //!
@@ -18,6 +19,12 @@
 //! `threads = 1` configuration shares are defined for; shard workers of a
 //! pool, and kernels on other threads of the process (other tests, other
 //! service workers), record nothing into its totals.
+//!
+//! Besides wall time, every kernel adds its host work in tile-cycles —
+//! tiles ticked, and cycles parked tiles were credited for instead —
+//! to the calling thread's totals, probes enabled or not. These counts
+//! are exact and host-independent; the `sim_perf` bench gates parking
+//! on them.
 //!
 //! Probe output feeds the `sim_profile` bench, which writes
 //! `BENCH_sim_profile.json` with per-component wall-time shares.
@@ -60,8 +67,9 @@ pub enum Component {
     PeTick = 2,
     /// Cycle-barrier synchronization and outbox commit.
     BarrierCommit = 3,
-    /// Idle-cycle fast-forward scanning.
-    FastForward = 4,
+    /// Waking parked tiles, crediting their skipped cycles, and clock
+    /// jumps.
+    Park = 4,
     /// Stats sampling and invariant checking.
     Stats = 5,
 }
@@ -72,7 +80,7 @@ pub const ALL: [Component; 6] = [
     Component::RouterTick,
     Component::PeTick,
     Component::BarrierCommit,
-    Component::FastForward,
+    Component::Park,
     Component::Stats,
 ];
 
@@ -84,7 +92,7 @@ impl Component {
             Component::RouterTick => "router_tick",
             Component::PeTick => "pe_tick",
             Component::BarrierCommit => "barrier_commit",
-            Component::FastForward => "fast_forward",
+            Component::Park => "park",
             Component::Stats => "stats",
         }
     }
@@ -96,6 +104,8 @@ struct Profiler {
     enabled: Cell<bool>,
     wall_ns: [Cell<u64>; 6],
     calls: [Cell<u64>; 6],
+    /// Tile-cycles ticked and credited by kernels on this thread.
+    tile_cycles: [Cell<u64>; 2],
 }
 
 thread_local! {
@@ -104,6 +114,7 @@ thread_local! {
             enabled: Cell::new(false),
             wall_ns: [const { Cell::new(0) }; 6],
             calls: [const { Cell::new(0) }; 6],
+            tile_cycles: [const { Cell::new(0) }; 2],
         }
     };
 }
@@ -133,6 +144,20 @@ pub fn reset() {
             p.wall_ns[i].set(0);
             p.calls[i].set(0);
         }
+        for c in &p.tile_cycles {
+            c.set(0);
+        }
+    });
+}
+
+/// Adds one kernel's tile-cycle counts (see
+/// [`ProfileSnapshot::ticked_tile_cycles`]) to the calling thread's
+/// totals. Recorded whether or not probes are enabled: two adds per
+/// kernel cost nothing, and counting needs no timestamps.
+pub(crate) fn count_tile_cycles(ticked: u64, credited: u64) {
+    PROFILER.with(|p| {
+        p.tile_cycles[0].set(p.tile_cycles[0].get() + ticked);
+        p.tile_cycles[1].set(p.tile_cycles[1].get() + credited);
     });
 }
 
@@ -174,6 +199,11 @@ pub struct ProfileSnapshot {
     pub wall_ns: [u64; 6],
     /// Scope-open counts per component, indexed as [`ALL`].
     pub calls: [u64; 6],
+    /// Tile ticks the engine executed. Exact and host-independent.
+    pub ticked_tile_cycles: u64,
+    /// Tile-cycles parked tiles were credited for instead of ticking;
+    /// `ticked + credited` is what the per-cycle loop would tick.
+    pub credited_tile_cycles: u64,
 }
 
 impl ProfileSnapshot {
@@ -217,6 +247,8 @@ pub fn snapshot() -> ProfileSnapshot {
     PROFILER.with(|p| ProfileSnapshot {
         wall_ns: p.wall_ns.each_ref().map(Cell::get),
         calls: p.calls.each_ref().map(Cell::get),
+        ticked_tile_cycles: p.tile_cycles[0].get(),
+        credited_tile_cycles: p.tile_cycles[1].get(),
     })
 }
 

@@ -148,9 +148,9 @@ impl Router {
 
     /// Advances the round-robin cursor as if the router had been ticked
     /// `k` more times. [`tick_router`] rotates the cursor
-    /// unconditionally — even a zero-work tick moves it — so idle-cycle
-    /// fast-forward must replay the rotation across skipped cycles to
-    /// keep arbitration history (and therefore every downstream bit)
+    /// unconditionally — even a zero-work tick moves it — so a parked
+    /// tile must replay the rotation across its skipped cycles to keep
+    /// arbitration history (and therefore every downstream bit)
     /// identical to the ticked path.
     pub fn advance_rr(&mut self, k: u64) {
         self.rr = (self.rr + (k % 5) as usize) % 5;
@@ -170,80 +170,28 @@ impl Router {
     }
 
     /// The earliest cycle (`>= now`) at which this router could move a
-    /// flit, or `None` when no head can ever act on its own.
+    /// flit, or `None` when it is empty (arrivals re-arm it through the
+    /// accept path).
     ///
-    /// Per head (only heads can act — each port is a FIFO):
-    /// * ready at or before `now` with at least one serviceable action
-    ///   left (an unblocked output direction, or an undone local
-    ///   delivery — deliveries cannot be fault-blocked) pins the event
-    ///   to `now`: the head may be racing other ports for a shared
-    ///   output, so the engine must not skip a single cycle;
-    /// * ready in the future reports its `ready` cycle (even if its
-    ///   outputs are currently fault-blocked — the window may close
-    ///   first, and one early tick is sound);
-    /// * ready but with *every* remaining output down reports nothing:
-    ///   the head is parked and only a fault-window change can free it.
-    ///   The engine re-arms every parked router when the window set
-    ///   changes, so a `None` here never strands a flit.
-    ///
-    /// The old conservative rule — any injected link fault pins the
-    /// event to `now` — both defeated skipping for the whole outage
-    /// window and hid the head-of-line analysis this engine needs; this
-    /// per-head form is exact. An empty router returns `None` (arrivals
-    /// re-arm it through the accept path).
-    pub fn next_event(&self, now: u64, program: &Program) -> Option<u64> {
-        let mut wake: Option<u64> = None;
-        let mut fold = |w: u64| wake = Some(wake.map_or(w, |v: u64| v.min(w)));
-        for q in &self.inputs {
-            let Some(&head) = q.front() else {
-                continue;
-            };
-            if head.ready > now {
-                fold(head.ready);
-                continue;
-            }
-            let (dirs, out_n, deliver) = route_of(program, self.tile, head.flit);
-            if deliver && !head.delivered {
-                fold(now);
-                continue;
-            }
-            let blocked = self.fault_blocked | head.forwarded;
-            if dirs[..out_n]
-                .iter()
-                .any(|&(dir, _)| blocked & (1 << dir) == 0)
-            {
-                fold(now);
-            }
-            // Else: head-of-line blocked by an outage on every remaining
-            // direction — parked, no self-driven wake.
-        }
-        wake
+    /// Only heads can act — each port is a FIFO. A head still dwelling
+    /// out its hop reports its `ready` cycle; a ready head pins the
+    /// event to `now`, because it may be racing other ports for a shared
+    /// output. Without faults a ready head always has an output or a
+    /// local delivery left (a fully served head retires in the tick that
+    /// serves it), so the bound is exact. An outage can hold a ready head
+    /// longer, which only makes the bound early; the engine does not
+    /// park tiles during fault runs anyway.
+    pub fn next_event(&self, now: u64) -> Option<u64> {
+        self.inputs
+            .iter()
+            .filter_map(VecDeque::front)
+            .map(|head| head.ready.max(now))
+            .min()
     }
 
     /// The tile id this router serves.
     pub fn tile(&self) -> TileId {
         self.tile
-    }
-
-    /// Debug view of each input port's head flit:
-    /// `(port, kind, idx, outbound, ready<=now, queue_len)`.
-    pub fn debug_heads(&self, now: u64) -> Vec<(usize, FlitKind, u32, bool, bool, usize)> {
-        self.inputs
-            .iter()
-            .enumerate()
-            .filter_map(|(p, q)| {
-                q.front().map(|h| {
-                    (
-                        p,
-                        h.flit.kind,
-                        h.flit.idx,
-                        h.flit.outbound,
-                        h.ready <= now,
-                        q.len(),
-                    )
-                })
-            })
-            .collect()
     }
 }
 
@@ -274,11 +222,9 @@ pub struct Accept {
 /// The routing decision for `flit` at `tile`: the output directions it
 /// must be forwarded to (with the neighbor behind each), how many of
 /// the four slots are used, and whether it is also delivered locally.
-/// Pure function of the compiled program — shared by [`tick_router`]
-/// and [`Router::next_event`] so the wake analysis can never disagree
-/// with what a real tick would do. Tree links connect mesh neighbors,
-/// so a flit forwards to at most one tile per direction — the fixed
-/// array keeps both callers allocation-free. Link directions come
+/// Pure function of the compiled program. Tree links connect mesh
+/// neighbors, so a flit forwards to at most one tile per direction —
+/// the fixed array keeps [`tick_router`] allocation-free. Link directions come
 /// precomputed with each tree node, so a routing decision is one
 /// binary search in the tree's node table.
 fn route_of(program: &Program, tile: TileId, flit: Flit) -> ([(usize, TileId); 4], usize, bool) {
@@ -323,7 +269,8 @@ fn route_of(program: &Program, tile: TileId, flit: Flit) -> ([(usize, TileId); 4
 /// Ticks one router: moves at most one flit per output link, appends
 /// local deliveries to `deliveries`, pushes cross-tile arrivals onto
 /// `outbox` (applied at the cycle barrier, see [`Accept`]), and updates
-/// traffic stats.
+/// traffic stats. Returns whether any flit was forwarded, delivered or
+/// retired.
 pub fn tick_router(
     router: &mut Router,
     now: u64,
@@ -332,8 +279,9 @@ pub fn tick_router(
     deliveries: &mut Vec<Delivery>,
     outbox: &mut Vec<Accept>,
     stats: &mut crate::stats::KernelStats,
-) {
+) -> bool {
     let t = router.tile as usize;
+    let mut moved = false;
     // Each output direction may carry one flit this cycle.
     let mut dir_used = [false; 4];
     let rr_start = router.rr;
@@ -406,7 +354,9 @@ pub fn tick_router(
         }
 
         let all_dirs_done = out_dirs.iter().all(|&(dir, _)| forwarded & (1 << dir) != 0);
+        moved |= progressed;
         if all_dirs_done && (delivered || !deliver) {
+            moved = true;
             router.inputs[port].pop_front();
             stats.router_traversal_at(tile);
             if stats.trace_ev.wants(CAT_ROUTER) {
@@ -424,39 +374,7 @@ pub fn tick_router(
             h.delivered = delivered;
         }
     }
-}
-
-/// Convenience: ticks every router for one cycle and applies the
-/// resulting [`Accept`]s (used by unit tests and small runs). The
-/// production engine in `machine.rs` defers accept application to the
-/// cycle barrier itself so shards can tick concurrently.
-pub fn tick_routers(
-    now: u64,
-    hop_latency: u64,
-    routers: &mut [Router],
-    program: &Program,
-    deliveries: &mut [Vec<Delivery>],
-    stats: &mut crate::stats::KernelStats,
-) {
-    // azul-lint: allow(alloc-in-tick-path) serial convenience helper; the sharded engine owns its outbox in Shard
-    let mut outbox = Vec::new();
-    #[allow(clippy::needless_range_loop)] // index used across several structures
-    for t in 0..routers.len() {
-        tick_router(
-            // azul-lint: allow(shared-mutable-in-shard) serial helper: owns the whole array, no shards
-            &mut routers[t],
-            now,
-            hop_latency,
-            program,
-            &mut deliveries[t],
-            &mut outbox,
-            stats,
-        );
-    }
-    for a in outbox.drain(..) {
-        // azul-lint: allow(shared-mutable-in-shard) serial helper: this IS the cycle barrier
-        routers[a.dest as usize].apply_accept(a.port as usize, a.ready, a.flit);
-    }
+    moved
 }
 
 /// The input port on the receiving router for a flit leaving via `dir`.
@@ -478,6 +396,36 @@ mod tests {
     use azul_mapping::strategies::{Mapper, RoundRobinMapper};
     use azul_mapping::TileGrid;
     use azul_sparse::generate;
+
+    /// Ticks every router for one cycle and applies the resulting
+    /// [`Accept`]s.
+    fn tick_routers(
+        now: u64,
+        hop_latency: u64,
+        routers: &mut [Router],
+        program: &Program,
+        deliveries: &mut [Vec<Delivery>],
+        stats: &mut crate::stats::KernelStats,
+    ) {
+        let mut outbox = Vec::new();
+        #[allow(clippy::needless_range_loop)] // index used across several structures
+        for t in 0..routers.len() {
+            tick_router(
+                // azul-lint: allow(shared-mutable-in-shard) serial test helper: owns the whole array, no shards
+                &mut routers[t],
+                now,
+                hop_latency,
+                program,
+                &mut deliveries[t],
+                &mut outbox,
+                stats,
+            );
+        }
+        for a in outbox.drain(..) {
+            // azul-lint: allow(shared-mutable-in-shard) serial test helper: this IS the cycle barrier
+            routers[a.dest as usize].apply_accept(a.port as usize, a.ready, a.flit);
+        }
+    }
 
     fn spmv_program_2x2() -> Program {
         let a = generate::grid_laplacian_2d(4, 4);
@@ -629,115 +577,42 @@ mod tests {
         assert!(run(4) > run(1), "higher hop latency takes longer");
     }
 
-    /// A multicast flit at its tree root with at least one outgoing
-    /// link and no local delivery, for head-analysis tests.
-    fn forwarding_head() -> (Program, TileId, Flit, Vec<usize>) {
-        let prog = spmv_program_2x2();
-        for j in 0..prog.n {
-            let Some(tree_id) = prog.x_tree[j] else {
-                continue;
-            };
-            let root = prog.trees[tree_id as usize].root();
-            let flit = Flit {
-                kind: FlitKind::X,
-                idx: j as u32,
-                val: 1.0,
-                outbound: true,
-            };
-            let (dirs, n, deliver) = route_of(&prog, root, flit);
-            if n > 0 && !deliver {
-                let out: Vec<usize> = dirs[..n].iter().map(|&(d, _)| d).collect();
-                return (prog, root, flit, out);
-            }
+    fn x_flit(idx: u32) -> Flit {
+        Flit {
+            kind: FlitKind::X,
+            idx,
+            val: 1.0,
+            outbound: true,
         }
-        panic!("no pure-forwarding multicast root in the 2x2 program");
     }
 
     #[test]
     fn next_event_reports_head_ready_cycles() {
-        let (prog, root, flit, _) = forwarding_head();
-        let mut r = Router::new(root, 16);
-        assert_eq!(r.next_event(0, &prog), None, "empty router: no events");
-        r.inject(5, flit); // head becomes ready at cycle 6
+        let mut r = Router::new(0, 16);
+        assert_eq!(r.next_event(0), None, "empty router: no events");
+        r.inject(5, x_flit(0)); // head becomes ready at cycle 6
         assert_eq!(
-            r.next_event(0, &prog),
+            r.next_event(0),
             Some(6),
             "future-ready head reports its ready cycle"
         );
-        assert_eq!(
-            r.next_event(6, &prog),
-            Some(6),
-            "ready head with a free output acts this cycle"
-        );
-        assert_eq!(r.next_event(9, &prog), Some(9), "never reports the past");
+        assert_eq!(r.next_event(6), Some(6), "ready head acts this cycle");
+        assert_eq!(r.next_event(9), Some(9), "never reports the past");
+        r.apply_accept(PORT_N, 3, x_flit(1));
+        assert_eq!(r.next_event(0), Some(3), "the earliest head wins");
     }
 
     #[test]
-    fn next_event_parks_fully_blocked_head() {
-        // Satellite regression (over-skip audit): a head-of-line flit
-        // whose every remaining output is down must NOT pin the event
-        // to `now` (that defeats skipping for the whole outage), and
-        // must NOT report a future wake either (nothing self-driven
-        // will change) — it parks, and the engine's window-change
-        // re-arm is what revives it.
-        let (prog, root, flit, out_dirs) = forwarding_head();
-        let mut r = Router::new(root, 16);
-        r.inject(5, flit);
-        for d in (0..4).filter(|d| !out_dirs.contains(d)) {
-            r.inject_link_down(d);
-        }
-        assert_eq!(
-            r.next_event(6, &prog),
-            Some(6),
-            "outage off the flit's route never parks it"
-        );
-        for &d in &out_dirs {
-            r.inject_link_down(d);
-        }
-        assert_eq!(
-            r.next_event(6, &prog),
-            None,
-            "fully blocked head is parked (no self-driven wake)"
-        );
-        assert_eq!(
-            r.next_event(0, &prog),
-            Some(6),
-            "but a not-yet-ready head still reports its ready cycle: \
-             the outage may have closed by then"
-        );
-        r.clear_faults();
-        assert_eq!(r.next_event(6, &prog), Some(6), "window closed: live again");
-    }
-
-    #[test]
-    fn next_event_pins_undone_local_delivery() {
-        // Local deliveries cannot be fault-blocked: a dest tile with an
-        // undelivered head must report `now` even with every link down.
-        let prog = spmv_program_2x2();
-        let (j, tree_id) = (0..prog.n)
-            .find_map(|j| prog.x_tree[j].map(|t| (j, t as usize)))
-            .expect("some column is multi-tile");
-        let root = prog.trees[tree_id].root();
-        let dest = *prog.trees[tree_id]
-            .dests()
-            .iter()
-            .find(|&&d| d != root)
-            .expect("a non-root dest exists");
-        let flit = Flit {
-            kind: FlitKind::X,
-            idx: j as u32,
-            val: 1.0,
-            outbound: false,
-        };
-        let mut r = Router::new(dest, 16);
-        r.apply_accept(0, 3, flit);
+    fn next_event_never_reports_later_under_an_outage() {
+        // An outage can only delay a ready head, so reporting `now` for
+        // it stays a sound (early) bound: every direction down must not
+        // push the event past the head's ready cycle.
+        let mut r = Router::new(0, 16);
+        r.inject(5, x_flit(0));
         for d in 0..4 {
             r.inject_link_down(d);
         }
-        assert_eq!(
-            r.next_event(3, &prog),
-            Some(3),
-            "pending local delivery is always serviceable"
-        );
+        assert_eq!(r.next_event(0), Some(6));
+        assert_eq!(r.next_event(6), Some(6));
     }
 }

@@ -113,7 +113,7 @@ pub struct KernelStats {
     /// every hook a single branch). Sealed — sorted into canonical
     /// `(cycle, tile, kind, arg)` order and capacity-compacted — at the
     /// serial end of each kernel, so its content is byte-identical
-    /// across thread counts and fast-forward settings.
+    /// across thread counts and with or without parked tiles.
     pub trace_ev: TraceBuf,
     /// Per-PE detail, one entry per tile; empty unless
     /// `SimConfig::detailed_stats` is set.
@@ -225,8 +225,8 @@ impl KernelStats {
         }
     }
 
-    /// Records `n` stall cycles on `tile` at once (fast-forward skip
-    /// accounting; equivalent to `n` calls to [`KernelStats::stall_at`]).
+    /// Records `n` stall cycles on `tile` at once (a parked tile's
+    /// credit; equivalent to `n` calls to [`KernelStats::stall_at`]).
     #[inline]
     pub fn stall_at_n(&mut self, tile: u32, n: u64) {
         self.stall_cycles += n;
@@ -235,8 +235,8 @@ impl KernelStats {
         }
     }
 
-    /// Records `n` idle cycles on `tile` at once (fast-forward skip
-    /// accounting; equivalent to `n` calls to [`KernelStats::idle_at`]).
+    /// Records `n` idle cycles on `tile` at once (a parked tile's
+    /// credit; equivalent to `n` calls to [`KernelStats::idle_at`]).
     #[inline]
     pub fn idle_at_n(&mut self, tile: u32, n: u64) {
         self.idle_cycles += n;

@@ -14,7 +14,7 @@
 //! # Determinism contract
 //!
 //! Traced runs must stay byte-identical across `SimConfig::threads`,
-//! `SimConfig::fast_forward` and repeated seeded-fault runs. Three
+//! parked or ticked idle tiles, and repeated seeded-fault runs. Three
 //! properties deliver that:
 //!
 //! 1. During collection only the per-category filter applies — a pure
@@ -27,8 +27,8 @@
 //!    applied only to the *sorted* buffer (never mid-collection), so
 //!    which events are dropped depends only on the sorted content.
 //!
-//! Events are transitions, not states: a fast-forwarded idle gap simply
-//! contains no events, so skipping it changes nothing.
+//! Events are transitions, not states: the idle cycles of a parked tile
+//! contain no events, so not ticking them changes nothing.
 
 use crate::json::Value;
 

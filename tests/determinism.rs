@@ -102,59 +102,42 @@ fn serialize_parts(
 }
 
 /// A detailed, checked `SimConfig` for the shared scenario with the
-/// engine knobs under test.
-fn engine_cfg(
-    grid: TileGrid,
-    threads: usize,
-    ff: bool,
-    event: bool,
-    faults: Option<FaultPlan>,
-) -> SimConfig {
+/// engine knob under test.
+fn engine_cfg(grid: TileGrid, threads: usize, faults: Option<FaultPlan>) -> SimConfig {
     let mut cfg = SimConfig::azul(grid);
     cfg.detailed_stats = true;
     cfg.check_invariants = true;
     cfg.threads = threads;
-    cfg.fast_forward = ff;
-    cfg.event_engine = event;
     cfg.faults = faults;
     cfg
 }
 
-/// The engine-configuration matrix checked against the reference
-/// (threads=1, fast-forward off, event engine off): sharding, the
-/// machine-wide skip and the event-driven calendar engine, alone and
-/// combined.
-const ENGINE_MATRIX: [(usize, bool, bool); 5] = [
-    (3, false, false),
-    (1, true, false),
-    (1, false, true),
-    (3, false, true),
-    (3, true, true),
-];
+/// Worker-thread counts checked against the single-threaded run. The
+/// engine's only host-side knob is sharding; parking has no switch and
+/// is checked against the per-cycle oracle inside `azul-sim`.
+const ENGINE_MATRIX: [usize; 1] = [3];
 
 /// Asserts that a solver's full telemetry JSON is byte-identical across
-/// the engine-configuration matrix: sharded parallel ticking,
-/// idle-cycle fast-forward and the event-driven tick engine are
-/// host-side knobs that must not perturb a single deterministic byte.
+/// the engine matrix: sharded parallel ticking is a host-side knob that
+/// must not perturb a single deterministic byte.
 fn assert_engine_invariant(
     solver: &str,
     plan: &dyn Fn() -> Option<FaultPlan>,
-    json_of: &dyn Fn(usize, bool, bool, Option<FaultPlan>) -> String,
+    json_of: &dyn Fn(usize, Option<FaultPlan>) -> String,
 ) {
-    let base = json_of(1, false, false, plan());
-    for (threads, ff, event) in ENGINE_MATRIX {
-        let got = json_of(threads, ff, event, plan());
+    let base = json_of(1, plan());
+    for threads in ENGINE_MATRIX {
+        let got = json_of(threads, plan());
         assert_eq!(
             got, base,
-            "{solver}: telemetry diverged at threads={threads} \
-             fast_forward={ff} event_engine={event}"
+            "{solver}: telemetry diverged at threads={threads}"
         );
     }
 }
 
-fn pcg_json(threads: usize, ff: bool, event: bool, faults: Option<FaultPlan>) -> String {
+fn pcg_json(threads: usize, faults: Option<FaultPlan>) -> String {
     let (a, p, grid) = setup();
-    let cfg = engine_cfg(grid, threads, ff, event, faults);
+    let cfg = engine_cfg(grid, threads, faults);
     let run_cfg = PcgSimConfig {
         timed_iterations: 0,
         ..PcgSimConfig::default()
@@ -170,9 +153,9 @@ fn pcg_json(threads: usize, ff: bool, event: bool, faults: Option<FaultPlan>) ->
     )
 }
 
-fn bicgstab_json(threads: usize, ff: bool, event: bool, faults: Option<FaultPlan>) -> String {
+fn bicgstab_json(threads: usize, faults: Option<FaultPlan>) -> String {
     let (a, p, grid) = setup();
-    let cfg = engine_cfg(grid, threads, ff, event, faults);
+    let cfg = engine_cfg(grid, threads, faults);
     let run_cfg = BiCgStabSimConfig {
         timed_iterations: 0,
         ..BiCgStabSimConfig::default()
@@ -190,9 +173,9 @@ fn bicgstab_json(threads: usize, ff: bool, event: bool, faults: Option<FaultPlan
     )
 }
 
-fn gmres_json(threads: usize, ff: bool, event: bool, faults: Option<FaultPlan>) -> String {
+fn gmres_json(threads: usize, faults: Option<FaultPlan>) -> String {
     let (a, p, grid) = setup();
-    let cfg = engine_cfg(grid, threads, ff, event, faults);
+    let cfg = engine_cfg(grid, threads, faults);
     let run_cfg = GmresSimConfig {
         timed_iterations: 0,
         ..GmresSimConfig::default()
@@ -245,9 +228,9 @@ fn assert_clean_audit(solver: &str, audit: &IntegrityAudit) {
     assert_eq!(audit.escapes, 0, "{solver}: fault-free solve escaped");
 }
 
-fn pcg_audited_json(threads: usize, ff: bool, event: bool) -> String {
+fn pcg_audited_json(threads: usize) -> String {
     let (a, p, grid) = setup();
-    let cfg = engine_cfg(grid, threads, ff, event, None);
+    let cfg = engine_cfg(grid, threads, None);
     let run_cfg = PcgSimConfig {
         timed_iterations: 0,
         integrity: IntegrityPolicy::audit(),
@@ -266,9 +249,9 @@ fn pcg_audited_json(threads: usize, ff: bool, event: bool) -> String {
     )
 }
 
-fn bicgstab_audited_json(threads: usize, ff: bool, event: bool) -> String {
+fn bicgstab_audited_json(threads: usize) -> String {
     let (a, p, grid) = setup();
-    let cfg = engine_cfg(grid, threads, ff, event, None);
+    let cfg = engine_cfg(grid, threads, None);
     let run_cfg = BiCgStabSimConfig {
         timed_iterations: 0,
         integrity: IntegrityPolicy::audit(),
@@ -289,9 +272,9 @@ fn bicgstab_audited_json(threads: usize, ff: bool, event: bool) -> String {
     )
 }
 
-fn gmres_audited_json(threads: usize, ff: bool, event: bool) -> String {
+fn gmres_audited_json(threads: usize) -> String {
     let (a, p, grid) = setup();
-    let cfg = engine_cfg(grid, threads, ff, event, None);
+    let cfg = engine_cfg(grid, threads, None);
     let run_cfg = GmresSimConfig {
         timed_iterations: 0,
         integrity: IntegrityPolicy::audit(),
@@ -314,7 +297,7 @@ fn gmres_audited_json(threads: usize, ff: bool, event: bool) -> String {
 /// all three frontends: the audit journal (checks, drift samples, final
 /// audit) must itself be byte-deterministic across host-side engine
 /// knobs, and no healthy run may report a violation or an escape.
-type AuditedJsonFn = fn(usize, bool, bool) -> String;
+type AuditedJsonFn = fn(usize) -> String;
 
 #[test]
 fn integrity_audited_telemetry_invariant_to_engine_config() {
@@ -324,17 +307,16 @@ fn integrity_audited_telemetry_invariant_to_engine_config() {
         ("gmres", gmres_audited_json),
     ];
     for (solver, json_of) in frontends {
-        let base = json_of(1, false, false);
+        let base = json_of(1);
         assert!(
             base.contains("\"integrity\""),
             "{solver}: audited journal missing the integrity section"
         );
-        for (threads, ff, event) in ENGINE_MATRIX {
-            let got = json_of(threads, ff, event);
+        for threads in ENGINE_MATRIX {
+            let got = json_of(threads);
             assert_eq!(
                 got, base,
-                "{solver}: audited telemetry diverged at threads={threads} \
-                 fast_forward={ff} event_engine={event}"
+                "{solver}: audited telemetry diverged at threads={threads}"
             );
         }
     }
@@ -344,16 +326,10 @@ fn integrity_audited_telemetry_invariant_to_engine_config() {
 /// returns its exported Chrome trace JSON. The export serializes the
 /// sealed event buffer verbatim, so byte-comparing it across engine
 /// configurations checks the full trace pipeline: hooks, shard merge,
-/// fast-forward transparency, seal ordering, and the JSON writer.
-fn traced_trace_json(
-    solver: &str,
-    threads: usize,
-    ff: bool,
-    event: bool,
-    faults: Option<FaultPlan>,
-) -> String {
+/// seal ordering, and the JSON writer.
+fn traced_trace_json(solver: &str, threads: usize, faults: Option<FaultPlan>) -> String {
     let (a, p, grid) = setup();
-    let mut cfg = engine_cfg(grid, threads, ff, event, faults);
+    let mut cfg = engine_cfg(grid, threads, faults);
     cfg.trace = Some(TraceConfig::default());
     let b = rhs(a.rows());
     let stats = match solver {
@@ -391,20 +367,19 @@ fn traced_trace_json(
 }
 
 /// Asserts one solver's exported trace is byte-identical across the
-/// engine matrix — {threads 1,3} x {fast-forward off,on} — for both the
-/// fault-free and the seeded-fault scenario.
+/// engine matrix — threads 1 and 3 — for both the fault-free and the
+/// seeded-fault scenario.
 fn assert_trace_invariant(solver: &str) {
     for (label, plan) in [
         ("fault-free", &(|| None) as &dyn Fn() -> Option<FaultPlan>),
         ("seeded faults", &seeded_plan),
     ] {
-        let base = traced_trace_json(solver, 1, false, false, plan());
-        for (threads, ff, event) in ENGINE_MATRIX {
-            let got = traced_trace_json(solver, threads, ff, event, plan());
+        let base = traced_trace_json(solver, 1, plan());
+        for threads in ENGINE_MATRIX {
+            let got = traced_trace_json(solver, threads, plan());
             assert_eq!(
                 got, base,
-                "{solver} ({label}): exported trace diverged at \
-                 threads={threads} fast_forward={ff} event_engine={event}"
+                "{solver} ({label}): exported trace diverged at threads={threads}"
             );
         }
     }
@@ -430,7 +405,7 @@ fn gmres_trace_export_invariant_to_engine_config() {
 /// router of the grid must have a named track.
 #[test]
 fn exported_trace_is_monotonic_and_balanced() {
-    let json = traced_trace_json("pcg", 1, false, true, seeded_plan());
+    let json = traced_trace_json("pcg", 1, seeded_plan());
     let doc = azul::telemetry::json::parse(&json).expect("export must be valid JSON");
     let check = validate_chrome_trace(&doc).expect("export must validate");
     assert!(check.events > 0, "trace has data events");
@@ -729,7 +704,7 @@ fn golden_text(solver: &str, sc: &GoldenScenario) -> String {
     } else {
         setup()
     };
-    let cfg = engine_cfg(grid, 1, false, false, sc.faults.clone());
+    let cfg = engine_cfg(grid, 1, sc.faults.clone());
     let b = rhs(a.rows());
     let (summary, telemetry) = match solver {
         "pcg" => {

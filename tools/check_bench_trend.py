@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Diff a fresh BENCH_sim_perf.json against the committed baseline.
 
-Two classes of check, run by CI's `bench-smoke` job after the bench
-itself has passed its own floors:
+Two checks, run by CI's `bench-smoke` job after the bench itself has
+passed its own floors. Both compare exact, host-independent counts:
 
 1. **Determinism diff** — simulated cycle counts are machine-independent,
    so for every scenario present in both artifacts the `cycles` counter
@@ -10,11 +10,13 @@ itself has passed its own floors:
    behavior changed; if the change is intentional, regenerate the
    baseline (see below) in the same PR.
 
-2. **Trend assert** — the `idle_heavy` section records `event_speedup`,
-   the wall-clock ratio of the reference engine to the event engine on
-   the idle-heavy 64x64 topology. The ratio is taken on one machine, so
-   it transfers across hosts; it must not regress by more than
-   AZUL_BENCH_TREND_TOLERANCE (default 0.10, i.e. >10% fails).
+2. **Parking trend** — the `idle_heavy` row records the engine's host
+   work in tile-cycles: `ticked_tile_cycles` really ticked and
+   `credited_tile_cycles` parked tiles were credited for instead. The
+   ratio (ticked + credited) / ticked is how many per-cycle ticks each
+   real tick stands for. It must be at least PARK_RATIO_FLOOR, and no
+   lower than the baseline's: the counts are deterministic, so any drop
+   means tiles park less than they did.
 
 Regenerate the baseline with:
 
@@ -25,11 +27,13 @@ Usage: check_bench_trend.py CURRENT.json BASELINE.json
 """
 
 import json
-import os
 import sys
 
-# Scenario fields that identify a row across runs. Host-dependent
-# fields (wall_seconds, sim_mcycles_per_sec, event_speedup) are
+# Per-cycle ticks each real tick must stand for on the idle-heavy row.
+PARK_RATIO_FLOOR = 10.0
+
+# Scenario fields that identify a row across runs. Measurements
+# (wall_seconds, sim_mcycles_per_sec, the tile-cycle counts) are
 # deliberately excluded.
 KEY_FIELDS = (
     "section",
@@ -37,8 +41,6 @@ KEY_FIELDS = (
     "n",
     "kernel",
     "threads",
-    "fast_forward",
-    "event_engine",
     "hop_latency",
     "tracing",
     "grid",
@@ -93,33 +95,34 @@ def main(argv):
             )
     print(f"determinism diff: {len(shared)} shared scenarios compared")
 
-    # 2. Trend assert on the event-engine speedup.
-    tol = float(os.environ.get("AZUL_BENCH_TREND_TOLERANCE", "0.10"))
-
-    def speedup_of(rows):
+    # 2. Parking trend on the idle-heavy row's exact tile-cycle counts.
+    def park_ratio(rows):
         vals = [
-            r["scenario"]["event_speedup"]
+            r["scenario"]
             for r in rows.values()
-            if "event_speedup" in r.get("scenario", {})
+            if r.get("scenario", {}).get("section") == "idle_heavy"
         ]
         if len(vals) != 1:
-            raise SystemExit(
-                f"expected exactly one event_speedup row, found {len(vals)}"
-            )
-        return vals[0]
+            raise SystemExit(f"expected exactly one idle_heavy row, found {len(vals)}")
+        s = vals[0]
+        ticked = s["ticked_tile_cycles"]
+        return (ticked + s["credited_tile_cycles"]) / max(ticked, 1)
 
-    base_sp = speedup_of(baseline)
-    cur_sp = speedup_of(current)
-    floor = base_sp * (1.0 - tol)
-    verdict = "ok" if cur_sp >= floor else "REGRESSION"
+    base_r = park_ratio(baseline)
+    cur_r = park_ratio(current)
+    ok = cur_r >= PARK_RATIO_FLOOR and cur_r >= base_r
     print(
-        f"event_speedup trend: baseline {base_sp:.2f}x, current {cur_sp:.2f}x, "
-        f"floor {floor:.2f}x (tolerance {tol:.0%}) — {verdict}"
+        f"parking tile-cycle ratio: baseline {base_r:.2f}x, current {cur_r:.2f}x, "
+        f"floor {PARK_RATIO_FLOOR:.0f}x — {'ok' if ok else 'REGRESSION'}"
     )
-    if cur_sp < floor:
+    if cur_r < PARK_RATIO_FLOOR:
         failures.append(
-            f"event-engine speedup regressed >{tol:.0%}: "
-            f"{cur_sp:.2f}x vs baseline {base_sp:.2f}x"
+            f"parking stands in for only {cur_r:.2f} ticks per real tick "
+            f"on the idle-heavy row (floor {PARK_RATIO_FLOOR:.0f})"
+        )
+    elif cur_r < base_r:
+        failures.append(
+            f"parking ratio fell: {cur_r:.2f}x vs baseline {base_r:.2f}x"
         )
 
     if failures:
