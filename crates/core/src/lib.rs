@@ -355,6 +355,22 @@ pub(crate) struct Preprocessed {
     pub(crate) placement: Placement,
 }
 
+/// Rejects a right-hand side holding a NaN or infinity: no solver,
+/// preconditioner or retry can make it converge.
+///
+/// # Errors
+///
+/// Returns [`AzulError::Input`] naming the first non-finite entry.
+pub(crate) fn check_finite_rhs(b: &[f64]) -> Result<(), AzulError> {
+    match b.iter().position(|v| !v.is_finite()) {
+        Some(i) => Err(AzulError::Input(format!(
+            "rhs entry {i} is not finite: {}",
+            b[i]
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Builds the lower-triangular preconditioner factor `F` (with `M = F
 /// F^T` sharing `tril(A)`'s pattern) for the chosen rung, as a value.
 ///
@@ -434,10 +450,10 @@ impl Azul {
     ///
     /// # Errors
     ///
-    /// Returns [`AzulError::Input`] for non-square or non-symmetric
-    /// matrices, [`AzulError::Capacity`] when the placement overflows a
-    /// tile's SRAM, and [`AzulError::Numeric`] for factorization
-    /// breakdowns.
+    /// Returns [`AzulError::Input`] for non-square, non-finite or
+    /// non-symmetric matrices, [`AzulError::Capacity`] when the
+    /// placement overflows a tile's SRAM, and [`AzulError::Numeric`] for
+    /// factorization breakdowns.
     pub fn prepare(&self, a: &Csr) -> Result<PreparedSolver, AzulError> {
         let prepare_span = span::span("prepare");
         let pre = self.preprocess(a)?;
@@ -490,6 +506,11 @@ impl Azul {
                 "matrix must be square, got {}x{}",
                 a.rows(),
                 a.cols()
+            )));
+        }
+        if let Some((r, c, v)) = a.iter().find(|&(_, _, v)| !v.is_finite()) {
+            return Err(AzulError::Input(format!(
+                "matrix entry ({r}, {c}) is not finite: {v}"
             )));
         }
         if !a.is_symmetric(1e-9 * a.inf_norm().max(1.0)) {
@@ -638,8 +659,8 @@ impl PreparedSolver {
     /// # Errors
     ///
     /// Returns [`AzulError::Input`] when `b.len()` differs from the
-    /// prepared matrix dimension, and [`AzulError::Sim`] when the
-    /// simulated machine fails.
+    /// prepared matrix dimension or `b` holds a NaN or infinity, and
+    /// [`AzulError::Sim`] when the simulated machine fails.
     #[must_use = "a dropped result discards both the solve report and the structured failure"]
     pub fn try_solve(&self, b: &[f64]) -> Result<SolveReport, AzulError> {
         if b.len() != self.n {
@@ -649,6 +670,7 @@ impl PreparedSolver {
                 self.n
             )));
         }
+        check_finite_rhs(b)?;
         let pb = match &self.perm {
             Some(p) => p.apply(b),
             None => b.to_vec(),
@@ -706,6 +728,20 @@ mod tests {
     }
 
     #[test]
+    fn try_solve_rejects_non_finite_rhs_with_typed_error() {
+        let a = generate::grid_laplacian_2d(4, 4);
+        let prepared = Azul::new(AzulConfig::small_test()).prepare(&a).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut b = rhs(a.rows());
+            b[5] = bad;
+            match prepared.try_solve(&b) {
+                Err(AzulError::Input(msg)) => assert!(msg.contains("rhs entry 5"), "{msg}"),
+                other => panic!("rhs with {bad}: expected AzulError::Input, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn prepare_once_solve_many() {
         // The Fig. 8 pattern: one mapping, many right-hand sides.
         let a = generate::fem_mesh_3d(80, 4, 9);
@@ -735,6 +771,14 @@ mod tests {
             .unwrap()
             .to_csr();
         assert!(matches!(azul.prepare(&asym), Err(AzulError::Input(_))));
+        // Non-finite values are named before the symmetry test would
+        // misreport them.
+        let mut nan = generate::grid_laplacian_2d(4, 4);
+        nan.values_mut()[3] = f64::NAN;
+        match azul.prepare(&nan) {
+            Err(AzulError::Input(msg)) => assert!(msg.contains("not finite"), "{msg}"),
+            other => panic!("expected AzulError::Input, got {other:?}"),
+        }
     }
 
     #[test]

@@ -489,8 +489,9 @@ impl SolveSupervisor {
     ///
     /// # Errors
     ///
-    /// Returns [`AzulError::Input`] immediately for malformed inputs or
-    /// an empty ladder (input problems never improve by degrading), and
+    /// Returns [`AzulError::Input`] immediately for malformed inputs (a
+    /// wrong rhs length, a NaN or infinite rhs or matrix entry) or an
+    /// empty ladder (input problems never improve by degrading), and
     /// [`AzulError::Exhausted`] — aggregating every attempt's failure —
     /// when no configuration within the policy's bounds converged.
     #[must_use = "a dropped result discards both the solve report and the aggregated failures"]
@@ -583,6 +584,7 @@ impl SolveSupervisor {
                 a.cols()
             )));
         }
+        crate::check_finite_rhs(b)?;
 
         let _supervise_span = span::span("supervise");
         let start = Instant::now();
@@ -1215,6 +1217,20 @@ mod tests {
         ));
         let a = generate::grid_laplacian_2d(4, 4);
         assert!(matches!(sup.solve(&a, &[1.0; 3]), Err(AzulError::Input(_))));
+        // A non-finite rhs fails before any ladder attempt.
+        let mut nan_rhs = rhs(16);
+        nan_rhs[7] = f64::NAN;
+        match sup.solve(&a, &nan_rhs) {
+            Err(AzulError::Input(msg)) => assert!(msg.contains("rhs entry 7"), "{msg}"),
+            other => panic!("expected AzulError::Input, got {other:?}"),
+        }
+        // So does a non-finite matrix entry, caught by preprocessing.
+        let mut inf_a = a.clone();
+        inf_a.values_mut()[0] = f64::INFINITY;
+        match sup.solve(&inf_a, &rhs(16)) {
+            Err(AzulError::Input(msg)) => assert!(msg.contains("not finite"), "{msg}"),
+            other => panic!("expected AzulError::Input, got {other:?}"),
+        }
         let empty = EscalationPolicy {
             solvers: vec![],
             ..EscalationPolicy::default()

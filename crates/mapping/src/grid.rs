@@ -107,6 +107,16 @@ impl TileGrid {
         delta(ay, by, self.height, self.wrap)
     }
 
+    /// [`TileGrid::dx`] and [`TileGrid::dy`] from the tile at `from`
+    /// (as [`TileGrid::coord`] gives it) to `b`, with one division.
+    pub(crate) fn offset(&self, from: (usize, usize), b: TileId) -> (isize, isize) {
+        let (bx, by) = self.coord(b);
+        (
+            delta(from.0, bx, self.width, self.wrap),
+            delta(from.1, by, self.height, self.wrap),
+        )
+    }
+
     /// Torus (Manhattan) hop distance between two tiles.
     pub fn distance(&self, a: TileId, b: TileId) -> usize {
         self.dx(a, b).unsigned_abs() + self.dy(a, b).unsigned_abs()

@@ -10,7 +10,7 @@
 
 use crate::grid::TileId;
 use crate::placement::Placement;
-use crate::tree::CommTree;
+use crate::tree::{CommTree, TreeTable};
 use azul_sparse::Csr;
 
 /// Aggregate traffic of one kernel invocation.
@@ -35,7 +35,7 @@ impl TrafficReport {
         }
     }
 
-    fn add_tree(&mut self, tree: &CommTree) {
+    fn add_tree(&mut self, tree: CommTree<'_>) {
         self.messages += tree.dests().len() as u64;
         self.link_hops += tree.num_links() as u64;
         for node in tree.nodes() {
@@ -72,12 +72,12 @@ pub fn spmv_traffic(a: &Csr, placement: &Placement) -> TrafficReport {
     let grid = placement.grid();
     let mut report = TrafficReport::new(grid.num_tiles());
     for (j, set) in placement.column_tile_sets(a).iter().enumerate() {
-        let tree = CommTree::build(grid, placement.vec_tile(j), set);
-        report.add_tree(&tree);
+        let tree = TreeTable::single(grid, placement.vec_tile(j), set);
+        report.add_tree(tree.tree(0));
     }
     for (i, set) in placement.row_tile_sets(a).iter().enumerate() {
-        let tree = CommTree::build(grid, placement.vec_tile(i), set);
-        report.add_tree(&tree);
+        let tree = TreeTable::single(grid, placement.vec_tile(i), set);
+        report.add_tree(tree.tree(0));
     }
     report
 }
@@ -104,14 +104,10 @@ pub fn sptrsv_traffic(a: &Csr, placement: &Placement) -> TrafficReport {
         }
     }
     for j in 0..n {
-        col_sets[j].sort_unstable();
-        col_sets[j].dedup();
-        let tree = CommTree::build(grid, placement.vec_tile(j), &col_sets[j]);
-        report.add_tree(&tree);
-        row_sets[j].sort_unstable();
-        row_sets[j].dedup();
-        let tree = CommTree::build(grid, placement.vec_tile(j), &row_sets[j]);
-        report.add_tree(&tree);
+        for set in [&col_sets[j], &row_sets[j]] {
+            let tree = TreeTable::single(grid, placement.vec_tile(j), set);
+            report.add_tree(tree.tree(0));
+        }
     }
     report
 }
@@ -134,11 +130,12 @@ pub fn pcg_iteration_traffic(a: &Csr, placement: &Placement) -> TrafficReport {
     let mut holders: Vec<TileId> = placement.vec_tiles().to_vec();
     holders.sort_unstable();
     holders.dedup();
-    let tree = CommTree::build(grid, 0, &holders);
+    let table = TreeTable::single(grid, 0, &holders);
+    let tree = table.tree(0);
     for _ in 0..3 {
         let mut t = TrafficReport::new(grid.num_tiles());
-        t.add_tree(&tree); // reduce
-        t.add_tree(&tree); // broadcast
+        t.add_tree(tree); // reduce
+        t.add_tree(tree); // broadcast
         report.merge(&t);
     }
     report

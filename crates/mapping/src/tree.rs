@@ -6,28 +6,67 @@
 //! of dimension-order (X-then-Y) routes from the root to every destination
 //! forms a tree in which each link is used exactly once, and intermediate
 //! tiles forward (multicast) or combine (reduction) values.
+//!
+//! A compiled program holds thousands of trees, and routers read them on
+//! every cycle, so every tree of a program lives in one [`TreeTable`]:
+//! flat node and destination arrays with a range per tree. A
+//! [`CommTree`] is a borrowed view of one tree in such a table.
 
 use crate::grid::{Direction, TileGrid, TileId};
 
-/// A communication tree rooted at one tile, spanning a destination set.
+/// Every tree of a program, in one flat table.
+///
+/// A tree's rows are a contiguous run of the node array, one per tree
+/// tile, sorted by tile id, holding the tile's parent, its children (at
+/// most four, one per direction) and the direction of each link; its
+/// destinations are a sorted run of the destination array. A lookup is
+/// one binary search within the run. [`TreeTable::push`] builds a tree
+/// in place, reusing the table's scratch buffers, so filling a table
+/// allocates only as its arrays grow.
+#[derive(Debug, Clone)]
+pub struct TreeTable {
+    grid: TileGrid,
+    /// Per tree: its root and its runs of `nodes` and `dests`.
+    spans: Vec<Span>,
+    nodes: Vec<Node>,
+    dests: Vec<TileId>,
+    scratch: Scratch,
+}
+
+/// One tree's root and its runs of the table's arrays.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    root: TileId,
+    nodes: (u32, u32),
+    dests: (u32, u32),
+}
+
+/// Buffers [`TreeTable::push`] reuses from tree to tree.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The destination set, sorted and deduplicated, without the root.
+    uniq: Vec<TileId>,
+    /// Node index of the tile `k` steps along the root's row, east / west.
+    row: [Vec<u32>; 2],
+    /// Per column, south / north: steps reached and the last node.
+    col: Vec<[(usize, u32); 2]>,
+}
+
+/// A communication tree rooted at one tile, spanning a destination set:
+/// a borrowed view of one tree of a [`TreeTable`].
 ///
 /// For a multicast, data flows root → leaves; for a reduction the same
 /// tree is used leaves → root, with intermediate tiles combining partials.
-///
-/// The tree is one flat table, because routers read it on every cycle:
-/// a row per tree tile, sorted by tile id, holding the tile's parent,
-/// its children (at most four, one per direction) and the direction of
-/// each link. A lookup is one binary search in one allocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommTree {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CommTree<'a> {
     root: TileId,
     /// Every tile of the tree (root, forwarders, leaves), sorted by tile.
-    nodes: Vec<Node>,
+    nodes: &'a [Node],
     /// Destination (participant) tiles, sorted.
-    dests: Vec<TileId>,
+    dests: &'a [TileId],
 }
 
-/// One tree tile's row in [`CommTree`]'s node table.
+/// One tree tile's row in a [`TreeTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Node {
     tile: TileId,
@@ -102,22 +141,80 @@ fn push_child(
 /// Tile `k` steps from `origin` along a ring of `n` tiles, forward
 /// (`+`) or backward. `k < n` for every step of a shortest route.
 fn ring_step(origin: usize, k: usize, forward: bool, n: usize) -> usize {
-    if forward {
-        (origin + k) % n
+    let t = if forward { origin + k } else { origin + n - k };
+    if t >= n {
+        t - n
     } else {
-        (origin + n - k) % n
+        t
     }
 }
 
-impl CommTree {
-    /// Builds the XY-route tree from `root` to `dests` on `grid`.
+impl TreeTable {
+    /// An empty table of trees on `grid`.
+    pub fn new(grid: TileGrid) -> Self {
+        TreeTable {
+            grid,
+            spans: Vec::new(),
+            nodes: Vec::new(),
+            dests: Vec::new(),
+            scratch: Scratch::default(),
+        }
+    }
+
+    /// A table holding the one tree from `root` to `dests`, id 0.
+    pub fn single(grid: TileGrid, root: TileId, dests: &[TileId]) -> Self {
+        let mut table = TreeTable::new(grid);
+        table.push(root, dests);
+        table
+    }
+
+    /// Number of trees.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Whether the table holds no tree.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    /// Tree `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn tree(&self, id: u32) -> CommTree<'_> {
+        let s = self.spans[id as usize];
+        CommTree {
+            root: s.root,
+            nodes: &self.nodes[s.nodes.0 as usize..s.nodes.1 as usize],
+            dests: &self.dests[s.dests.0 as usize..s.dests.1 as usize],
+        }
+    }
+
+    /// Releases the arrays' spare capacity and the build scratch: a
+    /// filled program table lives as long as its program.
+    pub fn shrink_to_fit(&mut self) {
+        self.spans.shrink_to_fit();
+        self.nodes.shrink_to_fit();
+        self.dests.shrink_to_fit();
+        self.scratch = Scratch::default();
+    }
+
+    /// Builds the XY-route tree from `root` to `dests`, appends it and
+    /// returns its id.
     ///
     /// Duplicate destinations and the root itself are tolerated (the root
     /// is dropped from the destination set — it already has the value).
-    pub fn build(grid: TileGrid, root: TileId, dests: &[TileId]) -> Self {
-        let mut uniq: Vec<TileId> = dests.iter().copied().filter(|&d| d != root).collect();
+    pub fn push(&mut self, root: TileId, dests: &[TileId]) -> u32 {
+        let grid = self.grid;
+        let Scratch { uniq, row, col } = &mut self.scratch;
+        uniq.clear();
+        uniq.extend(dests.iter().copied().filter(|&d| d != root));
         uniq.sort_unstable();
         uniq.dedup();
+        col.clear();
+        col.resize(grid.width(), [(0, 0); 2]);
 
         // Each tile of an XY route from `root` is named by its step: the
         // k-th along root's row (east or west), or the k-th along the
@@ -127,16 +224,19 @@ impl CommTree {
         // steps beyond how far the tree already reaches in that row or
         // column direction are new. The walk appends new tiles in the
         // order routes reach them, so each parent's children keep that
-        // order, then one sort orders the table by tile.
+        // order, then one sort orders the tree's rows by tile.
         let (w, h) = (grid.width(), grid.height());
         let (rx, ry) = grid.coord(root);
-        let mut nodes = vec![Node::new(root, None)];
-        // Node index of the tile `k` steps along root's row, east / west.
-        let mut row: [Vec<u32>; 2] = [vec![0], vec![0]];
-        // Per column, south / north: steps reached and the last node.
-        let mut col: Vec<[(usize, u32); 2]> = vec![[(0, 0); 2]; w];
-        for &d in &uniq {
-            let (dx, dy) = (grid.dx(root, d), grid.dy(root, d));
+        let nodes = &mut self.nodes;
+        let start = nodes.len();
+        let root_ix = start as u32;
+        nodes.push(Node::new(root, None));
+        for r in row.iter_mut() {
+            r.clear();
+            r.push(root_ix);
+        }
+        for &d in uniq.iter() {
+            let (dx, dy) = grid.offset((rx, ry), d);
             let (east, south) = (dx >= 0, dy >= 0);
             let (nx, ny) = (dx.unsigned_abs(), dy.unsigned_abs());
             let x_dir = if east {
@@ -148,7 +248,7 @@ impl CommTree {
             for k in row_nodes.len()..=nx {
                 let child = ry * w + ring_step(rx, k, east, w);
                 let parent = row_nodes[k - 1];
-                row_nodes.push(push_child(&mut nodes, grid, parent, child, x_dir));
+                row_nodes.push(push_child(nodes, grid, parent, child, x_dir));
             }
             let cx = ring_step(rx, nx, east, w);
             let y_dir = if south {
@@ -162,36 +262,39 @@ impl CommTree {
             }
             for k in *reach + 1..=ny {
                 let child = ring_step(ry, k, south, h) * w + cx;
-                *last = push_child(&mut nodes, grid, *last, child, y_dir);
+                *last = push_child(nodes, grid, *last, child, y_dir);
             }
             *reach = (*reach).max(ny);
         }
-        nodes.sort_unstable_by_key(|n| n.tile);
-        // Programs keep thousands of trees alive: drop the push slack.
-        nodes.shrink_to_fit();
-        uniq.shrink_to_fit();
+        let tree_nodes = &mut nodes[start..];
+        tree_nodes.sort_unstable_by_key(|n| n.tile);
         let mut di = 0usize;
-        for n in &mut nodes {
+        for n in tree_nodes {
             while di < uniq.len() && uniq[di] < n.tile {
                 di += 1;
             }
             n.is_dest = uniq.get(di) == Some(&n.tile);
         }
-        CommTree {
+        let dest_start = self.dests.len();
+        self.dests.extend_from_slice(uniq);
+        self.spans.push(Span {
             root,
-            nodes,
-            dests: uniq,
-        }
+            nodes: (start as u32, self.nodes.len() as u32),
+            dests: (dest_start as u32, self.dests.len() as u32),
+        });
+        (self.spans.len() - 1) as u32
     }
+}
 
+impl<'a> CommTree<'a> {
     /// The root tile.
     pub fn root(&self) -> TileId {
         self.root
     }
 
     /// The destination (participant) tiles, sorted, excluding the root.
-    pub fn dests(&self) -> &[TileId] {
-        &self.dests
+    pub fn dests(&self) -> &'a [TileId] {
+        self.dests
     }
 
     /// Whether `t` is a destination.
@@ -200,19 +303,19 @@ impl CommTree {
     }
 
     /// The links of tree tile `t`, or `None` for tiles outside the tree.
-    pub fn node(&self, t: TileId) -> Option<TreeNode<'_>> {
+    pub fn node(&self, t: TileId) -> Option<TreeNode<'a>> {
         let k = self.nodes.binary_search_by_key(&t, |n| n.tile).ok()?;
         Some(self.nodes[k].view())
     }
 
     /// Every tree tile's links, in tile order.
-    pub fn nodes(&self) -> impl Iterator<Item = TreeNode<'_>> + '_ {
+    pub fn nodes(&self) -> impl Iterator<Item = TreeNode<'a>> + 'a {
         self.nodes.iter().map(Node::view)
     }
 
     /// Children of `t` in the tree (empty for leaves and tiles outside the
     /// tree).
-    pub fn children_of(&self, t: TileId) -> &[TileId] {
+    pub fn children_of(&self, t: TileId) -> &'a [TileId] {
         self.node(t).map_or(&[], |n| n.children)
     }
 
@@ -232,7 +335,7 @@ impl CommTree {
     }
 
     /// Iterates over directed links `(parent, child)`, by parent tile.
-    pub fn iter_links(&self) -> impl Iterator<Item = (TileId, TileId)> + '_ {
+    pub fn iter_links(&self) -> impl Iterator<Item = (TileId, TileId)> + 'a {
         self.nodes()
             .flat_map(|n| n.children.iter().map(move |&c| (n.tile, c)))
     }
@@ -263,7 +366,8 @@ mod tests {
     #[test]
     fn tree_to_single_dest_is_a_path() {
         let g = TileGrid::square(8);
-        let t = CommTree::build(g, g.id(3, 3), &[g.id(6, 3)]);
+        let table = TreeTable::single(g, g.id(3, 3), &[g.id(6, 3)]);
+        let t = table.tree(0);
         assert_eq!(t.num_links(), 3);
         assert_eq!(t.dests(), &[g.id(6, 3)]);
         assert_eq!(t.children_of(g.id(3, 3)), &[g.id(4, 3)]);
@@ -276,7 +380,8 @@ mod tests {
         let root = g.id(3, 3);
         // Dests in the same column x=1, rows 1, 3, 6.
         let dests = [g.id(1, 1), g.id(1, 3), g.id(1, 6)];
-        let tree = CommTree::build(g, root, &dests);
+        let table = TreeTable::single(g, root, &dests);
+        let tree = table.tree(0);
         let p2p = point_to_point_hops(g, root, &dests);
         assert!(
             tree.num_links() < p2p,
@@ -294,7 +399,8 @@ mod tests {
         let g = TileGrid::square(6);
         let root = g.id(0, 0);
         let dests: Vec<TileId> = (0..g.num_tiles() as u32).step_by(5).collect();
-        let tree = CommTree::build(g, root, &dests);
+        let table = TreeTable::single(g, root, &dests);
+        let tree = table.tree(0);
         for &d in tree.dests() {
             // Walk up parents to the root.
             let mut cur = d;
@@ -310,7 +416,8 @@ mod tests {
     #[test]
     fn root_in_dests_is_ignored() {
         let g = TileGrid::square(4);
-        let tree = CommTree::build(g, 5, &[5, 5]);
+        let table = TreeTable::single(g, 5, &[5, 5]);
+        let tree = table.tree(0);
         assert_eq!(tree.num_links(), 0);
         assert!(tree.dests().is_empty());
     }
@@ -318,7 +425,8 @@ mod tests {
     #[test]
     fn duplicate_dests_deduped() {
         let g = TileGrid::square(4);
-        let tree = CommTree::build(g, 0, &[3, 3, 3]);
+        let table = TreeTable::single(g, 0, &[3, 3, 3]);
+        let tree = table.tree(0);
         assert_eq!(tree.dests(), &[3]);
     }
 
@@ -327,7 +435,8 @@ mod tests {
         let g = TileGrid::square(8);
         let root = g.id(3, 3);
         let dests = [g.id(1, 1), g.id(1, 6), g.id(5, 3)];
-        let tree = CommTree::build(g, root, &dests);
+        let table = TreeTable::single(g, root, &dests);
+        let tree = table.tree(0);
         // The branch tile (1,3) forwards for both column dests but is not
         // itself a dest: fan-in = 2 children (north+south), 0 self.
         assert_eq!(tree.reduction_fan_in(g.id(1, 3)), 2);
@@ -394,7 +503,11 @@ mod tests {
         for &(w, h) in &shapes {
             for grid in [TileGrid::new(w, h), TileGrid::mesh(w, h)] {
                 let n = grid.num_tiles() as u64;
-                for _ in 0..40 {
+                // All trees of a grid share one table, so each build
+                // reuses the scratch the previous one left behind.
+                let mut table = TreeTable::new(grid);
+                let mut cases = Vec::new();
+                for k in 0..40 {
                     let root = rng.below(n) as TileId;
                     let len = rng.below(2 * n + 1) as usize;
                     let mut dests: Vec<TileId> = (0..len).map(|_| rng.below(n) as TileId).collect();
@@ -404,8 +517,18 @@ mod tests {
                     if let Some(&d) = dests.first() {
                         dests.push(d);
                     }
-                    let tree = CommTree::build(grid, root, &dests);
-                    let r = reference(grid, root, &dests);
+                    assert_eq!(table.push(root, &dests), k, "ids count up");
+                    if k == 20 {
+                        table.shrink_to_fit();
+                    }
+                    cases.push((root, dests));
+                }
+                assert_eq!(table.len(), cases.len());
+                for (id, (root, dests)) in cases.iter().enumerate() {
+                    let (root, tree) = (*root, table.tree(id as u32));
+                    let single = TreeTable::single(grid, root, dests);
+                    assert_eq!(tree, single.tree(0), "a shared table stores the same tree");
+                    let r = reference(grid, root, dests);
                     let ctx = format!("{w}x{h} torus={} root={root}", grid.is_torus());
                     assert_eq!(tree.dests(), r.dests.as_slice(), "{ctx}");
                     assert_eq!(tree.num_links(), r.parent.len(), "{ctx}");
@@ -445,7 +568,8 @@ mod tests {
     fn link_count_matches_iterator() {
         let g = TileGrid::square(6);
         let dests: Vec<TileId> = vec![7, 14, 21, 28, 35];
-        let tree = CommTree::build(g, 0, &dests);
+        let table = TreeTable::single(g, 0, &dests);
+        let tree = table.tree(0);
         assert_eq!(tree.iter_links().count(), tree.num_links());
         // Tiles = links + 1 (it's a tree).
         assert_eq!(tree.tiles().len(), tree.num_links() + 1);

@@ -131,12 +131,13 @@ impl BiCgStabSim {
     /// Panics if the factor pattern does not match `tril(a)` or the
     /// placement does not match `a`.
     pub fn build_with_factor(a: &Csr, l: &Csr, placement: &Placement, cfg: &SimConfig) -> Self {
+        let (lower, upper) = Program::compile_sptrsv_pair(l, a, placement);
         BiCgStabSim {
             cfg: cfg.clone(),
             a: a.clone(),
             spmv: Program::compile_spmv(a, placement),
-            lower: Program::compile_sptrsv_lower(l, a, placement),
-            upper: Program::compile_sptrsv_upper(l, a, placement),
+            lower,
+            upper,
             vec_model: VecOpModel::new(placement),
             nnz_l: l.nnz(),
         }

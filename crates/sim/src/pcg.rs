@@ -155,13 +155,14 @@ impl PcgSim {
     /// Panics if the factor pattern does not match `tril(a)` or the
     /// placement does not match `a`.
     pub fn build_with_factor(a: &Csr, l: &Csr, placement: &Placement, cfg: &SimConfig) -> Self {
+        let (lower, upper) = Program::compile_sptrsv_pair(l, a, placement);
         PcgSim {
             cfg: cfg.clone(),
             a: a.clone(),
             l: l.clone(),
             spmv: Program::compile_spmv(a, placement),
-            lower: Some(Program::compile_sptrsv_lower(l, a, placement)),
-            upper: Some(Program::compile_sptrsv_upper(l, a, placement)),
+            lower: Some(lower),
+            upper: Some(upper),
             vec_model: VecOpModel::new(placement),
         }
     }
@@ -236,9 +237,10 @@ impl PcgSim {
                 "update_values requires an identical sparsity pattern".into(),
             ));
         }
+        let (lower, upper) = Program::compile_sptrsv_pair(l_new, a_new, placement);
         self.spmv = Program::compile_spmv(a_new, placement);
-        self.lower = Some(Program::compile_sptrsv_lower(l_new, a_new, placement));
-        self.upper = Some(Program::compile_sptrsv_upper(l_new, a_new, placement));
+        self.lower = Some(lower);
+        self.upper = Some(upper);
         self.a = a_new.clone();
         self.l = l_new.clone();
         Ok(())

@@ -316,9 +316,25 @@ mod tests {
             (990_000..=1_000_000).contains(&total),
             "shares + remainder cover the loop, got {total} ppm"
         );
+        // Shares are the recorded wall times scaled by the loop's, so
+        // they follow those times whatever the host's sleeps did.
+        let loop_ns = snap.wall_ns(Component::TickLoop);
+        for &c in ALL.iter().filter(|&&c| c != Component::TickLoop) {
+            assert_eq!(
+                u128::from(snap.share_ppm(c)),
+                u128::from(snap.wall_ns(c)) * 1_000_000 / u128::from(loop_ns),
+                "{c:?}'s share is its wall time over the loop's"
+            );
+        }
+        let (pe, st) = (Component::PeTick, Component::Stats);
+        let (long, short) = if snap.wall_ns(pe) >= snap.wall_ns(st) {
+            (pe, st)
+        } else {
+            (st, pe)
+        };
         assert!(
-            snap.share_ppm(Component::PeTick) > snap.share_ppm(Component::Stats),
-            "the longer scope gets the larger share"
+            snap.share_ppm(long) >= snap.share_ppm(short),
+            "the longer recorded scope gets the larger share"
         );
     }
 

@@ -10,15 +10,26 @@
 //!   completion actions (send a partial, finalize an output element, or
 //!   solve a variable);
 //! * multicast trees for value distribution and reduction trees for
-//!   partial sums (Fig. 18), built with [`CommTree`];
+//!   partial sums (Fig. 18), in one [`TreeTable`];
 //! * initial tasks (SpMV's SendV; SpTRSV's dependence-free rows).
 //!
 //! SpMV, the lower solve `L x = b` and the transpose solve `L^T x = b` all
 //! compile through one generic path over "work items"
 //! `(trigger, target, coeff, tile)`: an item's FMAC fires when the
 //! `trigger` value arrives and accumulates into `target`'s partial sum.
+//! Compiling is linear in the items: counting sorts group them, and
+//! every tile set and lookup is a flat array.
+//!
+//! The two solves of one factor mirror each other: the upper solve's
+//! multicast tree for `j` spans the tiles of row `j`'s strictly-lower
+//! entries, exactly the lower solve's reduction tree for `j`, and the
+//! other way round. [`Program::compile_sptrsv_pair`] builds those trees
+//! once, for both programs.
 
-use azul_mapping::tree::CommTree;
+use std::ops::Range;
+use std::sync::Arc;
+
+use azul_mapping::tree::TreeTable;
 use azul_mapping::{Placement, TileGrid, TileId};
 use azul_sparse::Csr;
 use azul_telemetry::span;
@@ -78,7 +89,7 @@ pub struct Entry {
 }
 
 /// The compiled program of one tile.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TileProgram {
     /// ScaleAndAccumCol entry table, grouped by ascending trigger index.
     pub entries: Vec<Entry>,
@@ -138,8 +149,9 @@ pub struct Program {
     pub n: usize,
     /// The tile grid.
     pub grid: TileGrid,
-    /// All communication trees.
-    pub trees: Vec<CommTree>,
+    /// All communication trees, in one table; the lower and upper
+    /// solves of [`Program::compile_sptrsv_pair`] share theirs.
+    pub trees: Arc<TreeTable>,
     /// Trigger index -> multicast tree (None if the value is never needed
     /// remotely).
     pub x_tree: Vec<Option<u32>>,
@@ -190,7 +202,7 @@ impl Program {
             ProgramKind::Spmv,
             a.rows(),
             placement,
-            items,
+            &items,
             vec![1.0; a.rows()],
         );
         s.annotate("work_items", prog.num_items as u64);
@@ -208,19 +220,8 @@ impl Program {
     /// missing.
     pub fn compile_sptrsv_lower(l: &Csr, a_pattern: &Csr, placement: &Placement) -> Program {
         let mut s = span::span("compile/sptrsv_lower");
-        let (tile_of, inv_diag) = lower_tiles_and_diag(l, a_pattern, placement);
-        let mut items = Vec::new();
-        for (k, (r, c, v)) in l.iter().filter(|&(r, c, _)| c <= r).enumerate() {
-            if c < r {
-                items.push(WorkItem {
-                    trigger: c as u32,
-                    target: r as u32,
-                    coeff: -v,
-                    tile: tile_of[k],
-                });
-            }
-        }
-        let prog = compile(ProgramKind::Sptrsv, l.rows(), placement, items, inv_diag);
+        let (items, inv_diag) = lower_items_and_diag(l, a_pattern, placement);
+        let prog = compile(ProgramKind::Sptrsv, l.rows(), placement, &items, inv_diag);
         s.annotate("work_items", prog.num_items as u64);
         s.annotate("trees", prog.trees.len() as u64);
         prog
@@ -235,22 +236,60 @@ impl Program {
     /// Panics as [`Program::compile_sptrsv_lower`] does.
     pub fn compile_sptrsv_upper(l: &Csr, a_pattern: &Csr, placement: &Placement) -> Program {
         let mut s = span::span("compile/sptrsv_upper");
-        let (tile_of, inv_diag) = lower_tiles_and_diag(l, a_pattern, placement);
-        let mut items = Vec::new();
-        for (k, (r, c, v)) in l.iter().filter(|&(r, c, _)| c <= r).enumerate() {
-            if c < r {
-                items.push(WorkItem {
-                    trigger: r as u32,
-                    target: c as u32,
-                    coeff: -v,
-                    tile: tile_of[k],
-                });
-            }
-        }
-        let prog = compile(ProgramKind::Sptrsv, l.rows(), placement, items, inv_diag);
+        let (mut items, inv_diag) = lower_items_and_diag(l, a_pattern, placement);
+        transpose(&mut items);
+        let prog = compile(ProgramKind::Sptrsv, l.rows(), placement, &items, inv_diag);
         s.annotate("work_items", prog.num_items as u64);
         s.annotate("trees", prog.trees.len() as u64);
         prog
+    }
+
+    /// Compiles [`Program::compile_sptrsv_lower`] and
+    /// [`Program::compile_sptrsv_upper`] together. The two programs mean
+    /// exactly what the separate compiles produce, but share one tree
+    /// table, built once: each tree serves as one solve's multicast and
+    /// the other's reduction, so the upper program's tree ids differ.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Program::compile_sptrsv_lower`] does.
+    pub fn compile_sptrsv_pair(
+        l: &Csr,
+        a_pattern: &Csr,
+        placement: &Placement,
+    ) -> (Program, Program) {
+        let grid = placement.grid();
+        let (n, num_tiles) = (l.rows(), grid.num_tiles());
+        let mut s = span::span("compile/sptrsv_lower");
+        let (mut items, inv_diag) = lower_items_and_diag(l, a_pattern, placement);
+        let layout = Layout::new(n, num_tiles, &items);
+        let routing = Routing::build(placement, &layout);
+        let lower = assemble(
+            ProgramKind::Sptrsv,
+            placement,
+            &items,
+            &layout,
+            inv_diag.clone(),
+            routing.clone(),
+        );
+        s.annotate("work_items", lower.num_items as u64);
+        s.annotate("trees", lower.trees.len() as u64);
+        drop(s);
+
+        let mut s = span::span("compile/sptrsv_upper");
+        transpose(&mut items);
+        let layout = layout.transposed(n, num_tiles, &items);
+        let upper = assemble(
+            ProgramKind::Sptrsv,
+            placement,
+            &items,
+            &layout,
+            inv_diag,
+            routing.transposed(),
+        );
+        s.annotate("work_items", upper.num_items as u64);
+        s.annotate("trees", upper.trees.len() as u64);
+        (lower, upper)
     }
 
     /// The tile program of tile `t`.
@@ -263,13 +302,14 @@ impl Program {
     }
 }
 
-/// Tiles of the lower-triangle entries of `l` (in `l.iter()` order
-/// restricted to `c <= r`) and the reciprocal diagonal.
-fn lower_tiles_and_diag(
+/// The work items of the lower solve `L x = b` (the strictly-lower
+/// entries of `l`, negated, on the tiles `placement` gives the matching
+/// entries of `a_pattern`) and the reciprocal diagonal.
+fn lower_items_and_diag(
     l: &Csr,
     a_pattern: &Csr,
     placement: &Placement,
-) -> (Vec<TileId>, Vec<f64>) {
+) -> (Vec<WorkItem>, Vec<f64>) {
     assert_eq!(
         a_pattern.nnz(),
         placement.num_nnz(),
@@ -282,6 +322,18 @@ fn lower_tiles_and_diag(
         lower_nnz,
         "factor pattern must match tril(A) pattern"
     );
+    let items = l
+        .iter()
+        .filter(|&(r, c, _)| c <= r)
+        .zip(tile_of)
+        .filter(|&((r, c, _), _)| c < r)
+        .map(|((r, c, v), tile)| WorkItem {
+            trigger: c as u32,
+            target: r as u32,
+            coeff: -v,
+            tile,
+        })
+        .collect();
     let inv_diag: Vec<f64> = l
         .diagonal()
         .iter()
@@ -291,73 +343,250 @@ fn lower_tiles_and_diag(
             1.0 / d
         })
         .collect();
-    (tile_of, inv_diag)
+    (items, inv_diag)
 }
 
-/// The generic compiler.
+/// Swaps every item's trigger and target: the lower solve's items
+/// become the transpose solve's.
+fn transpose(items: &mut [WorkItem]) {
+    for it in items {
+        std::mem::swap(&mut it.trigger, &mut it.target);
+    }
+}
+
+/// Per-index tile sets in one flat array: index `i`'s tiles are
+/// `tiles[off[i]..off[i + 1]]`, ascending, each paired with the number
+/// of the index's items on that tile.
+struct TileSets {
+    off: Vec<u32>,
+    tiles: Vec<TileId>,
+    count: Vec<u32>,
+    /// Item -> position of its `(index, tile)` pair in `tiles`.
+    pair_of: Vec<u32>,
+}
+
+impl TileSets {
+    /// Groups `items` by `key` and tile; `order` visits the items tile
+    /// by tile, so every set comes out ascending without a sort.
+    fn new(n: usize, items: &[WorkItem], order: &[u32], key: impl Fn(&WorkItem) -> u32) -> Self {
+        // A pair is new when its tile differs from the index's last one.
+        let mut last = vec![TileId::MAX; n];
+        let mut off = vec![0u32; n + 1];
+        for &k in order {
+            let it = &items[k as usize];
+            let i = key(it) as usize;
+            if last[i] != it.tile {
+                last[i] = it.tile;
+                off[i + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            off[i + 1] += off[i];
+        }
+        let pairs = off[n] as usize;
+        let (mut tiles, mut count) = (vec![0; pairs], vec![0u32; pairs]);
+        let mut pair_of = vec![0u32; items.len()];
+        let mut end = off[..n].to_vec();
+        for &k in order {
+            let it = &items[k as usize];
+            let i = key(it) as usize;
+            let e = end[i] as usize;
+            if e == off[i] as usize || tiles[e - 1] != it.tile {
+                tiles[e] = it.tile;
+                end[i] += 1;
+            }
+            let p = end[i] - 1;
+            count[p as usize] += 1;
+            pair_of[k as usize] = p;
+        }
+        TileSets {
+            off,
+            tiles,
+            count,
+            pair_of,
+        }
+    }
+
+    /// Positions of index `i`'s pairs.
+    fn range(&self, i: usize) -> Range<usize> {
+        self.off[i] as usize..self.off[i + 1] as usize
+    }
+
+    /// Index `i`'s tiles, ascending.
+    fn get(&self, i: usize) -> &[TileId] {
+        &self.tiles[self.range(i)]
+    }
+}
+
+/// Stable counting sort of item ids by `key`, which is below `buckets`.
+fn counting_sort(
+    ids: impl Iterator<Item = u32> + Clone,
+    len: usize,
+    buckets: usize,
+    key: impl Fn(u32) -> usize,
+) -> Vec<u32> {
+    let mut next = vec![0u32; buckets + 1];
+    for k in ids.clone() {
+        next[key(k) + 1] += 1;
+    }
+    for b in 0..buckets {
+        next[b + 1] += next[b];
+    }
+    let mut out = vec![0u32; len];
+    for k in ids {
+        let b = &mut next[key(k)];
+        out[*b as usize] = k;
+        *b += 1;
+    }
+    out
+}
+
+/// The item grouping a program is assembled from.
+struct Layout {
+    /// Item ids in `(tile, trigger, item)` order: the entry tables'
+    /// order.
+    order: Vec<u32>,
+    /// Each trigger's tiles (the multicast destinations).
+    triggers: TileSets,
+    /// Each target's tiles and local FMAC counts (the reduction
+    /// participants and the local share of each slot's `remaining`).
+    targets: TileSets,
+}
+
+impl Layout {
+    fn new(n: usize, num_tiles: usize, items: &[WorkItem]) -> Self {
+        let order = entry_order(n, num_tiles, items);
+        Layout {
+            triggers: TileSets::new(n, items, &order, |it| it.trigger),
+            targets: TileSets::new(n, items, &order, |it| it.target),
+            order,
+        }
+    }
+
+    /// The layout of `items`, this layout's items with trigger and
+    /// target swapped: the sets swap roles, only the order is new.
+    fn transposed(self, n: usize, num_tiles: usize, items: &[WorkItem]) -> Self {
+        Layout {
+            order: entry_order(n, num_tiles, items),
+            triggers: self.targets,
+            targets: self.triggers,
+        }
+    }
+}
+
+/// Item ids in `(tile, trigger, item)` order: two stable counting
+/// passes, by trigger and then by tile.
+fn entry_order(n: usize, num_tiles: usize, items: &[WorkItem]) -> Vec<u32> {
+    let all = 0..items.len() as u32;
+    let by_trigger = counting_sort(all, items.len(), n, |k| items[k as usize].trigger as usize);
+    counting_sort(by_trigger.iter().copied(), items.len(), num_tiles, |k| {
+        items[k as usize].tile as usize
+    })
+}
+
+/// A program's trees: the table and the tree behind each index.
+#[derive(Clone)]
+struct Routing {
+    trees: Arc<TreeTable>,
+    x_tree: Vec<Option<u32>>,
+    partial_tree: Vec<Option<u32>>,
+}
+
+impl Routing {
+    /// Builds the multicast trees (over each trigger's tiles) and then
+    /// the reduction trees (over each target's tiles) into one table.
+    fn build(placement: &Placement, layout: &Layout) -> Self {
+        let mut table = TreeTable::new(placement.grid());
+        let home = placement.vec_tiles();
+        let x_tree = push_trees(&mut table, home, &layout.triggers);
+        let partial_tree = push_trees(&mut table, home, &layout.targets);
+        table.shrink_to_fit();
+        Routing {
+            trees: Arc::new(table),
+            x_tree,
+            partial_tree,
+        }
+    }
+
+    /// The routing of the transposed items ([`Layout::transposed`]):
+    /// each tree changes roles.
+    fn transposed(self) -> Self {
+        Routing {
+            trees: self.trees,
+            x_tree: self.partial_tree,
+            partial_tree: self.x_tree,
+        }
+    }
+}
+
+/// Appends the tree from `home[i]` to each set `i` that reaches beyond
+/// its home tile; returns index -> tree id.
+fn push_trees(table: &mut TreeTable, home: &[TileId], sets: &TileSets) -> Vec<Option<u32>> {
+    home.iter()
+        .enumerate()
+        .map(|(i, &root)| {
+            let set = sets.get(i);
+            set.iter()
+                .any(|&t| t != root)
+                .then(|| table.push(root, set))
+        })
+        .collect()
+}
+
+/// The generic compiler: groups the items, builds their trees and
+/// assembles the program.
 fn compile(
     kind: ProgramKind,
     n: usize,
     placement: &Placement,
-    items: Vec<WorkItem>,
+    items: &[WorkItem],
     inv_diag: Vec<f64>,
 ) -> Program {
+    let layout = Layout::new(n, placement.grid().num_tiles(), items);
+    let routing = Routing::build(placement, &layout);
+    assemble(kind, placement, items, &layout, inv_diag, routing)
+}
+
+/// Allocates the slots, fills the entry tables and schedules the
+/// initial tasks of a program whose trees are built.
+fn assemble(
+    kind: ProgramKind,
+    placement: &Placement,
+    items: &[WorkItem],
+    layout: &Layout,
+    inv_diag: Vec<f64>,
+    routing: Routing,
+) -> Program {
+    let Routing {
+        trees,
+        x_tree,
+        partial_tree,
+    } = routing;
     let grid = placement.grid();
-    let num_tiles = grid.num_tiles();
     let home: Vec<TileId> = placement.vec_tiles().to_vec();
-    let mut tiles: Vec<TileProgram> = vec![TileProgram::default(); num_tiles];
-
-    // One sort of the items by (tile, trigger), item order within a
-    // group, orders the entry tables. Walking it tile by tile also
-    // collects each trigger's tile set and each target's tile set with
-    // the tile's local FMAC count (the local share of the slot's
-    // `remaining`), already sorted and deduplicated.
-    let mut order: Vec<(TileId, u32, u32)> = items
-        .iter()
-        .enumerate()
-        .map(|(k, it)| (it.tile, it.trigger, k as u32))
-        .collect();
-    order.sort_unstable();
-    let mut trigger_tiles: Vec<Vec<TileId>> = vec![Vec::new(); n];
-    let mut target_tiles: Vec<Vec<(TileId, u32)>> = vec![Vec::new(); n];
-    for &(tile, trigger, k) in &order {
-        let tiles_of = &mut trigger_tiles[trigger as usize];
-        if tiles_of.last() != Some(&tile) {
-            tiles_of.push(tile);
-        }
-        let counts = &mut target_tiles[items[k as usize].target as usize];
-        match counts.last_mut() {
-            Some((t, count)) if *t == tile => *count += 1,
-            _ => counts.push((tile, 1)),
-        }
+    let n = home.len();
+    let mut tiles: Vec<TileProgram> = vec![TileProgram::default(); grid.num_tiles()];
+    // Entry tables are the bulk of a program and live as long as it:
+    // size them exactly instead of growing them by doubling.
+    let mut per_tile = vec![0usize; tiles.len()];
+    for it in items {
+        per_tile[it.tile as usize] += 1;
     }
-    let local_count = |i: usize, tile: TileId| -> u32 {
-        target_tiles[i]
-            .binary_search_by_key(&tile, |&(t, _)| t)
-            .map_or(0, |k| target_tiles[i][k].1)
-    };
-
-    // Multicast trees.
-    let mut trees: Vec<CommTree> = Vec::new();
-    let mut x_tree: Vec<Option<u32>> = vec![None; n];
-    for j in 0..n {
-        let root = home[j];
-        if trigger_tiles[j].iter().any(|&t| t != root) {
-            trees.push(CommTree::build(grid, root, &trigger_tiles[j]));
-            x_tree[j] = Some((trees.len() - 1) as u32);
-        }
+    for (tp, len) in tiles.iter_mut().zip(per_tile) {
+        tp.entries.reserve_exact(len);
     }
+    let targets = &layout.targets;
 
-    // Reduction trees and slots.
-    let mut partial_tree: Vec<Option<u32>> = vec![None; n];
-    let mut participants: Vec<TileId> = Vec::new();
-    // Appends a slot to the tile's table. Targets are visited in
-    // ascending order, so every table stays sorted by target.
+    // Reduction slots. Targets are visited in ascending order, so every
+    // tile's slot table stays sorted by target. Each (target, tile) pair
+    // records its slot, so an entry finds its slot in O(1).
+    let mut slot_of_pair = vec![0u32; targets.tiles.len()];
     let alloc_slot = |tiles: &mut Vec<TileProgram>,
                       tile: TileId,
                       remaining: u32,
                       action: SlotAction,
-                      init_from_b: bool| {
+                      init_from_b: bool|
+     -> u32 {
         let tp = &mut tiles[tile as usize];
         debug_assert!(
             tp.slots
@@ -370,94 +599,80 @@ fn compile(
             action,
             init_from_b,
         });
+        (tp.slots.len() - 1) as u32
     };
-
+    let init_from_b = kind == ProgramKind::Sptrsv;
     for i in 0..n {
         let root = home[i];
-        participants.clear();
-        participants.extend(
-            target_tiles[i]
-                .iter()
-                .map(|&(t, _)| t)
-                .filter(|&t| t != root),
-        );
-        let home_local = local_count(i, root);
-
+        let pairs = targets.range(i);
         let home_action = match kind {
             ProgramKind::Spmv => SlotAction::FinalY { target: i as u32 },
             ProgramKind::Sptrsv => SlotAction::Solve { target: i as u32 },
         };
-        let init_from_b = kind == ProgramKind::Sptrsv;
-
-        if participants.is_empty() {
-            // All work local to the home tile.
-            alloc_slot(&mut tiles, root, home_local, home_action, init_from_b);
+        let Some(tree_id) = partial_tree[i] else {
+            // All work local to the home tile (the set is empty or just
+            // the home).
+            let home_local = if pairs.is_empty() {
+                0
+            } else {
+                targets.count[pairs.start]
+            };
+            let slot = alloc_slot(&mut tiles, root, home_local, home_action, init_from_b);
+            if !pairs.is_empty() {
+                slot_of_pair[pairs.start] = slot;
+            }
             if home_local == 0 && kind == ProgramKind::Sptrsv {
                 tiles[root as usize].initial_solves.push(i as u32);
             }
             continue;
-        }
-        let tree = CommTree::build(grid, root, &participants);
-        let tree_id = trees.len() as u32;
-        // Build slots on every combining node of the tree.
-        for node in tree.nodes() {
+        };
+        // A slot on every combining node of the tree. The tree's tiles
+        // and the target's set are both ascending: one merge walk.
+        let mut p = pairs.start;
+        for node in trees.tree(tree_id).nodes() {
             let (t, children) = (node.tile, node.children.len() as u32);
-            if t == root {
-                alloc_slot(
-                    &mut tiles,
-                    root,
-                    home_local + children,
-                    home_action,
-                    init_from_b,
-                );
-            } else if node.is_dest {
-                let local = local_count(i, t);
-                debug_assert!(local > 0, "tree dests hold local work");
-                alloc_slot(
-                    &mut tiles,
-                    t,
-                    local + children,
-                    SlotAction::SendPartial { target: i as u32 },
-                    false,
-                );
-            } else if children >= 2 {
-                alloc_slot(
-                    &mut tiles,
-                    t,
-                    children,
-                    SlotAction::SendPartial { target: i as u32 },
-                    false,
-                );
+            while p < pairs.end && targets.tiles[p] < t {
+                p += 1;
             }
-            // children == 1 non-dest: pure relay, router-only.
+            let pair = (p < pairs.end && targets.tiles[p] == t).then_some(p);
+            let local = pair.map_or(0, |p| targets.count[p]);
+            let partial = SlotAction::SendPartial { target: i as u32 };
+            let slot = if t == root {
+                alloc_slot(&mut tiles, root, local + children, home_action, init_from_b)
+            } else if node.is_dest {
+                debug_assert!(local > 0, "tree dests hold local work");
+                alloc_slot(&mut tiles, t, local + children, partial, false)
+            } else if children >= 2 {
+                alloc_slot(&mut tiles, t, children, partial, false)
+            } else {
+                // children == 1 non-dest: pure relay, router-only.
+                continue;
+            };
+            if let Some(p) = pair {
+                slot_of_pair[p] = slot;
+            }
         }
-        trees.push(tree);
-        partial_tree[i] = Some(tree_id);
     }
 
-    // Entry tables in (tile, trigger) order, slots already allocated.
-    for &(tile, trigger, k) in &order {
-        let tp = &mut tiles[tile as usize];
+    // Entry tables in (tile, trigger, item) order.
+    for &k in &layout.order {
         let it = &items[k as usize];
-        let slot = tp
-            .combine_slot(it.target)
-            // azul-lint: allow(unwrap-in-pipeline) compile allocated a slot for every local target just above
-            .expect("slot allocated for every local target");
+        let tp = &mut tiles[it.tile as usize];
         tp.entries.push(Entry {
-            slot,
+            slot: slot_of_pair[targets.pair_of[k as usize] as usize],
             coeff: it.coeff,
         });
         let end = tp.entries.len() as u32;
         match tp.saac.last_mut() {
-            Some(row) if row.0 == trigger => row.1 = end,
-            _ => tp.saac.push((trigger, end)),
+            Some(row) if row.0 == it.trigger => row.1 = end,
+            _ => tp.saac.push((it.trigger, end)),
         }
     }
 
     // Initial SendV tasks (SpMV): every trigger whose value is consumed.
     if kind == ProgramKind::Spmv {
         for j in 0..n {
-            if !trigger_tiles[j].is_empty() {
+            if !layout.triggers.range(j).is_empty() {
                 tiles[home[j] as usize].send_v.push(j as u32);
             }
         }
@@ -476,6 +691,9 @@ fn compile(
         num_items: items.len(),
     }
 }
+
+#[cfg(test)]
+mod oracle_tests;
 
 #[cfg(test)]
 mod tests {

@@ -237,7 +237,7 @@ fn route_of(program: &Program, tile: TileId, flit: Flit) -> ([(usize, TileId); 4
             // Compiler invariant: every routed x flit got a tree.
             let tree_id = program.x_tree[flit.idx as usize].expect("multicast flit has a tree");
             // A tile outside the tree has nothing to forward or deliver.
-            if let Some(node) = program.trees[tree_id as usize].node(tile) {
+            if let Some(node) = program.trees.tree(tree_id).node(tile) {
                 for (&child, &dir) in node.children.iter().zip(node.child_dirs) {
                     out_dirs[out_n] = (dir.index(), child);
                     out_n += 1;
@@ -254,7 +254,9 @@ fn route_of(program: &Program, tile: TileId, flit: Flit) -> ([(usize, TileId); 4
                 let tree_id =
                     program.partial_tree[flit.idx as usize].expect("partial flit has a tree");
                 // Tree roots combine locally, never route partials.
-                let (parent, dir) = program.trees[tree_id as usize]
+                let (parent, dir) = program
+                    .trees
+                    .tree(tree_id)
                     .node(tile)
                     .and_then(|node| node.up)
                     .expect("non-root tile climbing a reduction tree");
@@ -467,9 +469,9 @@ mod tests {
         let j = (0..prog.n)
             .find(|&j| prog.x_tree[j].is_some())
             .expect("some column is multi-tile under round-robin");
-        let tree_id = prog.x_tree[j].unwrap() as usize;
-        let dests: Vec<TileId> = prog.trees[tree_id].dests().to_vec();
-        let root = prog.trees[tree_id].root();
+        let tree_id = prog.x_tree[j].unwrap();
+        let dests: Vec<TileId> = prog.trees.tree(tree_id).dests().to_vec();
+        let root = prog.trees.tree(tree_id).root();
 
         let num = prog.grid.num_tiles();
         let mut routers: Vec<Router> = (0..num as u32).map(|t| Router::new(t, 16)).collect();
@@ -497,7 +499,7 @@ mod tests {
         }
         assert_eq!(
             stats.link_activations as usize,
-            prog.trees[tree_id].num_links()
+            prog.trees.tree(tree_id).num_links()
         );
         // Root does not deliver to itself.
         if !dests.contains(&root) {
@@ -511,8 +513,8 @@ mod tests {
         let i = (0..prog.n)
             .find(|&i| prog.partial_tree[i].is_some())
             .expect("some row spans tiles");
-        let tree_id = prog.partial_tree[i].unwrap() as usize;
-        let tree = &prog.trees[tree_id];
+        let tree_id = prog.partial_tree[i].unwrap();
+        let tree = prog.trees.tree(tree_id);
         let leaf = *tree.dests().last().unwrap();
         let home = tree.root();
 
@@ -547,8 +549,8 @@ mod tests {
     fn hop_latency_delays_arrival() {
         let prog = spmv_program_2x2();
         let j = (0..prog.n).find(|&j| prog.x_tree[j].is_some()).unwrap();
-        let tree_id = prog.x_tree[j].unwrap() as usize;
-        let root = prog.trees[tree_id].root();
+        let tree_id = prog.x_tree[j].unwrap();
+        let root = prog.trees.tree(tree_id).root();
         let num = prog.grid.num_tiles();
 
         let run = |hop: u64| -> u64 {
@@ -567,7 +569,7 @@ mod tests {
             for cycle in 0..200 {
                 tick_routers(cycle, hop, &mut routers, &prog, &mut deliveries, &mut stats);
                 if deliveries.iter().map(Vec::len).sum::<usize>()
-                    == prog.trees[tree_id].dests().len()
+                    == prog.trees.tree(tree_id).dests().len()
                 {
                     return cycle;
                 }

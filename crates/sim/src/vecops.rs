@@ -16,7 +16,7 @@
 
 use crate::config::{PeModel, SimConfig};
 use crate::stats::{KernelStats, OpKind};
-use azul_mapping::tree::CommTree;
+use azul_mapping::tree::TreeTable;
 use azul_mapping::{Placement, TileId};
 
 /// The dense-vector kernels of PCG.
@@ -59,7 +59,8 @@ impl VecOpModel {
         let holders: Vec<TileId> = (0..grid.num_tiles() as u32)
             .filter(|&t| elems[t as usize] > 0)
             .collect();
-        let tree = CommTree::build(grid, 0, &holders);
+        let table = TreeTable::single(grid, 0, &holders);
+        let tree = table.tree(0);
         // Longest leaf-to-root path.
         let mut depth = 0u32;
         for &d in tree.dests() {

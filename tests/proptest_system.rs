@@ -4,7 +4,7 @@
 
 use azul::hypergraph::{HypergraphBuilder, PartitionConfig};
 use azul::mapping::strategies::{AzulMapper, BlockMapper, Mapper, RoundRobinMapper};
-use azul::mapping::tree::CommTree;
+use azul::mapping::tree::TreeTable;
 use azul::mapping::TileGrid;
 use azul::sim::config::SimConfig;
 use azul::sim::machine::run_kernel;
@@ -94,7 +94,8 @@ proptest! {
         let max = grid.num_tiles() as u32;
         let root = root % max;
         let dests: Vec<u32> = dests.iter().map(|d| d % max).collect();
-        let tree = CommTree::build(grid, root, &dests);
+        let table = TreeTable::single(grid, root, &dests);
+        let tree = table.tree(0);
         for &d in tree.dests() {
             let mut cur = d;
             let mut hops = 0;

@@ -11,7 +11,7 @@ use std::time::Duration;
 use azul::serve::{serve_batch, BatchReport, ServeConfig, ServeError, SolveRequest};
 use azul::sim::faults::FaultPlan;
 use azul::sparse::generate;
-use azul::{AzulConfig, EscalationPolicy};
+use azul::{AzulConfig, AzulError, EscalationPolicy};
 
 fn rhs(n: usize, salt: u64) -> Vec<f64> {
     (0..n)
@@ -113,6 +113,28 @@ fn transient_failures_follow_the_documented_backoff_schedule() {
     assert_eq!(out.backoff_ticks, vec![2, 4, 6], "min(2 << k, 6)");
     assert!(matches!(out.result, Err(ServeError::Solve(_))));
     assert!(out.journal.contains("\"backoff_ticks\": ["));
+    assert!(out.journal.contains("\"outcome\": \"failed\""));
+}
+
+#[test]
+fn non_finite_rhs_fails_typed_without_retries() {
+    // An input error is a property of the request: the supervisor
+    // spends no ladder attempt on it and the service no retry.
+    let mut cfg = overloaded_config(1);
+    cfg.retry.max_retries = 3;
+    let a = generate::grid_laplacian_2d(8, 8);
+    let mut b = rhs(a.rows(), 0);
+    b[3] = f64::NAN;
+    let report = serve_batch(cfg, vec![SolveRequest::new("nan-rhs", a, b)]);
+    let out = &report.outcomes[0];
+    match &out.result {
+        Err(ServeError::Solve(AzulError::Input(msg))) => {
+            assert!(msg.contains("rhs entry 3"), "{msg}")
+        }
+        other => panic!("expected a typed input error, got {other:?}"),
+    }
+    assert_eq!(out.attempts, 1, "no service-level retry");
+    assert!(out.backoff_ticks.is_empty());
     assert!(out.journal.contains("\"outcome\": \"failed\""));
 }
 
