@@ -39,8 +39,8 @@ impl TrafficReport {
         self.messages += tree.dests().len() as u64;
         self.link_hops += tree.num_links() as u64;
         for node in tree.nodes() {
-            for &dir in node.child_dirs {
-                let idx = node.tile as usize * 4 + dir.index();
+            for (dir, _) in node.children() {
+                let idx = node.tile() as usize * 4 + dir.index();
                 self.per_link[idx] += 1;
                 self.max_link_load = self.max_link_load.max(self.per_link[idx]);
             }

@@ -9,34 +9,40 @@
 //!
 //! A compiled program holds thousands of trees, and routers read them on
 //! every cycle, so every tree of a program lives in one [`TreeTable`]:
-//! flat node and destination arrays with a range per tree. A
-//! [`CommTree`] is a borrowed view of one tree in such a table.
+//! flat row and destination arrays with a range per tree. A flit names
+//! the row it is at, so a router reads that row and nothing else
+//! ([`TreeTable::row`]). A [`CommTree`] is a borrowed view of one tree
+//! in such a table.
+
+use std::fmt;
 
 use crate::grid::{Direction, TileGrid, TileId};
 
 /// Every tree of a program, in one flat table.
 ///
-/// A tree's rows are a contiguous run of the node array, one per tree
-/// tile, sorted by tile id, holding the tile's parent, its children (at
-/// most four, one per direction) and the direction of each link; its
-/// destinations are a sorted run of the destination array. A lookup is
-/// one binary search within the run. [`TreeTable::push`] builds a tree
-/// in place, reusing the table's scratch buffers, so filling a table
-/// allocates only as its arrays grow.
+/// A tree's rows are a contiguous run of the row array, one per tree
+/// tile, sorted by tile id. A row holds its tile, the direction of each
+/// link, and each linked row (the parent and at most four children, one
+/// per direction) as an offset from itself, so a tree's rows mean the
+/// same in any table. Its destinations are a sorted run of the
+/// destination array. [`TreeTable::push`] builds a tree in place,
+/// reusing the table's scratch buffers, so filling a table allocates
+/// only as its arrays grow.
 #[derive(Debug, Clone)]
 pub struct TreeTable {
     grid: TileGrid,
-    /// Per tree: its root and its runs of `nodes` and `dests`.
+    /// Per tree: its root row and its runs of `nodes` and `dests`.
     spans: Vec<Span>,
     nodes: Vec<Node>,
     dests: Vec<TileId>,
     scratch: Scratch,
 }
 
-/// One tree's root and its runs of the table's arrays.
+/// One tree's root row and its runs of the table's arrays.
 #[derive(Debug, Clone, Copy)]
 struct Span {
-    root: TileId,
+    /// The root's row.
+    root: u32,
     nodes: (u32, u32),
     dests: (u32, u32),
 }
@@ -46,9 +52,15 @@ struct Span {
 struct Scratch {
     /// The destination set, sorted and deduplicated, without the root.
     uniq: Vec<TileId>,
-    /// Node index of the tile `k` steps along the root's row, east / west.
+    /// The tree's rows in build order, linked by build index.
+    built: Vec<Node>,
+    /// `(tile, build index)` per built row, sorted into row order.
+    keys: Vec<u64>,
+    /// Build index -> the row's position in the tree.
+    pos: Vec<u32>,
+    /// Build index of the tile `k` steps along the root's row, east / west.
     row: [Vec<u32>; 2],
-    /// Per column, south / north: steps reached and the last node.
+    /// Per column, south / north: steps reached and the last build index.
     col: Vec<[(usize, u32); 2]>,
 }
 
@@ -57,24 +69,30 @@ struct Scratch {
 ///
 /// For a multicast, data flows root → leaves; for a reduction the same
 /// tree is used leaves → root, with intermediate tiles combining partials.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Two views are equal when their trees are, whichever tables hold them.
+#[derive(Clone, Copy)]
 pub struct CommTree<'a> {
-    root: TileId,
-    /// Every tile of the tree (root, forwarders, leaves), sorted by tile.
-    nodes: &'a [Node],
+    /// Every row of the table the tree lives in.
+    table: &'a [Node],
+    span: Span,
     /// Destination (participant) tiles, sorted.
     dests: &'a [TileId],
 }
 
 /// One tree tile's row in a [`TreeTable`].
+///
+/// A table's rows are the bulk of a compiled program's trees, so a row
+/// stays small: 32 bytes, at most 36 (`row_fits_in_36_bytes`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Node {
     tile: TileId,
-    /// Parent and the direction of the link up to it; `None` at the root.
-    up: Option<(TileId, Direction)>,
-    /// Children in the order the routes first reached them; the first
-    /// `kid_len` entries are used.
-    kids: [TileId; 4],
+    /// Offset from this row to the parent's row; 0 at the root.
+    up: i32,
+    /// Offset from this row to each child's row, children in the order
+    /// the routes first reached them; the first `kid_len` are used.
+    kids: [i32; 4],
+    /// Direction of the link up to the parent (unused at the root).
+    up_dir: Direction,
     /// Direction of the link to each child.
     kid_dirs: [Direction; 4],
     kid_len: u8,
@@ -82,60 +100,119 @@ struct Node {
 }
 
 impl Node {
-    fn new(tile: TileId, up: Option<(TileId, Direction)>) -> Self {
+    /// A childless row of `tile`; its links hold build indices until
+    /// [`TreeTable::push`] turns them into offsets.
+    fn new(tile: TileId, up: u32, up_dir: Direction) -> Self {
         Node {
             tile,
-            up,
+            up: up as i32,
             kids: [0; 4],
+            up_dir,
             kid_dirs: [Direction::East; 4],
             kid_len: 0,
             is_dest: false,
         }
     }
+}
 
-    fn view(&self) -> TreeNode<'_> {
-        let len = self.kid_len as usize;
-        TreeNode {
-            tile: self.tile,
-            children: &self.kids[..len],
-            child_dirs: &self.kid_dirs[..len],
-            up: self.up,
-            is_dest: self.is_dest,
-        }
+/// A tree tile's row, as a router reads it: the tile, whether it is a
+/// destination, and its links, each to another row of the same table.
+#[derive(Clone, Copy)]
+pub struct TreeRow<'a> {
+    table: &'a [Node],
+    at: u32,
+}
+
+impl fmt::Debug for TreeRow<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TreeRow")
+            .field("index", &self.at)
+            .field("row", self.node())
+            .finish()
     }
 }
 
-/// A tree tile's links, as a router reads them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TreeNode<'a> {
+impl<'a> TreeRow<'a> {
+    fn node(self) -> &'a Node {
+        &self.table[self.at as usize]
+    }
+
+    fn linked(self, offset: i32) -> TreeRow<'a> {
+        TreeRow {
+            table: self.table,
+            at: self.at.wrapping_add_signed(offset),
+        }
+    }
+
+    /// The row's index in its table.
+    pub fn index(self) -> u32 {
+        self.at
+    }
+
     /// The tile.
-    pub tile: TileId,
-    /// Children, in the order the tree's routes first reached them.
-    pub children: &'a [TileId],
-    /// Direction of the link to each child (parallel to `children`).
-    pub child_dirs: &'a [Direction],
-    /// Parent and the direction of the link up to it; `None` at the root.
-    pub up: Option<(TileId, Direction)>,
+    pub fn tile(self) -> TileId {
+        self.node().tile
+    }
+
     /// Whether the tile is a destination.
-    pub is_dest: bool,
+    pub fn is_dest(self) -> bool {
+        self.node().is_dest
+    }
+
+    /// Whether this is the tree's root.
+    pub fn is_root(self) -> bool {
+        self.node().up == 0
+    }
+
+    /// Number of children.
+    pub fn num_children(self) -> usize {
+        usize::from(self.node().kid_len)
+    }
+
+    /// Whether a reduction combines partials here: at the root, at a
+    /// destination, and where two or more branches meet. Any other row
+    /// only relays a partial up to its parent.
+    pub fn combines(self) -> bool {
+        let n = self.node();
+        n.up == 0 || n.is_dest || n.kid_len >= 2
+    }
+
+    /// Each child's link direction and row, in the order the tree's
+    /// routes first reached them.
+    pub fn children(self) -> impl Iterator<Item = (Direction, TreeRow<'a>)> + 'a {
+        let n = self.node();
+        let len = usize::from(n.kid_len);
+        n.kid_dirs[..len]
+            .iter()
+            .zip(&n.kids[..len])
+            .map(move |(&dir, &off)| (dir, self.linked(off)))
+    }
+
+    /// The direction of the link up to the parent and the parent's row;
+    /// `None` at the root.
+    pub fn parent(self) -> Option<(Direction, TreeRow<'a>)> {
+        let n = self.node();
+        (n.up != 0).then(|| (n.up_dir, self.linked(n.up)))
+    }
 }
 
-/// Appends tile `child` to the node table below node `parent`, linked
-/// in direction `dir`; returns the new node's index.
+/// Appends tile `child` to the built rows below build index `parent`,
+/// linked in direction `dir`; returns the new row's build index.
 fn push_child(
-    nodes: &mut Vec<Node>,
+    built: &mut Vec<Node>,
     grid: TileGrid,
     parent: u32,
     child: usize,
     dir: Direction,
 ) -> u32 {
-    let p = &mut nodes[parent as usize];
-    p.kids[p.kid_len as usize] = child as TileId;
+    let b = built.len() as u32;
+    let p = &mut built[parent as usize];
+    p.kids[p.kid_len as usize] = b as i32;
     p.kid_dirs[p.kid_len as usize] = grid.link_direction(dir);
     p.kid_len += 1;
-    let up = (p.tile, grid.link_direction(dir.opposite()));
-    nodes.push(Node::new(child as TileId, Some(up)));
-    (nodes.len() - 1) as u32
+    let up_dir = grid.link_direction(dir.opposite());
+    built.push(Node::new(child as TileId, parent, up_dir));
+    b
 }
 
 /// Tile `k` steps from `origin` along a ring of `n` tiles, forward
@@ -184,12 +261,33 @@ impl TreeTable {
     ///
     /// Panics if `id` is out of range.
     pub fn tree(&self, id: u32) -> CommTree<'_> {
-        let s = self.spans[id as usize];
+        let span = self.spans[id as usize];
         CommTree {
-            root: s.root,
-            nodes: &self.nodes[s.nodes.0 as usize..s.nodes.1 as usize],
-            dests: &self.dests[s.dests.0 as usize..s.dests.1 as usize],
+            table: &self.nodes,
+            span,
+            dests: &self.dests[span.dests.0 as usize..span.dests.1 as usize],
         }
+    }
+
+    /// Row `r`, as a flit names it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of range.
+    pub fn row(&self, r: u32) -> TreeRow<'_> {
+        TreeRow {
+            table: &self.nodes,
+            at: r,
+        }
+    }
+
+    /// The root row of tree `id`, where its multicasts start.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn root_row(&self, id: u32) -> u32 {
+        self.spans[id as usize].root
     }
 
     /// Releases the arrays' spare capacity and the build scratch: a
@@ -208,7 +306,14 @@ impl TreeTable {
     /// is dropped from the destination set — it already has the value).
     pub fn push(&mut self, root: TileId, dests: &[TileId]) -> u32 {
         let grid = self.grid;
-        let Scratch { uniq, row, col } = &mut self.scratch;
+        let Scratch {
+            uniq,
+            built,
+            keys,
+            pos,
+            row,
+            col,
+        } = &mut self.scratch;
         uniq.clear();
         uniq.extend(dests.iter().copied().filter(|&d| d != root));
         uniq.sort_unstable();
@@ -222,18 +327,16 @@ impl TreeTable {
         // Distinct steps name distinct tiles (shortest offsets never wrap
         // a ring), so routes from one root share exactly a prefix, and
         // steps beyond how far the tree already reaches in that row or
-        // column direction are new. The walk appends new tiles in the
+        // column direction are new. The walk builds new tiles in the
         // order routes reach them, so each parent's children keep that
-        // order, then one sort orders the tree's rows by tile.
+        // order; one sort then places every row by tile.
         let (w, h) = (grid.width(), grid.height());
         let (rx, ry) = grid.coord(root);
-        let nodes = &mut self.nodes;
-        let start = nodes.len();
-        let root_ix = start as u32;
-        nodes.push(Node::new(root, None));
+        built.clear();
+        built.push(Node::new(root, 0, Direction::East));
         for r in row.iter_mut() {
             r.clear();
-            r.push(root_ix);
+            r.push(0);
         }
         for &d in uniq.iter() {
             let (dx, dy) = grid.offset((rx, ry), d);
@@ -248,7 +351,7 @@ impl TreeTable {
             for k in row_nodes.len()..=nx {
                 let child = ry * w + ring_step(rx, k, east, w);
                 let parent = row_nodes[k - 1];
-                row_nodes.push(push_child(nodes, grid, parent, child, x_dir));
+                row_nodes.push(push_child(built, grid, parent, child, x_dir));
             }
             let cx = ring_step(rx, nx, east, w);
             let y_dir = if south {
@@ -262,23 +365,47 @@ impl TreeTable {
             }
             for k in *reach + 1..=ny {
                 let child = ring_step(ry, k, south, h) * w + cx;
-                *last = push_child(nodes, grid, *last, child, y_dir);
+                *last = push_child(built, grid, *last, child, y_dir);
             }
             *reach = (*reach).max(ny);
         }
-        let tree_nodes = &mut nodes[start..];
-        tree_nodes.sort_unstable_by_key(|n| n.tile);
+
+        // Sort (tile, build index) keys, note where each built row lands,
+        // then write the rows in their final order with their links as
+        // offsets between final positions.
+        keys.clear();
+        keys.extend(
+            built
+                .iter()
+                .enumerate()
+                .map(|(b, n)| (u64::from(n.tile) << 32) | b as u64),
+        );
+        keys.sort_unstable();
+        pos.resize(built.len(), 0);
+        for (s, &key) in keys.iter().enumerate() {
+            pos[key as u32 as usize] = s as u32;
+        }
+        let start = self.nodes.len();
+        self.nodes.reserve(built.len());
         let mut di = 0usize;
-        for n in tree_nodes {
+        for (s, &key) in keys.iter().enumerate() {
+            let b = key as u32 as usize;
+            let at = |link: i32| pos[link as usize] as i32 - s as i32;
+            let mut n = built[b];
+            n.up = if b == 0 { 0 } else { at(n.up) };
+            for k in &mut n.kids[..usize::from(n.kid_len)] {
+                *k = at(*k);
+            }
             while di < uniq.len() && uniq[di] < n.tile {
                 di += 1;
             }
             n.is_dest = uniq.get(di) == Some(&n.tile);
+            self.nodes.push(n);
         }
         let dest_start = self.dests.len();
         self.dests.extend_from_slice(uniq);
         self.spans.push(Span {
-            root,
+            root: (start + pos[0] as usize) as u32,
             nodes: (start as u32, self.nodes.len() as u32),
             dests: (dest_start as u32, self.dests.len() as u32),
         });
@@ -287,9 +414,21 @@ impl TreeTable {
 }
 
 impl<'a> CommTree<'a> {
+    /// The tree's rows, in tile order.
+    fn rows(&self) -> &'a [Node] {
+        &self.table[self.span.nodes.0 as usize..self.span.nodes.1 as usize]
+    }
+
+    fn view(&self, k: usize) -> TreeRow<'a> {
+        TreeRow {
+            table: self.table,
+            at: self.span.nodes.0 + k as u32,
+        }
+    }
+
     /// The root tile.
     pub fn root(&self) -> TileId {
-        self.root
+        self.table[self.span.root as usize].tile
     }
 
     /// The destination (participant) tiles, sorted, excluding the root.
@@ -302,49 +441,71 @@ impl<'a> CommTree<'a> {
         self.dests.binary_search(&t).is_ok()
     }
 
-    /// The links of tree tile `t`, or `None` for tiles outside the tree.
-    pub fn node(&self, t: TileId) -> Option<TreeNode<'a>> {
-        let k = self.nodes.binary_search_by_key(&t, |n| n.tile).ok()?;
-        Some(self.nodes[k].view())
+    /// The row of tree tile `t`, or `None` for tiles outside the tree.
+    pub fn node(&self, t: TileId) -> Option<TreeRow<'a>> {
+        let k = self.rows().binary_search_by_key(&t, |n| n.tile).ok()?;
+        Some(self.view(k))
     }
 
-    /// Every tree tile's links, in tile order.
-    pub fn nodes(&self) -> impl Iterator<Item = TreeNode<'a>> + 'a {
-        self.nodes.iter().map(Node::view)
+    /// Every tree tile's row, in tile order.
+    pub fn nodes(&self) -> impl Iterator<Item = TreeRow<'a>> + 'a {
+        let tree = *self;
+        (0..self.rows().len()).map(move |k| tree.view(k))
     }
 
-    /// Children of `t` in the tree (empty for leaves and tiles outside the
-    /// tree).
-    pub fn children_of(&self, t: TileId) -> &'a [TileId] {
-        self.node(t).map_or(&[], |n| n.children)
+    /// Children of `t` in the tree (none for leaves and tiles outside
+    /// the tree), in the order the tree's routes first reached them.
+    pub fn children_of(&self, t: TileId) -> impl Iterator<Item = TileId> + 'a {
+        self.node(t)
+            .into_iter()
+            .flat_map(|n| n.children().map(|(_, c)| c.tile()))
     }
 
     /// Parent of `t`, or `None` for the root / tiles outside the tree.
     pub fn parent_of(&self, t: TileId) -> Option<TileId> {
-        self.node(t)?.up.map(|(p, _)| p)
+        self.node(t)?.parent().map(|(_, p)| p.tile())
     }
 
     /// Number of tree links; one multicast traverses each exactly once.
     pub fn num_links(&self) -> usize {
-        self.nodes.len() - 1
+        self.rows().len() - 1
     }
 
     /// All tiles that participate in the tree (root, forwarders, leaves).
     pub fn tiles(&self) -> Vec<TileId> {
-        self.nodes.iter().map(|n| n.tile).collect()
+        self.rows().iter().map(|n| n.tile).collect()
     }
 
     /// Iterates over directed links `(parent, child)`, by parent tile.
     pub fn iter_links(&self) -> impl Iterator<Item = (TileId, TileId)> + 'a {
         self.nodes()
-            .flat_map(|n| n.children.iter().map(move |&c| (n.tile, c)))
+            .flat_map(|n| n.children().map(move |(_, c)| (n.tile(), c.tile())))
     }
 
     /// For a reduction: the number of inputs each participating tile must
     /// combine before forwarding up (children contributions plus one if
     /// the tile is itself a destination/leaf contributor).
     pub fn reduction_fan_in(&self, t: TileId) -> usize {
-        self.children_of(t).len() + usize::from(self.is_dest(t) || t == self.root)
+        self.children_of(t).count() + usize::from(self.is_dest(t) || t == self.root())
+    }
+}
+
+impl PartialEq for CommTree<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let root = |t: &Self| t.span.root - t.span.nodes.0;
+        self.rows() == other.rows() && root(self) == root(other) && self.dests == other.dests
+    }
+}
+
+impl Eq for CommTree<'_> {}
+
+impl fmt::Debug for CommTree<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CommTree")
+            .field("root", &self.root())
+            .field("rows", &self.rows())
+            .field("dests", &self.dests)
+            .finish()
     }
 }
 
@@ -370,7 +531,7 @@ mod tests {
         let t = table.tree(0);
         assert_eq!(t.num_links(), 3);
         assert_eq!(t.dests(), &[g.id(6, 3)]);
-        assert_eq!(t.children_of(g.id(3, 3)), &[g.id(4, 3)]);
+        assert!(t.children_of(g.id(3, 3)).eq([g.id(4, 3)]));
     }
 
     #[test]
@@ -528,6 +689,9 @@ mod tests {
                     let (root, tree) = (*root, table.tree(id as u32));
                     let single = TreeTable::single(grid, root, dests);
                     assert_eq!(tree, single.tree(0), "a shared table stores the same tree");
+                    let root_row = table.row(table.root_row(id as u32));
+                    assert_eq!(root_row.tile(), root, "the span names the root's row");
+                    assert!(root_row.is_root());
                     let r = reference(grid, root, dests);
                     let ctx = format!("{w}x{h} torus={} root={root}", grid.is_torus());
                     assert_eq!(tree.dests(), r.dests.as_slice(), "{ctx}");
@@ -544,24 +708,47 @@ mod tests {
                     assert_eq!(tree.tiles(), ref_tiles, "{ctx}");
                     for t in 0..n as TileId {
                         let kids = r.children.get(&t).map_or(&[][..], Vec::as_slice);
-                        assert_eq!(tree.children_of(t), kids, "{ctx} tile {t}");
+                        assert!(
+                            tree.children_of(t).eq(kids.iter().copied()),
+                            "{ctx} tile {t}"
+                        );
                         assert_eq!(tree.parent_of(t), r.parent.get(&t).copied(), "{ctx}");
                         assert_eq!(tree.is_dest(t), r.dests.contains(&t), "{ctx}");
                         let Some(node) = tree.node(t) else {
                             assert!(ref_tiles.binary_search(&t).is_err(), "{ctx}");
                             continue;
                         };
-                        assert_eq!(node.is_dest, tree.is_dest(t), "{ctx}");
-                        for (&c, &dir) in node.children.iter().zip(node.child_dirs) {
-                            assert_eq!(dir.index(), scanned_dir(grid, t, c), "{ctx}");
+                        assert_eq!(node.is_dest(), tree.is_dest(t), "{ctx}");
+                        assert_eq!(node.tile(), t, "{ctx}");
+                        assert_eq!(node.is_root(), t == root, "{ctx}");
+                        // A flit reads the same row through the table.
+                        let row = table.row(node.index());
+                        assert_eq!((row.tile(), row.index()), (t, node.index()), "{ctx}");
+                        for (dir, c) in node.children() {
+                            assert_eq!(dir.index(), scanned_dir(grid, t, c.tile()), "{ctx}");
+                            let (up_dir, up) = c.parent().expect("a child has a parent");
+                            assert_eq!(up.index(), node.index(), "{ctx}: links agree");
+                            assert_eq!(up_dir.index(), scanned_dir(grid, c.tile(), t), "{ctx}");
                         }
-                        if let Some((p, dir)) = node.up {
-                            assert_eq!(dir.index(), scanned_dir(grid, t, p), "{ctx}");
+                        if let Some((dir, p)) = node.parent() {
+                            assert_eq!(dir.index(), scanned_dir(grid, t, p.tile()), "{ctx}");
                         }
+                        let combines = node.is_root() || node.is_dest() || kids.len() >= 2;
+                        assert_eq!(node.combines(), combines, "{ctx}");
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn row_fits_in_36_bytes() {
+        // Routers read a row per head per cycle, and the rows are most of
+        // a program's tree memory. A layout that stored each child's
+        // absolute row beside its tile id took 56 bytes and raised peak
+        // RSS of the 16x16 sim benchmarks by 25-35%, past their 15%
+        // bound; offsets to the linked rows keep a row at 32.
+        assert!(std::mem::size_of::<Node>() <= 36);
     }
 
     #[test]

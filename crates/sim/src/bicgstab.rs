@@ -164,7 +164,7 @@ impl BiCgStabSim {
     /// # Errors
     ///
     /// Returns [`SimError::Input`] when `b.len()` differs from the matrix
-    /// dimension, and [`SimError::Deadlock`] when a simulated kernel stops
+    /// dimension or an entry of `b` is not finite, and [`SimError::Deadlock`] when a simulated kernel stops
     /// making progress or exceeds the cycle cap.
     #[must_use = "a dropped result discards both the solve report and the structured failure"]
     pub fn try_run(
@@ -455,6 +455,19 @@ mod tests {
             .try_run(&rhs(a.rows() - 1), &BiCgStabSimConfig::default())
             .unwrap_err();
         assert!(matches!(err, SimError::Input { .. }), "{err}");
+    }
+
+    #[test]
+    fn non_finite_rhs_is_a_typed_input_error() {
+        let a = generate::grid_laplacian_2d(6, 6);
+        let grid = TileGrid::new(2, 2);
+        let p = RoundRobinMapper.map(&a, grid);
+        let sim = BiCgStabSim::build(&a, &p, &SimConfig::azul(grid)).unwrap();
+        let mut b = rhs(a.rows());
+        b[0] = f64::NAN;
+        let err = sim.try_run(&b, &BiCgStabSimConfig::default()).unwrap_err();
+        assert!(matches!(err, SimError::Input { .. }), "{err}");
+        assert!(err.to_string().contains("rhs entry 0"), "{err}");
     }
 
     #[test]

@@ -165,7 +165,7 @@ impl GmresSim {
     /// # Errors
     ///
     /// Returns [`SimError::Input`] when `b.len()` differs from the matrix
-    /// dimension or `restart == 0`, and [`SimError::Deadlock`] when a
+    /// dimension, an entry of `b` is not finite or `restart == 0`, and [`SimError::Deadlock`] when a
     /// simulated kernel stops making progress or exceeds the cycle cap.
     #[must_use = "a dropped result discards both the solve report and the structured failure"]
     pub fn try_run(&self, b: &[f64], run_cfg: &GmresSimConfig) -> Result<GmresSimReport, SimError> {
@@ -532,6 +532,19 @@ mod tests {
         };
         let err = sim.try_run(&rhs(a.rows()), &zero_restart).unwrap_err();
         assert!(matches!(err, SimError::Input { .. }), "{err}");
+    }
+
+    #[test]
+    fn non_finite_rhs_is_a_typed_input_error() {
+        let a = generate::grid_laplacian_2d(6, 6);
+        let grid = TileGrid::new(2, 2);
+        let p = RoundRobinMapper.map(&a, grid);
+        let sim = GmresSim::build(&a, &p, &SimConfig::azul(grid)).unwrap();
+        let mut b = rhs(a.rows());
+        b[a.rows() - 1] = f64::INFINITY;
+        let err = sim.try_run(&b, &GmresSimConfig::default()).unwrap_err();
+        assert!(matches!(err, SimError::Input { .. }), "{err}");
+        assert!(err.to_string().contains("not finite"), "{err}");
     }
 
     #[test]

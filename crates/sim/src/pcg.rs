@@ -280,7 +280,7 @@ impl PcgSim {
     /// # Errors
     ///
     /// Returns [`SimError::Input`] when `b.len()` differs from the matrix
-    /// dimension, and [`SimError::Deadlock`] when a simulated kernel stops
+    /// dimension or an entry of `b` is not finite, and [`SimError::Deadlock`] when a simulated kernel stops
     /// making progress (watchdog) or exceeds the cycle cap.
     #[must_use = "a dropped result discards both the solve report and the structured failure"]
     pub fn try_run(&self, b: &[f64], run_cfg: &PcgSimConfig) -> Result<PcgSimReport, SimError> {
@@ -624,6 +624,21 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SimError::Input { .. }), "{err}");
         assert!(err.to_string().contains("rhs length 37"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_rhs_is_a_typed_input_error() {
+        let a = generate::grid_laplacian_2d(6, 6);
+        let grid = TileGrid::new(2, 2);
+        let p = RoundRobinMapper.map(&a, grid);
+        let sim = PcgSim::build(&a, &p, &SimConfig::azul(grid)).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut b = rhs(a.rows());
+            b[7] = bad;
+            let err = sim.try_run(&b, &PcgSimConfig::default()).unwrap_err();
+            assert!(matches!(err, SimError::Input { .. }), "{err}");
+            assert!(err.to_string().contains("rhs entry 7"), "{err}");
+        }
     }
 
     #[test]

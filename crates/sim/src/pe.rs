@@ -326,6 +326,46 @@ impl Pe {
         }
     }
 
+    /// Injects a `kind` flit for `idx` carrying `val`, starting at its
+    /// tree row, and counts the send; inject backpressure
+    /// ([`Router::can_inject`]) is the caller's to check. A send the
+    /// program has no tree row for is a [`SimError::MisroutedTrigger`].
+    #[allow(clippy::too_many_arguments)]
+    fn send(
+        &mut self,
+        now: u64,
+        prog: &Program,
+        router: &mut Router,
+        kind: FlitKind,
+        idx: u32,
+        val: f64,
+        stats: &mut KernelStats,
+    ) -> Result<(), SimError> {
+        let what = match kind {
+            FlitKind::X => "multicast of column",
+            FlitKind::Partial => "partial for row",
+        };
+        let row = prog
+            .inject_row(kind, idx, self.tile)
+            .ok_or_else(|| self.misrouted(now, what, idx))?;
+        router.inject(
+            now,
+            Flit {
+                kind,
+                idx,
+                row,
+                val,
+                outbound: true,
+            },
+        );
+        stats.count_op_at(self.tile, OpKind::Send);
+        stats.messages += 1;
+        stats.sram_read_at(self.tile);
+        trace_op(stats, now, self.tile, OpKind::Send);
+        trace_enqueue(stats, now, self.tile);
+        Ok(())
+    }
+
     /// One PE cycle. Returns whether the PE made progress — refilled a
     /// context from the message buffer or issued an operation — or a
     /// [`SimError::MisroutedTrigger`] when a dequeued trigger has no
@@ -381,7 +421,7 @@ impl Pe {
                 continue;
             };
             let mut task = task;
-            if self.try_issue(now, cfg, tp, prog, router, input, out, stats, &mut task) {
+            if self.try_issue(now, cfg, tp, prog, router, input, out, stats, &mut task)? {
                 if task.done() {
                     self.contexts[c] = None;
                 } else {
@@ -397,7 +437,8 @@ impl Pe {
     }
 
     /// Attempts to issue `task`'s next operation. Returns whether an
-    /// operation issued.
+    /// operation issued, or a [`SimError::MisroutedTrigger`] when a send
+    /// has no tree row to start at.
     #[allow(clippy::too_many_arguments)]
     fn try_issue(
         &mut self,
@@ -410,7 +451,7 @@ impl Pe {
         out: &mut OutSink,
         stats: &mut KernelStats,
         task: &mut Task,
-    ) -> bool {
+    ) -> Result<bool, SimError> {
         let hazard = cfg.hazard_latency();
         let arith_cost = |s: &mut Self, stats: &mut KernelStats| {
             if cfg.pe_model == PeModel::Dalorex {
@@ -419,11 +460,11 @@ impl Pe {
             }
         };
 
-        if let Some(&op) = task.pending.front() {
+        let issued = if let Some(&op) = task.pending.front() {
             match op {
                 PendingOp::Combine { slot } => {
                     if self.slot_ready[slot as usize] > now {
-                        return false;
+                        return Ok(false);
                     }
                     task.pending.pop_front();
                     self.slot_vals[slot as usize] += task.value;
@@ -440,7 +481,7 @@ impl Pe {
                 }
                 PendingOp::SolveMul { target, slot } => {
                     if self.slot_ready[slot as usize] > now {
-                        return false;
+                        return Ok(false);
                     }
                     task.pending.pop_front();
                     let x = self.slot_vals[slot as usize] * prog.inv_diag[target as usize];
@@ -469,7 +510,7 @@ impl Pe {
                 }
                 PendingOp::SendX { idx, val } => {
                     if !router.can_inject() {
-                        return false;
+                        return Ok(false);
                     }
                     task.pending.pop_front();
                     let v = if val.is_nan() {
@@ -477,41 +518,15 @@ impl Pe {
                     } else {
                         val
                     };
-                    router.inject(
-                        now,
-                        Flit {
-                            kind: FlitKind::X,
-                            idx,
-                            val: v,
-                            outbound: true,
-                        },
-                    );
-                    stats.count_op_at(self.tile, OpKind::Send);
-                    stats.messages += 1;
-                    stats.sram_read_at(self.tile);
-                    trace_op(stats, now, self.tile, OpKind::Send);
-                    trace_enqueue(stats, now, self.tile);
+                    self.send(now, prog, router, FlitKind::X, idx, v, stats)?;
                     true
                 }
                 PendingOp::SendPartial { target, val } => {
                     if !router.can_inject() {
-                        return false;
+                        return Ok(false);
                     }
                     task.pending.pop_front();
-                    router.inject(
-                        now,
-                        Flit {
-                            kind: FlitKind::Partial,
-                            idx: target,
-                            val,
-                            outbound: true,
-                        },
-                    );
-                    stats.count_op_at(self.tile, OpKind::Send);
-                    stats.messages += 1;
-                    stats.sram_read_at(self.tile);
-                    trace_op(stats, now, self.tile, OpKind::Send);
-                    trace_enqueue(stats, now, self.tile);
+                    self.send(now, prog, router, FlitKind::Partial, target, val, stats)?;
                     true
                 }
             }
@@ -520,7 +535,7 @@ impl Pe {
             debug_assert!(task.cur < task.end);
             let entry = tp.entries[task.cur as usize];
             if self.slot_ready[entry.slot as usize] > now {
-                return false;
+                return Ok(false);
             }
             task.cur += 1;
             self.slot_vals[entry.slot as usize] += entry.coeff * task.value;
@@ -535,7 +550,8 @@ impl Pe {
             }
             arith_cost(self, stats);
             true
-        }
+        };
+        Ok(issued)
     }
 
     /// The idealized PE: retires every queued task instantly each cycle.
@@ -597,37 +613,11 @@ impl Pe {
                             } else {
                                 val
                             };
-                            router.inject(
-                                now,
-                                Flit {
-                                    kind: FlitKind::X,
-                                    idx,
-                                    val: v,
-                                    outbound: true,
-                                },
-                            );
-                            stats.count_op_at(self.tile, OpKind::Send);
-                            stats.messages += 1;
-                            stats.sram_read_at(self.tile);
-                            trace_op(stats, now, self.tile, OpKind::Send);
-                            trace_enqueue(stats, now, self.tile);
+                            self.send(now, prog, router, FlitKind::X, idx, v, stats)?;
                         }
                         PendingOp::SendPartial { target, val } => {
                             task.pending.pop_front();
-                            router.inject(
-                                now,
-                                Flit {
-                                    kind: FlitKind::Partial,
-                                    idx: target,
-                                    val,
-                                    outbound: true,
-                                },
-                            );
-                            stats.count_op_at(self.tile, OpKind::Send);
-                            stats.messages += 1;
-                            stats.sram_read_at(self.tile);
-                            trace_op(stats, now, self.tile, OpKind::Send);
-                            trace_enqueue(stats, now, self.tile);
+                            self.send(now, prog, router, FlitKind::Partial, target, val, stats)?;
                         }
                     }
                 } else if task.cur < task.end {

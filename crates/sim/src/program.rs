@@ -34,6 +34,8 @@ use azul_mapping::{Placement, TileGrid, TileId};
 use azul_sparse::Csr;
 use azul_telemetry::span;
 
+use crate::router::FlitKind;
+
 /// What happens when an accumulator slot's `updates_remaining` hits zero.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SlotAction {
@@ -290,6 +292,22 @@ impl Program {
         s.annotate("work_items", upper.num_items as u64);
         s.annotate("trees", upper.trees.len() as u64);
         (lower, upper)
+    }
+
+    /// The tree row a flit for `idx` starts at when `tile` injects it:
+    /// the root row of `idx`'s multicast tree, or `tile`'s row in `idx`'s
+    /// reduction tree. `None` when the program routes no such flit.
+    pub(crate) fn inject_row(&self, kind: FlitKind, idx: u32, tile: TileId) -> Option<u32> {
+        match kind {
+            FlitKind::X => {
+                let tree = self.x_tree.get(idx as usize).copied().flatten()?;
+                Some(self.trees.root_row(tree))
+            }
+            FlitKind::Partial => {
+                let tree = self.partial_tree.get(idx as usize).copied().flatten()?;
+                Some(self.trees.tree(tree).node(tile)?.index())
+            }
+        }
     }
 
     /// The tile program of tile `t`.
@@ -630,7 +648,7 @@ fn assemble(
         // and the target's set are both ascending: one merge walk.
         let mut p = pairs.start;
         for node in trees.tree(tree_id).nodes() {
-            let (t, children) = (node.tile, node.children.len() as u32);
+            let (t, children) = (node.tile(), node.num_children() as u32);
             while p < pairs.end && targets.tiles[p] < t {
                 p += 1;
             }
@@ -639,13 +657,14 @@ fn assemble(
             let partial = SlotAction::SendPartial { target: i as u32 };
             let slot = if t == root {
                 alloc_slot(&mut tiles, root, local + children, home_action, init_from_b)
-            } else if node.is_dest {
+            } else if node.is_dest() {
                 debug_assert!(local > 0, "tree dests hold local work");
                 alloc_slot(&mut tiles, t, local + children, partial, false)
             } else if children >= 2 {
                 alloc_slot(&mut tiles, t, children, partial, false)
             } else {
-                // children == 1 non-dest: pure relay, router-only.
+                // children == 1 non-dest: pure relay, router-only
+                // (`TreeRow::combines` is false here and only here).
                 continue;
             };
             if let Some(p) = pair {
@@ -693,7 +712,7 @@ fn assemble(
 }
 
 #[cfg(test)]
-mod oracle_tests;
+pub(crate) mod oracle_tests;
 
 #[cfg(test)]
 mod tests {

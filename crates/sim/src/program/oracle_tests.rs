@@ -159,7 +159,7 @@ fn reference_compile(
         let tree = trees.tree(tree_id);
         // Build slots on every combining node of the tree.
         for node in tree.nodes() {
-            let (t, children) = (node.tile, node.children.len() as u32);
+            let (t, children) = (node.tile(), node.num_children() as u32);
             if t == root {
                 alloc_slot(
                     &mut tiles,
@@ -168,7 +168,7 @@ fn reference_compile(
                     home_action,
                     init_from_b,
                 );
-            } else if node.is_dest {
+            } else if node.is_dest() {
                 let local = local_count(i, t);
                 debug_assert!(local > 0, "tree dests hold local work");
                 alloc_slot(
@@ -265,7 +265,7 @@ fn assert_same_meaning(got: &Program, want: &Program, what: &str) {
 }
 
 /// Random SPD matrix via diagonal dominance, dimension 2..=40.
-fn arb_spd() -> impl Strategy<Value = Csr> {
+pub(crate) fn arb_spd() -> impl Strategy<Value = Csr> {
     (2usize..=40).prop_flat_map(|n| {
         proptest::collection::vec((0..n, 0..n, 0.1f64..2.0), 0..(n * 3)).prop_map(move |es| {
             let mut coo = Coo::new(n, n);

@@ -7,8 +7,12 @@
 //! [`CommTree`](azul_mapping::tree::CommTree)s: multicast
 //! flits fan out toward tree children, reduction partials climb toward
 //! the tree root, and combining happens at the PEs of combiner tiles.
+//! Each flit names its row in the program's [`TreeTable`], as a
+//! hardware router holds the tree entry of the flit it buffers, so a
+//! routing decision reads one row and searches nothing.
 
 use crate::program::Program;
+use azul_mapping::tree::TreeTable;
 use azul_mapping::TileId;
 use azul_telemetry::trace::{TraceEvent, TraceKind, CAT_ROUTER};
 use std::collections::VecDeque;
@@ -30,6 +34,10 @@ pub struct Flit {
     pub kind: FlitKind,
     /// The row/column index the value belongs to.
     pub idx: u32,
+    /// The flit's row in the program's tree table: the tile it is at, in
+    /// the tree it travels. Simulator bookkeeping, not carried on the
+    /// link: the router's tree entry holds it in hardware.
+    pub row: u32,
     /// The payload value.
     pub val: f64,
     /// True while the flit is still at its injection tile (so a partial
@@ -219,53 +227,45 @@ pub struct Accept {
     pub flit: Flit,
 }
 
-/// The routing decision for `flit` at `tile`: the output directions it
-/// must be forwarded to (with the neighbor behind each), how many of
-/// the four slots are used, and whether it is also delivered locally.
-/// Pure function of the compiled program. Tree links connect mesh
-/// neighbors, so a flit forwards to at most one tile per direction —
-/// the fixed array keeps [`tick_router`] allocation-free. Link directions come
-/// precomputed with each tree node, so a routing decision is one
-/// binary search in the tree's node table.
-fn route_of(program: &Program, tile: TileId, flit: Flit) -> ([(usize, TileId); 4], usize, bool) {
-    let t = tile as usize;
-    let mut out_dirs = [(0usize, 0 as TileId); 4];
+/// The routing decision for `flit`, read from its tree row: the output
+/// directions it must be forwarded to (with the neighbor tile and tree
+/// row behind each), how many of the four slots are used, and whether
+/// it is also delivered locally. Pure function of the compiled trees.
+/// Tree links connect mesh neighbors, so a flit forwards to at most one
+/// tile per direction — the fixed array keeps [`tick_router`]
+/// allocation-free.
+///
+/// A partial is delivered exactly where compile allocated a combining
+/// slot for it
+/// ([`TreeRow::combines`](azul_mapping::tree::TreeRow::combines)),
+/// unless this tile injected it; everywhere else it climbs to the
+/// parent. Only the root has no parent, and the root never injects a
+/// partial: its slot solves or writes the output.
+fn route_of(trees: &TreeTable, flit: Flit) -> ([(usize, TileId, u32); 4], usize, bool) {
+    let row = trees.row(flit.row);
+    let mut out = [(0usize, 0 as TileId, 0u32); 4];
     let mut out_n = 0usize;
-    let mut deliver = false;
-    match flit.kind {
+    let deliver = match flit.kind {
         FlitKind::X => {
-            // Compiler invariant: every routed x flit got a tree.
-            let tree_id = program.x_tree[flit.idx as usize].expect("multicast flit has a tree");
-            // A tile outside the tree has nothing to forward or deliver.
-            if let Some(node) = program.trees.tree(tree_id).node(tile) {
-                for (&child, &dir) in node.children.iter().zip(node.child_dirs) {
-                    out_dirs[out_n] = (dir.index(), child);
-                    out_n += 1;
-                }
-                deliver = !flit.outbound && node.is_dest;
-            }
-        }
-        FlitKind::Partial => {
-            let is_combiner = program.tiles[t].combine_slot(flit.idx).is_some();
-            if !flit.outbound && is_combiner {
-                deliver = true;
-            } else {
-                // Compiler invariant: split rows always get a tree.
-                let tree_id =
-                    program.partial_tree[flit.idx as usize].expect("partial flit has a tree");
-                // Tree roots combine locally, never route partials.
-                let (parent, dir) = program
-                    .trees
-                    .tree(tree_id)
-                    .node(tile)
-                    .and_then(|node| node.up)
-                    .expect("non-root tile climbing a reduction tree");
-                out_dirs[out_n] = (dir.index(), parent);
+            for (dir, child) in row.children() {
+                out[out_n] = (dir.index(), child.tile(), child.index());
                 out_n += 1;
             }
+            !flit.outbound && row.is_dest()
         }
-    }
-    (out_dirs, out_n, deliver)
+        FlitKind::Partial => {
+            let deliver = !flit.outbound && row.combines();
+            match row.parent() {
+                Some((dir, parent)) if !deliver => {
+                    out[0] = (dir.index(), parent.tile(), parent.index());
+                    out_n = 1;
+                }
+                _ => {}
+            }
+            deliver
+        }
+    };
+    (out, out_n, deliver)
 }
 
 /// Ticks one router: moves at most one flit per output link, appends
@@ -299,7 +299,7 @@ pub fn tick_router(
         }
         let flit = head.flit;
         let tile = t as TileId;
-        let (out_dirs, out_n, deliver) = route_of(program, tile, flit);
+        let (out_dirs, out_n, deliver) = route_of(&program.trees, flit);
         let out_dirs = &out_dirs[..out_n];
 
         // Partial fork: serve whatever outputs are free this cycle; the
@@ -308,7 +308,7 @@ pub fn tick_router(
         let mut forwarded = head.forwarded;
         let mut delivered = head.delivered;
         let mut progressed = false;
-        for &(dir, next) in out_dirs {
+        for &(dir, next, next_row) in out_dirs {
             if forwarded & (1 << dir) != 0 {
                 continue;
             }
@@ -341,6 +341,7 @@ pub fn tick_router(
             }
             let mut copy = flit;
             copy.outbound = false;
+            copy.row = next_row;
             let delay = hop_latency + router.fault_extra_delay;
             outbox.push(Accept {
                 dest: next,
@@ -355,7 +356,9 @@ pub fn tick_router(
             progressed = true;
         }
 
-        let all_dirs_done = out_dirs.iter().all(|&(dir, _)| forwarded & (1 << dir) != 0);
+        let all_dirs_done = out_dirs
+            .iter()
+            .all(|&(dir, ..)| forwarded & (1 << dir) != 0);
         moved |= progressed;
         if all_dirs_done && (delivered || !deliver) {
             moved = true;
@@ -390,6 +393,9 @@ fn reverse_port(dir: usize) -> usize {
         _ => unreachable!("not a direction"),
     }
 }
+
+#[cfg(test)]
+mod oracle_tests;
 
 #[cfg(test)]
 mod tests {
@@ -445,6 +451,7 @@ mod tests {
             Flit {
                 kind: FlitKind::X,
                 idx: 0,
+                row: 0,
                 val: 1.0,
                 outbound: true,
             },
@@ -454,6 +461,7 @@ mod tests {
             Flit {
                 kind: FlitKind::X,
                 idx: 1,
+                row: 0,
                 val: 1.0,
                 outbound: true,
             },
@@ -480,6 +488,7 @@ mod tests {
             Flit {
                 kind: FlitKind::X,
                 idx: j as u32,
+                row: prog.trees.root_row(tree_id),
                 val: 2.5,
                 outbound: true,
             },
@@ -525,6 +534,7 @@ mod tests {
             Flit {
                 kind: FlitKind::Partial,
                 idx: i as u32,
+                row: tree.node(leaf).unwrap().index(),
                 val: 7.0,
                 outbound: true,
             },
@@ -560,6 +570,7 @@ mod tests {
                 Flit {
                     kind: FlitKind::X,
                     idx: j as u32,
+                    row: prog.trees.root_row(tree_id),
                     val: 1.0,
                     outbound: true,
                 },
@@ -583,6 +594,7 @@ mod tests {
         Flit {
             kind: FlitKind::X,
             idx,
+            row: 0,
             val: 1.0,
             outbound: true,
         }

@@ -184,7 +184,7 @@ impl<'a> Solve<'a> {
     /// # Errors
     ///
     /// [`SimError::Input`] when `b.len()` differs from the matrix
-    /// dimension.
+    /// dimension or an entry of `b` is not finite.
     pub fn new(
         cfg: &'a SimConfig,
         a: &'a Csr,
@@ -197,6 +197,11 @@ impl<'a> Solve<'a> {
         if b.len() != n {
             return Err(SimError::Input {
                 detail: format!("rhs length {} does not match the {n}-row matrix", b.len()),
+            });
+        }
+        if let Some(i) = b.iter().position(|v| !v.is_finite()) {
+            return Err(SimError::Input {
+                detail: format!("rhs entry {i} is not finite: {}", b[i]),
             });
         }
         let integrity = policy.integrity;
