@@ -1,10 +1,26 @@
 //! Multilevel recursive bisection into k parts.
+//!
+//! The two halves of a bisection are independent: each partitions its
+//! own induced sub-hypergraph over a disjoint vertex set, with its own
+//! seed, and reads no shared mutable state. So when both halves still
+//! need splitting, the right half runs on a scoped helper thread while
+//! the calling thread takes the left, and the placement is the same
+//! byte for byte as a serial run.
+//!
+//! Helpers come from one process-wide budget: the number of threads
+//! doing partitioner work, callers included, never exceeds
+//! [`std::thread::available_parallelism`]. A bisection takes a slot
+//! only if one is free at that moment and otherwise runs both halves
+//! on its own thread, so concurrent callers (service workers mapping
+//! at once) never oversubscribe the host.
 
 use crate::coarsen::{coarsen_once, CoarseLevel};
 use crate::fm::{initial_bisect, refine, side_limits, Bisection};
 use crate::{Hypergraph, HypergraphBuilder, Partition, PartitionConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Partitions `hg` into `config.parts` parts by multilevel recursive
 /// bisection.
@@ -13,75 +29,137 @@ use rand::SeedableRng;
 ///
 /// Panics if `config.parts == 0`.
 pub fn partition(hg: &Hypergraph, config: &PartitionConfig) -> Partition {
-    assert!(config.parts > 0, "need at least one part");
-    let n = hg.num_vertices();
-    let mut part_of = vec![0u32; n];
-    let ids: Vec<usize> = (0..n).collect();
-    recurse(hg, &ids, config.parts, 0, config, config.seed, &mut part_of);
-    Partition::new(part_of, config.parts)
+    static BUSY: AtomicUsize = AtomicUsize::new(0);
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    let cap = *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let slots = Slots { busy: &BUSY, cap };
+    let _caller = slots.enter();
+    partition_with(hg, config, &slots)
 }
 
-/// Recursively bisects the sub-hypergraph induced on `vertex_ids`
-/// (identities into the root hypergraph), assigning parts
-/// `offset..offset+parts`.
+/// [`partition`] with at most `helpers` helper threads, whatever else
+/// runs in the process.
+#[cfg(test)]
+pub(crate) fn partition_with_helpers(
+    hg: &Hypergraph,
+    config: &PartitionConfig,
+    helpers: usize,
+) -> Partition {
+    let busy = AtomicUsize::new(0);
+    partition_with(
+        hg,
+        config,
+        &Slots {
+            busy: &busy,
+            cap: helpers,
+        },
+    )
+}
+
+fn partition_with(hg: &Hypergraph, config: &PartitionConfig, slots: &Slots) -> Partition {
+    assert!(config.parts > 0, "need at least one part");
+    Partition::new(
+        recurse(hg, config.parts, config, config.seed, slots),
+        config.parts,
+    )
+}
+
+/// A count of threads doing partitioner work and its cap. The count
+/// guards no data, it only budgets threads, so its atomics are relaxed.
+struct Slots<'a> {
+    busy: &'a AtomicUsize,
+    cap: usize,
+}
+
+impl<'a> Slots<'a> {
+    /// Counts the calling thread in until the guard drops, even past
+    /// the cap: it runs whether or not a slot is free.
+    fn enter(&self) -> Slot<'a> {
+        self.busy.fetch_add(1, Ordering::Relaxed);
+        Slot(self.busy)
+    }
+
+    /// Takes a slot for a helper thread if one is free now; never waits.
+    fn try_take(&self) -> Option<Slot<'a>> {
+        self.busy
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < self.cap).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| Slot(self.busy))
+    }
+}
+
+/// One counted thread; gives its slot back on drop.
+struct Slot<'a>(&'a AtomicUsize);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Recursively bisects `hg` into `parts` parts and returns the part,
+/// in `0..parts`, of each of its vertices.
 fn recurse(
     hg: &Hypergraph,
-    vertex_ids: &[usize],
     parts: usize,
-    offset: usize,
     config: &PartitionConfig,
     seed: u64,
-    part_of: &mut [u32],
-) {
-    if parts == 1 || vertex_ids.is_empty() {
-        for &v in vertex_ids {
-            part_of[v] = offset as u32;
-        }
-        return;
+    slots: &Slots,
+) -> Vec<u32> {
+    let n = hg.num_vertices();
+    if parts == 1 || n == 0 {
+        return vec![0; n];
     }
     let p0 = parts.div_ceil(2);
     let p1 = parts - p0;
     let frac = p0 as f64 / parts as f64;
 
     let side = multilevel_bisect(hg, frac, config, seed);
+    let (left, right): (Vec<usize>, Vec<usize>) = (0..n).partition(|&i| side[i] == 0);
+    drop(side);
 
-    // Split vertices and recurse on induced sub-hypergraphs.
-    let mut left: Vec<usize> = Vec::new();
-    let mut right: Vec<usize> = Vec::new();
-    for (i, &v) in vertex_ids.iter().enumerate() {
-        if side[i] == 0 {
-            left.push(v);
-        } else {
-            right.push(v);
+    // Partitions one half on the induced sub-hypergraph of its local
+    // vertices; the graph lives only as long as the half's recursion.
+    let half = |local: &[usize], parts: usize, salt: u64| -> Vec<u32> {
+        if parts == 1 {
+            return vec![0; local.len()];
         }
-    }
-    let left_local: Vec<usize> = (0..side.len()).filter(|&i| side[i] == 0).collect();
-    let right_local: Vec<usize> = (0..side.len()).filter(|&i| side[i] == 1).collect();
-
-    if p0 > 1 {
-        let sub = induced(hg, &left_local);
-        recurse(&sub, &left, p0, offset, config, splitmix(seed, 1), part_of);
-    } else {
-        for &v in &left {
-            part_of[v] = offset as u32;
-        }
-    }
-    if p1 > 1 {
-        let sub = induced(hg, &right_local);
         recurse(
-            &sub,
-            &right,
-            p1,
-            offset + p0,
+            &induced(hg, local),
+            parts,
             config,
-            splitmix(seed, 2),
-            part_of,
-        );
-    } else {
-        for &v in &right {
-            part_of[v] = (offset + p0) as u32;
-        }
+            splitmix(seed, salt),
+            slots,
+        )
+    };
+    // p0 >= p1, so p1 > 1 means both halves split again.
+    let helper = if p1 > 1 { slots.try_take() } else { None };
+    let (left_parts, right_parts) = match helper {
+        Some(slot) => std::thread::scope(|s| {
+            let (right, half) = (&right, &half);
+            let handle = s.spawn(move || {
+                let _slot = slot;
+                half(right, p1, 2)
+            });
+            let left_parts = half(&left, p0, 1);
+            let right_parts = handle
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            (left_parts, right_parts)
+        }),
+        None => (half(&left, p0, 1), half(&right, p1, 2)),
+    };
+
+    let mut part_of = vec![0u32; n];
+    for (&v, p) in left.iter().zip(left_parts) {
+        part_of[v] = p;
     }
+    for (&v, p) in right.iter().zip(right_parts) {
+        part_of[v] = p0 as u32 + p;
+    }
+    part_of
 }
 
 /// One multilevel bisection: coarsen, initial-partition, refine back up.
@@ -176,6 +254,7 @@ fn splitmix(seed: u64, salt: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A ring of `n` vertices with 2-pin nets.
     fn ring(n: usize) -> Hypergraph {
@@ -280,6 +359,95 @@ mod tests {
         assert!(
             w1[0] >= 2 && w1[1] >= 2,
             "time-balance constraint violated: {w1:?}"
+        );
+    }
+
+    /// Part counts the equality property runs: trivial, one bisection,
+    /// one split half, odd splits at every level, and an 8×8 grid.
+    const PARTS: [usize; 5] = [1, 2, 3, 7, 64];
+    const EQUALITY_CASES: u32 = 96;
+
+    /// A seeded random hypergraph: 0–120 vertices, 1–3 constraints with
+    /// weights 0–5, nets of 2–6 pins. One graph in four has all-zero
+    /// weights, where a cut-free bisection may leave one side empty.
+    fn random_hypergraph(seed: u64) -> Hypergraph {
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let c = rng.gen_range(1..=3usize);
+        let n = rng.gen_range(0..=120usize);
+        let zero = rng.gen_range(0..4usize) == 0;
+        let mut b = HypergraphBuilder::new(c);
+        for _ in 0..n {
+            let w: Vec<u64> = (0..c)
+                .map(|_| if zero { 0 } else { rng.gen_range(0..=5u64) })
+                .collect();
+            b.add_vertex(&w);
+        }
+        if n >= 2 {
+            for _ in 0..rng.gen_range(1..=3 * n) {
+                let size = rng.gen_range(2..=6usize).min(n);
+                let pins: Vec<usize> = (0..size).map(|_| rng.gen_range(0..n)).collect();
+                b.add_net(rng.gen_range(1..=4u64), &pins).unwrap();
+            }
+        }
+        b.finalize().unwrap()
+    }
+
+    fn arb_case() -> impl Strategy<Value = (Hypergraph, usize, u64)> {
+        (0u64..u64::MAX, 0..PARTS.len(), 0u64..u64::MAX)
+            .prop_map(|(graph, ix, seed)| (random_hypergraph(graph), PARTS[ix], seed))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(EQUALITY_CASES))]
+
+        /// Helper threads change no assignment: a budget of 0 (serial)
+        /// and budgets of 1 and 3 give the same parts.
+        #[test]
+        fn helper_budget_does_not_change_the_partition(case in arb_case()) {
+            let (hg, parts, seed) = case;
+            let mut cfg = PartitionConfig::k_way(parts);
+            cfg.seed = seed;
+            let serial = partition_with_helpers(&hg, &cfg, 0);
+            for helpers in [1, 3] {
+                let threaded = partition_with_helpers(&hg, &cfg, helpers);
+                prop_assert_eq!(
+                    threaded.assignment(),
+                    serial.assignment(),
+                    "{} helpers, n={} parts={parts}",
+                    helpers,
+                    hg.num_vertices()
+                );
+            }
+        }
+    }
+
+    /// The equality cases include every shape the property must cover:
+    /// several constraints, more parts than vertices, a top bisection
+    /// with an empty side, and splits where both halves split again (the
+    /// threaded path).
+    #[test]
+    fn equality_cases_cover_the_edge_shapes() {
+        let mut rng = proptest::test_runner::TestRng::deterministic();
+        let (mut multi, mut over, mut empty_side, mut threaded) = (0, 0, 0, 0);
+        for _ in 0..EQUALITY_CASES {
+            let (hg, parts, seed) = arb_case().generate(&mut rng);
+            let n = hg.num_vertices();
+            multi += usize::from(hg.num_constraints() > 1);
+            over += usize::from(parts > n);
+            threaded += usize::from(parts >= 4 && n >= 4);
+            if parts >= 2 && n >= 2 {
+                let mut cfg = PartitionConfig::k_way(parts);
+                cfg.seed = seed;
+                let p = partition_with_helpers(&hg, &cfg, 0);
+                let p0 = parts.div_ceil(2) as u32;
+                let left = p.assignment().iter().filter(|&&x| x < p0).count();
+                empty_side += usize::from(left == 0 || left == n);
+            }
+        }
+        assert!(
+            multi > 0 && over > 0 && empty_side > 0 && threaded > 0,
+            "multi {multi} over {over} empty side {empty_side} threaded {threaded}"
         );
     }
 

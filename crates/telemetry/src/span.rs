@@ -15,6 +15,9 @@
 //!
 //! Spans nest: guards track their depth so subscribers can reconstruct
 //! the phase tree (`prepare` > `coloring`, `prepare` > `mapping`, ...).
+//! Depth is per thread: a span opened on a service worker or a helper
+//! thread nests under that thread's open spans only. A guard therefore
+//! closes on the thread that opened it (it is not `Send`).
 //!
 //! ```
 //! use azul_telemetry::span::{self, Collector};
@@ -31,7 +34,9 @@
 //! assert_eq!(records[0].cycles, Some(1234));
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -67,7 +72,11 @@ pub trait Subscriber: Send + Sync {
 struct Registry {
     subscriber: Mutex<Option<Arc<dyn Subscriber>>>,
     enabled: AtomicBool,
-    depth: AtomicUsize,
+}
+
+thread_local! {
+    /// Spans open on this thread.
+    static DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
 fn registry() -> &'static Registry {
@@ -75,7 +84,6 @@ fn registry() -> &'static Registry {
     REGISTRY.get_or_init(|| Registry {
         subscriber: Mutex::new(None),
         enabled: AtomicBool::new(false),
-        depth: AtomicUsize::new(0),
     })
 }
 
@@ -102,11 +110,14 @@ pub fn enabled() -> bool {
 /// Opens a span named `name`. Near-free when no subscriber is installed.
 pub fn span(name: impl Into<String>) -> SpanGuard {
     if !enabled() {
-        return SpanGuard { live: None };
+        return SpanGuard {
+            live: None,
+            _thread: PhantomData,
+        };
     }
-    let reg = registry();
-    let depth = reg.depth.fetch_add(1, Ordering::AcqRel);
+    let depth = DEPTH.replace(DEPTH.get() + 1);
     SpanGuard {
+        _thread: PhantomData,
         live: Some(LiveSpan {
             name: name.into(),
             depth,
@@ -129,6 +140,8 @@ struct LiveSpan {
 /// RAII guard for an open span; closing happens on drop.
 pub struct SpanGuard {
     live: Option<LiveSpan>,
+    /// Pins the guard to its thread's depth counter.
+    _thread: PhantomData<*const ()>,
 }
 
 impl SpanGuard {
@@ -153,8 +166,8 @@ impl Drop for SpanGuard {
         let Some(live) = self.live.take() else {
             return;
         };
+        DEPTH.set(DEPTH.get().saturating_sub(1));
         let reg = registry();
-        reg.depth.fetch_sub(1, Ordering::AcqRel);
         let record = SpanRecord {
             name: live.name,
             depth: live.depth,
@@ -264,5 +277,36 @@ mod tests {
             records[1].fields,
             vec![("matrix".to_string(), "demo".to_string())]
         );
+    }
+
+    #[test]
+    fn depth_is_per_thread() {
+        const NESTED: usize = 3;
+        let _guard = serial();
+        let collector = Collector::install();
+        // Both threads hold all their spans open at once, so a shared
+        // depth counter would hand one of them depths 3, 4, 5.
+        let opened = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for name in ["a", "b"] {
+                let opened = &opened;
+                s.spawn(move || {
+                    let guards: Vec<SpanGuard> =
+                        (0..NESTED).map(|d| span(format!("{name}{d}"))).collect();
+                    opened.wait();
+                    // Close innermost first, as scopes would.
+                    for g in guards.into_iter().rev() {
+                        drop(g);
+                    }
+                });
+            }
+        });
+        uninstall();
+        let records = collector.drain();
+        assert_eq!(records.len(), 2 * NESTED);
+        for r in &records {
+            let want: usize = r.name[1..].parse().unwrap();
+            assert_eq!(r.depth, want, "span {}", r.name);
+        }
     }
 }
