@@ -14,6 +14,12 @@
 //! remainder. The shares must cover the tick loop: their sum is
 //! asserted to land within 1% of 100%.
 //!
+//! The solve uses Block mapping, the placement of the benchmark's gated
+//! simulator workloads: Block and Azul mapping rank the components
+//! differently (the router first under Block, the PE under Azul). The
+//! artifact also records the size of the programs' tree tables
+//! (`tree_rows`, `tree_bytes`), which routers read a row of per hop.
+//!
 //! The probes are not free: each takes two timestamps around work that
 //! is often shorter than the timestamps. So the same solve also runs
 //! with the probes off, alternating with the profiled runs, and the
@@ -22,10 +28,12 @@
 //! that ratio is close to 1.
 
 use azul_bench::{header, prepare, row, write_bench_artifact, BenchCtx};
-use azul_mapping::strategies::Mapper;
+use azul_mapping::strategies::{BlockMapper, Mapper};
 use azul_sim::config::SimConfig;
 use azul_sim::pcg::PcgSim;
 use azul_sim::profile::{self, Component, ALL};
+use azul_sim::program::Program;
+use azul_solver::ic0::ic0;
 use azul_sparse::suite;
 use azul_telemetry::TelemetryReport;
 use std::time::Instant;
@@ -40,14 +48,21 @@ fn main() {
         "",
     );
     let m = prepare(suite::by_name("thermal2").unwrap(), ctx.scale);
-    let placement = ctx.azul_mapper().map(&m.a, ctx.grid);
+    let placement = BlockMapper.map(&m.a, ctx.grid);
 
     // One worker: with a pool, shard workers run concurrently and their
     // probe times overlap the coordinator's, so "share of the tick
     // loop" would stop being a partition of anything.
     let mut cfg = SimConfig::azul(ctx.grid);
     cfg.threads = 1;
-    let sim = PcgSim::build(&m.a, &placement, &cfg).expect("IC(0) succeeds on suite matrices");
+    let l = ic0(&m.a).expect("IC(0) succeeds on suite matrices");
+    let sim = PcgSim::build_with_factor(&m.a, &l, &placement, &cfg);
+    // The solve's tree tables: SpMV's, and the one the SpTRSV pair
+    // shares.
+    let spmv = Program::compile_spmv(&m.a, &placement);
+    let (lower, _) = Program::compile_sptrsv_pair(&l, &m.a, &placement);
+    let tree_rows = spmv.trees.num_rows() + lower.trees.num_rows();
+    let tree_bytes = spmv.trees.row_bytes() + lower.trees.row_bytes();
 
     // Alternate unprofiled and profiled solves so host drift hits both
     // alike. Shares come from the profiled runs' summed totals.
@@ -128,6 +143,7 @@ fn main() {
     let mut doc = TelemetryReport::default();
     doc.scenario_field("bench", "sim_profile");
     doc.scenario_field("matrix", m.name);
+    doc.scenario_field("mapping", "block");
     doc.scenario_field("n", m.a.rows() as u64);
     doc.scenario_field("nnz", m.a.nnz() as u64);
     doc.scenario_field("threads", 1u64);
@@ -146,6 +162,8 @@ fn main() {
     doc.counter("share_ppm_total", total_ppm);
     doc.counter("solve_wall_ns_probes_off", off_ns as u64);
     doc.counter("solve_wall_ns_probes_on", on_ns as u64);
+    doc.counter("tree_rows", tree_rows as u64);
+    doc.counter("tree_bytes", tree_bytes as u64);
 
     match write_bench_artifact("sim_profile", &[doc]) {
         Ok(p) => println!("wrote {}", p.display()),
@@ -156,6 +174,7 @@ fn main() {
         total_ppm,
         ALL.len() - 1
     );
+    println!("tree tables: {tree_rows} rows, {tree_bytes} bytes");
     println!(
         "solve wall, best of {RUNS}: probes off {:.1} ms, on {:.1} ms, ratio {overhead:.2}x",
         off_ns as f64 / 1e6,

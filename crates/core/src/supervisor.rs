@@ -840,8 +840,10 @@ impl SolveSupervisor {
     }
 
     /// Finds the smallest grid growth (doubling each side per step, at
-    /// most `doublings_left` steps) whose balanced redistribution of the
-    /// reported overflow footprint fits the per-tile SRAM limits.
+    /// most `doublings_left` steps, and never past
+    /// [`MAX_TILES`](azul_mapping::grid::MAX_TILES) tiles) whose balanced
+    /// redistribution of the reported overflow footprint fits the
+    /// per-tile SRAM limits.
     fn grown_grid(
         &self,
         grid: TileGrid,
@@ -853,6 +855,9 @@ impl SolveSupervisor {
         for steps in 1..=doublings_left {
             let (w, h) = (grid.width() << steps, grid.height() << steps);
             let new_tiles = w * h;
+            if new_tiles > azul_mapping::grid::MAX_TILES {
+                break;
+            }
             let scaled = |bytes: usize| bytes * old_tiles / new_tiles;
             if scaled(data_bytes) <= self.base.sim.data_sram_bytes
                 && scaled(accum_bytes) <= self.base.sim.accum_sram_bytes
@@ -1278,6 +1283,14 @@ mod tests {
         let accum_limit = sup.base.sim.accum_sram_bytes;
         let g = sup.grown_grid(grid, 2, 0, accum_limit * 3);
         assert_eq!(g.map(|(g, s)| (g.width(), g.height(), s)), Some((4, 4, 1)));
+        // Growth stops at the largest grid instead of panicking past it.
+        let g = sup.grown_grid(TileGrid::new(128, 128), 2, data_limit * 4, 0);
+        assert_eq!(
+            g.map(|(g, s)| (g.width(), g.height(), s)),
+            Some((256, 256, 1))
+        );
+        let g = sup.grown_grid(TileGrid::new(256, 256), 2, data_limit * 4, 0);
+        assert_eq!(g, Option::None);
     }
 
     #[test]

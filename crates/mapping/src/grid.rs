@@ -3,6 +3,21 @@
 /// A tile identifier: the linear index `y * width + x`.
 pub type TileId = u32;
 
+/// The most tiles a grid may have: the paper's largest configuration,
+/// 256x256. Tree rows store tile ids and row positions in 16 bits, which
+/// is exact up to this size.
+pub const MAX_TILES: usize = 1 << 16;
+
+/// Panics unless a `width x height` grid has between 1 and
+/// [`MAX_TILES`] tiles.
+fn check_dims(width: usize, height: usize) {
+    assert!(width > 0 && height > 0, "grid dimensions must be positive");
+    assert!(
+        width.checked_mul(height).is_some_and(|n| n <= MAX_TILES),
+        "a {width}x{height} grid has more than {MAX_TILES} tiles"
+    );
+}
+
 /// A rectangular grid of tiles connected as a 2-D torus (Table III's
 /// topology; Fig. 19), or optionally as a plain mesh (no wraparound
 /// links) for topology ablations.
@@ -18,9 +33,10 @@ impl TileGrid {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or the grid has more than
+    /// [`MAX_TILES`] tiles.
     pub fn new(width: usize, height: usize) -> Self {
-        assert!(width > 0 && height > 0, "grid dimensions must be positive");
+        check_dims(width, height);
         TileGrid {
             width,
             height,
@@ -41,9 +57,10 @@ impl TileGrid {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or the grid has more than
+    /// [`MAX_TILES`] tiles.
     pub fn mesh(width: usize, height: usize) -> Self {
-        assert!(width > 0 && height > 0, "grid dimensions must be positive");
+        check_dims(width, height);
         TileGrid {
             width,
             height,
@@ -228,6 +245,14 @@ pub enum Direction {
 }
 
 impl Direction {
+    /// Every direction, in port-index order.
+    pub(crate) const ALL: [Direction; 4] = [
+        Direction::East,
+        Direction::West,
+        Direction::North,
+        Direction::South,
+    ];
+
     /// The port index of this direction: East, West, North and South
     /// are 0 to 3, the [`TileGrid::neighbors`] order.
     pub fn index(self) -> usize {
@@ -329,13 +354,7 @@ mod tests {
             for g in [TileGrid::new(w, h), TileGrid::mesh(w, h)] {
                 for t in 0..g.num_tiles() as u32 {
                     let n = g.neighbors(t);
-                    let dirs = [
-                        Direction::East,
-                        Direction::West,
-                        Direction::North,
-                        Direction::South,
-                    ];
-                    for d in dirs.into_iter().filter(|&d| g.step(t, d) != t) {
+                    for d in Direction::ALL.into_iter().filter(|&d| g.step(t, d) != t) {
                         let first = n.iter().position(|&x| x == g.step(t, d)).unwrap();
                         assert_eq!(g.link_direction(d).index(), first, "{w}x{h} {t} {d:?}");
                     }
@@ -348,6 +367,30 @@ mod tests {
     fn xy_route_to_self_is_empty() {
         let g = TileGrid::square(4);
         assert!(g.xy_route(5, 5).is_empty());
+    }
+
+    #[test]
+    fn paper_scale_grid_is_allowed() {
+        assert_eq!(TileGrid::square(256).num_tiles(), MAX_TILES);
+        assert_eq!(TileGrid::mesh(MAX_TILES, 1).num_tiles(), MAX_TILES);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 65536 tiles")]
+    fn grid_above_max_tiles_panics() {
+        TileGrid::new(257, 256);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 65536 tiles")]
+    fn mesh_above_max_tiles_panics() {
+        TileGrid::mesh(MAX_TILES + 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 65536 tiles")]
+    fn overflowing_dimensions_panic() {
+        TileGrid::new(usize::MAX, 2);
     }
 
     #[test]

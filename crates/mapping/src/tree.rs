@@ -9,10 +9,12 @@
 //!
 //! A compiled program holds thousands of trees, and routers read them on
 //! every cycle, so every tree of a program lives in one [`TreeTable`]:
-//! flat row and destination arrays with a range per tree. A flit names
-//! the row it is at, so a router reads that row and nothing else
-//! ([`TreeTable::row`]). A [`CommTree`] is a borrowed view of one tree
-//! in such a table.
+//! flat row and destination arrays with a range per tree. A row is 16
+//! bytes. A flit names the row it is at, and that row alone decides the
+//! flit's outputs and the row each copy moves to ([`TreeTable::row`]),
+//! so a router reads one row per flit and nothing else: the tile behind
+//! each output is the router's own neighbour on that link. A
+//! [`CommTree`] is a borrowed view of one tree in such a table.
 
 use std::fmt;
 
@@ -21,11 +23,11 @@ use crate::grid::{Direction, TileGrid, TileId};
 /// Every tree of a program, in one flat table.
 ///
 /// A tree's rows are a contiguous run of the row array, one per tree
-/// tile, sorted by tile id. A row holds its tile, the direction of each
-/// link, and each linked row (the parent and at most four children, one
-/// per direction) as an offset from itself, so a tree's rows mean the
-/// same in any table. Its destinations are a sorted run of the
-/// destination array. [`TreeTable::push`] builds a tree in place,
+/// tile, sorted by tile id. A row holds its tile, its own position in
+/// the tree, the direction of each link, and each linked row (the parent
+/// and at most four children, one per direction) as that row's position
+/// in the tree, so a tree's rows mean the same in any table. Its
+/// destinations are a sorted run of the destination array. [`TreeTable::push`] builds a tree in place,
 /// reusing the table's scratch buffers, so filling a table allocates
 /// only as its arrays grow.
 #[derive(Debug, Clone)]
@@ -52,7 +54,9 @@ struct Span {
 struct Scratch {
     /// The destination set, sorted and deduplicated, without the root.
     uniq: Vec<TileId>,
-    /// The tree's rows in build order, linked by build index.
+    /// The tree's rows in build order, linked by build index (a tree has
+    /// at most [`MAX_TILES`](crate::grid::MAX_TILES) rows, so build
+    /// indices fit a row's 16-bit links).
     built: Vec<Node>,
     /// `(tile, build index)` per built row, sorted into row order.
     keys: Vec<u64>,
@@ -79,39 +83,76 @@ pub struct CommTree<'a> {
     dests: &'a [TileId],
 }
 
-/// One tree tile's row in a [`TreeTable`].
+/// One tree tile's row in a [`TreeTable`]: eight 16-bit fields, 16
+/// bytes (`row_is_16_bytes`).
 ///
-/// A table's rows are the bulk of a compiled program's trees, so a row
-/// stays small: 32 bytes, at most 36 (`row_fits_in_36_bytes`).
+/// A table's rows are the bulk of a compiled program's trees, and a
+/// router reads one per ready head, so a row stays small. A tile id and
+/// a position in a tree both fit 16 bits on every grid
+/// ([`MAX_TILES`](crate::grid::MAX_TILES) tiles at most). Links are
+/// positions in the tree, and the row's own position locates the tree's
+/// first row, so a row reaches its linked rows without reading them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Node {
-    tile: TileId,
-    /// Offset from this row to the parent's row; 0 at the root.
-    up: i32,
-    /// Offset from this row to each child's row, children in the order
-    /// the routes first reached them; the first `kid_len` are used.
-    kids: [i32; 4],
-    /// Direction of the link up to the parent (unused at the root).
-    up_dir: Direction,
-    /// Direction of the link to each child.
-    kid_dirs: [Direction; 4],
-    kid_len: u8,
-    is_dest: bool,
+    tile: u16,
+    /// This row's position in its tree.
+    pos: u16,
+    /// The parent's position; `pos` itself at the root.
+    up: u16,
+    /// Each child's position, children in the order the routes first
+    /// reached them; the first `kid_len` are used.
+    kids: [u16; 4],
+    /// Bit fields, low to high: the direction of the link up to the
+    /// parent (2 bits, unused at the root), the direction of the link to
+    /// each child (2 bits each), `kid_len` (3 bits) and `is_dest` (1 bit).
+    bits: u16,
 }
+
+/// Where [`Node::bits`] keeps the first child's direction, `kid_len` and
+/// `is_dest`.
+const KID_DIRS_SHIFT: usize = 2;
+const KID_LEN_SHIFT: usize = 10;
+const DEST_BIT: u16 = 1 << 13;
 
 impl Node {
     /// A childless row of `tile`; its links hold build indices until
-    /// [`TreeTable::push`] turns them into offsets.
+    /// [`TreeTable::push`] turns them into positions.
     fn new(tile: TileId, up: u32, up_dir: Direction) -> Self {
         Node {
-            tile,
-            up: up as i32,
+            tile: tile as u16,
+            pos: 0,
+            up: up as u16,
             kids: [0; 4],
-            up_dir,
-            kid_dirs: [Direction::East; 4],
-            kid_len: 0,
-            is_dest: false,
+            bits: up_dir.index() as u16,
         }
+    }
+
+    fn up_dir(self) -> Direction {
+        Direction::ALL[usize::from(self.bits & 3)]
+    }
+
+    fn kid_dir(self, k: usize) -> Direction {
+        Direction::ALL[usize::from(self.bits >> (KID_DIRS_SHIFT + 2 * k) & 3)]
+    }
+
+    fn kid_len(self) -> usize {
+        usize::from(self.bits >> KID_LEN_SHIFT & 7)
+    }
+
+    fn is_dest(self) -> bool {
+        self.bits & DEST_BIT != 0
+    }
+
+    fn is_root(self) -> bool {
+        self.up == self.pos
+    }
+
+    /// Links child `kid` in direction `dir`.
+    fn push_kid(&mut self, kid: u16, dir: Direction) {
+        let k = self.kid_len();
+        self.kids[k] = kid;
+        self.bits |= (dir.index() as u16) << (KID_DIRS_SHIFT + 2 * k);
+        self.bits += 1 << KID_LEN_SHIFT;
     }
 }
 
@@ -137,10 +178,11 @@ impl<'a> TreeRow<'a> {
         &self.table[self.at as usize]
     }
 
-    fn linked(self, offset: i32) -> TreeRow<'a> {
+    /// The row at position `pos` of this row's tree; reads nothing.
+    fn linked(self, n: &Node, pos: u16) -> TreeRow<'a> {
         TreeRow {
             table: self.table,
-            at: self.at.wrapping_add_signed(offset),
+            at: self.at - u32::from(n.pos) + u32::from(pos),
         }
     }
 
@@ -151,22 +193,22 @@ impl<'a> TreeRow<'a> {
 
     /// The tile.
     pub fn tile(self) -> TileId {
-        self.node().tile
+        TileId::from(self.node().tile)
     }
 
     /// Whether the tile is a destination.
     pub fn is_dest(self) -> bool {
-        self.node().is_dest
+        self.node().is_dest()
     }
 
     /// Whether this is the tree's root.
     pub fn is_root(self) -> bool {
-        self.node().up == 0
+        self.node().is_root()
     }
 
     /// Number of children.
     pub fn num_children(self) -> usize {
-        usize::from(self.node().kid_len)
+        self.node().kid_len()
     }
 
     /// Whether a reduction combines partials here: at the root, at a
@@ -174,25 +216,22 @@ impl<'a> TreeRow<'a> {
     /// only relays a partial up to its parent.
     pub fn combines(self) -> bool {
         let n = self.node();
-        n.up == 0 || n.is_dest || n.kid_len >= 2
+        n.is_root() || n.is_dest() || n.kid_len() >= 2
     }
 
     /// Each child's link direction and row, in the order the tree's
-    /// routes first reached them.
+    /// routes first reached them. Reads only this row: a child's
+    /// [`TreeRow`] is read when it is asked for its contents.
     pub fn children(self) -> impl Iterator<Item = (Direction, TreeRow<'a>)> + 'a {
         let n = self.node();
-        let len = usize::from(n.kid_len);
-        n.kid_dirs[..len]
-            .iter()
-            .zip(&n.kids[..len])
-            .map(move |(&dir, &off)| (dir, self.linked(off)))
+        (0..n.kid_len()).map(move |k| (n.kid_dir(k), self.linked(n, n.kids[k])))
     }
 
     /// The direction of the link up to the parent and the parent's row;
-    /// `None` at the root.
+    /// `None` at the root. Reads only this row.
     pub fn parent(self) -> Option<(Direction, TreeRow<'a>)> {
         let n = self.node();
-        (n.up != 0).then(|| (n.up_dir, self.linked(n.up)))
+        (!n.is_root()).then(|| (n.up_dir(), self.linked(n, n.up)))
     }
 }
 
@@ -206,10 +245,7 @@ fn push_child(
     dir: Direction,
 ) -> u32 {
     let b = built.len() as u32;
-    let p = &mut built[parent as usize];
-    p.kids[p.kid_len as usize] = b as i32;
-    p.kid_dirs[p.kid_len as usize] = grid.link_direction(dir);
-    p.kid_len += 1;
+    built[parent as usize].push_kid(b as u16, grid.link_direction(dir));
     let up_dir = grid.link_direction(dir.opposite());
     built.push(Node::new(child as TileId, parent, up_dir));
     b
@@ -288,6 +324,16 @@ impl TreeTable {
     /// Panics if `id` is out of range.
     pub fn root_row(&self, id: u32) -> u32 {
         self.spans[id as usize].root
+    }
+
+    /// Number of rows, over every tree.
+    pub fn num_rows(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Bytes the rows take, over every tree: most of the table.
+    pub fn row_bytes(&self) -> usize {
+        std::mem::size_of_val(self.nodes.as_slice())
     }
 
     /// Releases the arrays' spare capacity and the build scratch: a
@@ -372,7 +418,7 @@ impl TreeTable {
 
         // Sort (tile, build index) keys, note where each built row lands,
         // then write the rows in their final order with their links as
-        // offsets between final positions.
+        // final positions.
         keys.clear();
         keys.extend(
             built
@@ -390,16 +436,21 @@ impl TreeTable {
         let mut di = 0usize;
         for (s, &key) in keys.iter().enumerate() {
             let b = key as u32 as usize;
-            let at = |link: i32| pos[link as usize] as i32 - s as i32;
+            let at = |link: u16| pos[usize::from(link)] as u16;
             let mut n = built[b];
-            n.up = if b == 0 { 0 } else { at(n.up) };
-            for k in &mut n.kids[..usize::from(n.kid_len)] {
+            n.pos = s as u16;
+            n.up = if b == 0 { n.pos } else { at(n.up) };
+            let len = n.kid_len();
+            for k in &mut n.kids[..len] {
                 *k = at(*k);
             }
-            while di < uniq.len() && uniq[di] < n.tile {
+            let tile = TileId::from(n.tile);
+            while di < uniq.len() && uniq[di] < tile {
                 di += 1;
             }
-            n.is_dest = uniq.get(di) == Some(&n.tile);
+            if uniq.get(di) == Some(&tile) {
+                n.bits |= DEST_BIT;
+            }
             self.nodes.push(n);
         }
         let dest_start = self.dests.len();
@@ -428,7 +479,7 @@ impl<'a> CommTree<'a> {
 
     /// The root tile.
     pub fn root(&self) -> TileId {
-        self.table[self.span.root as usize].tile
+        TileId::from(self.table[self.span.root as usize].tile)
     }
 
     /// The destination (participant) tiles, sorted, excluding the root.
@@ -443,7 +494,10 @@ impl<'a> CommTree<'a> {
 
     /// The row of tree tile `t`, or `None` for tiles outside the tree.
     pub fn node(&self, t: TileId) -> Option<TreeRow<'a>> {
-        let k = self.rows().binary_search_by_key(&t, |n| n.tile).ok()?;
+        let k = self
+            .rows()
+            .binary_search_by_key(&t, |n| TileId::from(n.tile))
+            .ok()?;
         Some(self.view(k))
     }
 
@@ -473,7 +527,7 @@ impl<'a> CommTree<'a> {
 
     /// All tiles that participate in the tree (root, forwarders, leaves).
     pub fn tiles(&self) -> Vec<TileId> {
-        self.rows().iter().map(|n| n.tile).collect()
+        self.rows().iter().map(|n| TileId::from(n.tile)).collect()
     }
 
     /// Iterates over directed links `(parent, child)`, by parent tile.
@@ -742,13 +796,62 @@ mod tests {
     }
 
     #[test]
-    fn row_fits_in_36_bytes() {
+    fn paper_scale_tree_to_every_tile_is_exact() {
+        // The largest grid: a tree from one root to every other tile has
+        // a row per tile, so tile ids and row positions use all 16 bits,
+        // and a north-south wrap link spans most of the tree's rows.
+        for grid in [TileGrid::square(256), TileGrid::mesh(256, 256)] {
+            let n = grid.num_tiles();
+            let root = grid.id(100, 37);
+            let dests: Vec<TileId> = (0..n as TileId).collect();
+            let table = TreeTable::single(grid, root, &dests);
+            let tree = table.tree(0);
+            let ctx = format!("torus={}", grid.is_torus());
+            assert_eq!(table.num_rows(), n, "{ctx}");
+            assert_eq!(tree.num_links(), n - 1, "{ctx}");
+            assert_eq!(table.row(table.root_row(0)).tile(), root, "{ctx}");
+            let mut links = 0;
+            for node in tree.nodes() {
+                let t = node.tile();
+                let found = tree.node(t).map(TreeRow::index);
+                assert_eq!(found, Some(node.index()), "{ctx} tile {t}: lookup");
+                assert_eq!(node.is_dest(), t != root, "{ctx} tile {t}");
+                for (dir, c) in node.children() {
+                    links += 1;
+                    assert_eq!(dir.index(), scanned_dir(grid, t, c.tile()), "{ctx} {t}");
+                    let found = tree.node(c.tile()).map(TreeRow::index);
+                    assert_eq!(found, Some(c.index()), "{ctx} {t}: child row");
+                    let up = c.parent().map(|(_, p)| p.index());
+                    assert_eq!(up, Some(node.index()), "{ctx} {t}: links agree");
+                }
+                let Some((dir, p)) = node.parent() else {
+                    assert_eq!(t, root, "{ctx}: only the root has no parent");
+                    continue;
+                };
+                // XY routes: the parent is one step back toward the root,
+                // along the column first.
+                let back = match (grid.dx(root, t).signum(), grid.dy(root, t).signum()) {
+                    (_, 1) => Direction::North,
+                    (_, -1) => Direction::South,
+                    (1, _) => Direction::West,
+                    _ => Direction::East,
+                };
+                assert_eq!(p.tile(), grid.step(t, back), "{ctx} {t}: parent");
+                assert_eq!(dir.index(), scanned_dir(grid, t, p.tile()), "{ctx} {t}");
+            }
+            assert_eq!(links, n - 1, "{ctx}");
+        }
+    }
+
+    #[test]
+    fn row_is_16_bytes() {
         // Routers read a row per head per cycle, and the rows are most of
         // a program's tree memory. A layout that stored each child's
         // absolute row beside its tile id took 56 bytes and raised peak
         // RSS of the 16x16 sim benchmarks by 25-35%, past their 15%
-        // bound; offsets to the linked rows keep a row at 32.
-        assert!(std::mem::size_of::<Node>() <= 36);
+        // bound; i32 offsets to the linked rows took 32. Sixteen-bit
+        // positions and packed directions keep a row at 16.
+        assert_eq!(std::mem::size_of::<Node>(), 16);
     }
 
     #[test]

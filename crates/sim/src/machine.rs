@@ -605,7 +605,7 @@ fn run_engine(
             Mutex::new(Shard {
                 lo,
                 routers: (lo..hi)
-                    .map(|t| Router::new(t as u32, cfg.router_queue_capacity))
+                    .map(|t| Router::new(program.grid, t as u32, cfg.router_queue_capacity))
                     .collect(),
                 pes: (lo..hi)
                     .map(|t| Pe::new(t as u32, cfg, program.tile(t as u32), input))

@@ -148,7 +148,7 @@ pub(crate) enum PeSkipClass {
     Silent,
 }
 
-/// Follow-up operations a task still has to issue.
+/// A follow-up operation a task still has to issue.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum PendingOp {
     /// `slot += task.value` (reduction combine).
@@ -157,8 +157,9 @@ enum PendingOp {
     SolveMul { target: u32, slot: u32 },
     /// Inject a multicast flit carrying `val` for `idx`.
     SendX { idx: u32, val: f64 },
-    /// Inject a partial-sum flit carrying `val` for `target`.
-    SendPartial { target: u32, val: f64 },
+    /// Inject a partial-sum flit carrying `val` for `target`, starting
+    /// at tree row `row`.
+    SendPartial { target: u32, row: u32, val: f64 },
 }
 
 /// One active task context.
@@ -170,13 +171,26 @@ struct Task {
     cur: u32,
     /// One-past-last entry index.
     end: u32,
-    /// Queued follow-up operations (issued before further entries).
-    pending: VecDeque<PendingOp>,
+    /// The queued follow-up operation, issued before further entries.
+    /// An issue leaves at most one behind: Fmac and Combine may queue a
+    /// SendPartial or a SolveMul, SolveMul may queue a SendX, and a send
+    /// queues nothing.
+    pending: Option<PendingOp>,
 }
 
 impl Task {
     fn done(&self) -> bool {
-        self.cur == self.end && self.pending.is_empty()
+        self.cur == self.end && self.pending.is_none()
+    }
+
+    /// Queues `op` as the task's follow-up operation.
+    fn queue(&mut self, op: PendingOp) {
+        debug_assert!(
+            self.pending.is_none(),
+            "a task queues at most one follow-up op: {op:?} after {:?}",
+            self.pending
+        );
+        self.pending = Some(op);
     }
 }
 
@@ -267,8 +281,7 @@ impl Pe {
                     value: val,
                     cur: start,
                     end,
-                    // azul-lint: allow(alloc-in-tick-path) lazy: `VecDeque::new` allocates nothing until a push
-                    pending: VecDeque::new(),
+                    pending: None,
                 }
             }
             Trigger::Partial { idx, val } => {
@@ -279,19 +292,17 @@ impl Pe {
                     value: val,
                     cur: 0,
                     end: 0,
-                    // azul-lint: allow(alloc-in-tick-path) one allocation per multi-cycle task, not per cycle
-                    pending: VecDeque::from([PendingOp::Combine { slot }]),
+                    pending: Some(PendingOp::Combine { slot }),
                 }
             }
             Trigger::SendV { idx } => Task {
                 value: 0.0,
                 cur: 0,
                 end: 0,
-                // azul-lint: allow(alloc-in-tick-path) one allocation per multi-cycle task, not per cycle
-                pending: VecDeque::from([PendingOp::SendX {
+                pending: Some(PendingOp::SendX {
                     idx,
                     val: f64::NAN, // filled at issue from the input vector
-                }]),
+                }),
             },
             Trigger::Solve { idx } => {
                 let slot = tp
@@ -301,19 +312,19 @@ impl Pe {
                     value: 0.0,
                     cur: 0,
                     end: 0,
-                    // azul-lint: allow(alloc-in-tick-path) one allocation per multi-cycle task, not per cycle
-                    pending: VecDeque::from([PendingOp::SolveMul { target: idx, slot }]),
+                    pending: Some(PendingOp::SolveMul { target: idx, slot }),
                 }
             }
         })
     }
 
-    /// Runs slot-completion logic, pushing follow-up ops onto `task`.
+    /// Runs slot-completion logic, queueing `task`'s follow-up op.
     fn complete_slot(&mut self, slot: u32, tp: &TileProgram, task: &mut Task, out: &mut OutSink) {
         match tp.slots[slot as usize].action {
-            SlotAction::SendPartial { target } => {
-                task.pending.push_back(PendingOp::SendPartial {
+            SlotAction::SendPartial { target, row } => {
+                task.queue(PendingOp::SendPartial {
                     target,
+                    row,
                     val: self.slot_vals[slot as usize],
                 });
             }
@@ -321,33 +332,32 @@ impl Pe {
                 out.write(target, self.slot_vals[slot as usize]);
             }
             SlotAction::Solve { target } => {
-                task.pending.push_back(PendingOp::SolveMul { target, slot });
+                task.queue(PendingOp::SolveMul { target, slot });
             }
         }
     }
 
-    /// Injects a `kind` flit for `idx` carrying `val`, starting at its
-    /// tree row, and counts the send; inject backpressure
-    /// ([`Router::can_inject`]) is the caller's to check. A send the
-    /// program has no tree row for is a [`SimError::MisroutedTrigger`].
+    /// The row a multicast of `idx` starts at, or a
+    /// [`SimError::MisroutedTrigger`] when the program has no tree for it.
+    fn multicast_row(&self, now: u64, prog: &Program, idx: u32) -> Result<u32, SimError> {
+        prog.multicast_row(idx)
+            .ok_or_else(|| self.misrouted(now, "multicast of column", idx))
+    }
+
+    /// Injects a `kind` flit for `idx` carrying `val`, starting at tree
+    /// row `row`, and counts the send; inject backpressure
+    /// ([`Router::can_inject`]) is the caller's to check.
     #[allow(clippy::too_many_arguments)]
     fn send(
         &mut self,
         now: u64,
-        prog: &Program,
         router: &mut Router,
         kind: FlitKind,
         idx: u32,
+        row: u32,
         val: f64,
         stats: &mut KernelStats,
-    ) -> Result<(), SimError> {
-        let what = match kind {
-            FlitKind::X => "multicast of column",
-            FlitKind::Partial => "partial for row",
-        };
-        let row = prog
-            .inject_row(kind, idx, self.tile)
-            .ok_or_else(|| self.misrouted(now, what, idx))?;
+    ) {
         router.inject(
             now,
             Flit {
@@ -363,7 +373,6 @@ impl Pe {
         stats.sram_read_at(self.tile);
         trace_op(stats, now, self.tile, OpKind::Send);
         trace_enqueue(stats, now, self.tile);
-        Ok(())
     }
 
     /// One PE cycle. Returns whether the PE made progress — refilled a
@@ -437,8 +446,8 @@ impl Pe {
     }
 
     /// Attempts to issue `task`'s next operation. Returns whether an
-    /// operation issued, or a [`SimError::MisroutedTrigger`] when a send
-    /// has no tree row to start at.
+    /// operation issued, or a [`SimError::MisroutedTrigger`] when a
+    /// multicast has no tree to start at.
     #[allow(clippy::too_many_arguments)]
     fn try_issue(
         &mut self,
@@ -460,13 +469,13 @@ impl Pe {
             }
         };
 
-        let issued = if let Some(&op) = task.pending.front() {
+        let issued = if let Some(op) = task.pending {
             match op {
                 PendingOp::Combine { slot } => {
                     if self.slot_ready[slot as usize] > now {
                         return Ok(false);
                     }
-                    task.pending.pop_front();
+                    task.pending = None;
                     self.slot_vals[slot as usize] += task.value;
                     self.slot_remaining[slot as usize] -= 1;
                     self.slot_ready[slot as usize] = now + hazard;
@@ -483,7 +492,7 @@ impl Pe {
                     if self.slot_ready[slot as usize] > now {
                         return Ok(false);
                     }
-                    task.pending.pop_front();
+                    task.pending = None;
                     let x = self.slot_vals[slot as usize] * prog.inv_diag[target as usize];
                     out.write(target, x);
                     self.slot_ready[slot as usize] = now + hazard;
@@ -491,7 +500,7 @@ impl Pe {
                     stats.sram_read_at(self.tile); // reciprocal diagonal fetch
                     trace_op(stats, now, self.tile, OpKind::Mul);
                     if prog.x_tree[target as usize].is_some() {
-                        task.pending.push_back(PendingOp::SendX {
+                        task.queue(PendingOp::SendX {
                             idx: target,
                             val: x,
                         });
@@ -512,21 +521,22 @@ impl Pe {
                     if !router.can_inject() {
                         return Ok(false);
                     }
-                    task.pending.pop_front();
+                    task.pending = None;
                     let v = if val.is_nan() {
                         input[idx as usize]
                     } else {
                         val
                     };
-                    self.send(now, prog, router, FlitKind::X, idx, v, stats)?;
+                    let row = self.multicast_row(now, prog, idx)?;
+                    self.send(now, router, FlitKind::X, idx, row, v, stats);
                     true
                 }
-                PendingOp::SendPartial { target, val } => {
+                PendingOp::SendPartial { target, row, val } => {
                     if !router.can_inject() {
                         return Ok(false);
                     }
-                    task.pending.pop_front();
-                    self.send(now, prog, router, FlitKind::Partial, target, val, stats)?;
+                    task.pending = None;
+                    self.send(now, router, FlitKind::Partial, target, row, val, stats);
                     true
                 }
             }
@@ -571,10 +581,9 @@ impl Pe {
             loop {
                 // Execute the full op stream with no timing constraints
                 // (slot_ready is ignored by executing effects directly).
-                if let Some(&op) = task.pending.front() {
+                if let Some(op) = task.pending.take() {
                     match op {
                         PendingOp::Combine { slot } => {
-                            task.pending.pop_front();
                             self.slot_vals[slot as usize] += task.value;
                             self.slot_remaining[slot as usize] -= 1;
                             stats.count_op_at(self.tile, OpKind::Add);
@@ -585,14 +594,13 @@ impl Pe {
                             }
                         }
                         PendingOp::SolveMul { target, slot } => {
-                            task.pending.pop_front();
                             let x = self.slot_vals[slot as usize] * prog.inv_diag[target as usize];
                             out.write(target, x);
                             stats.count_op_at(self.tile, OpKind::Mul);
                             stats.sram_read_at(self.tile);
                             trace_op(stats, now, self.tile, OpKind::Mul);
                             if prog.x_tree[target as usize].is_some() {
-                                task.pending.push_back(PendingOp::SendX {
+                                task.queue(PendingOp::SendX {
                                     idx: target,
                                     val: x,
                                 });
@@ -607,17 +615,16 @@ impl Pe {
                             }
                         }
                         PendingOp::SendX { idx, val } => {
-                            task.pending.pop_front();
                             let v = if val.is_nan() {
                                 input[idx as usize]
                             } else {
                                 val
                             };
-                            self.send(now, prog, router, FlitKind::X, idx, v, stats)?;
+                            let row = self.multicast_row(now, prog, idx)?;
+                            self.send(now, router, FlitKind::X, idx, row, v, stats);
                         }
-                        PendingOp::SendPartial { target, val } => {
-                            task.pending.pop_front();
-                            self.send(now, prog, router, FlitKind::Partial, target, val, stats)?;
+                        PendingOp::SendPartial { target, row, val } => {
+                            self.send(now, router, FlitKind::Partial, target, row, val, stats);
                         }
                     }
                 } else if task.cur < task.end {
@@ -695,10 +702,10 @@ impl Pe {
         // per cycle until the earliest slot-ready timer expires.
         let mut wake: Option<u64> = None;
         for task in self.contexts.iter().flatten() {
-            let slot = match task.pending.front() {
-                Some(&PendingOp::Combine { slot }) => Some(slot),
-                Some(&PendingOp::SolveMul { slot, .. }) => Some(slot),
-                Some(&PendingOp::SendX { .. }) | Some(&PendingOp::SendPartial { .. }) => {
+            let slot = match task.pending {
+                Some(PendingOp::Combine { slot }) => Some(slot),
+                Some(PendingOp::SolveMul { slot, .. }) => Some(slot),
+                Some(PendingOp::SendX { .. }) | Some(PendingOp::SendPartial { .. }) => {
                     if can_inject {
                         // Issueable right now: only single-issue
                         // arbitration held it back on the last tick.
@@ -758,7 +765,7 @@ mod tests {
         let x: Vec<f64> = (0..9).map(|i| i as f64 + 1.0).collect();
         let tp = prog.tile(0);
         let mut pe = Pe::new(0, &cfg, tp, &x);
-        let mut router = Router::new(0, 16);
+        let mut router = Router::new(prog.grid, 0, 16);
         let mut out = vec![0.0; 9];
         let mut stats = KernelStats::default();
         // SpMV start: X triggers for all columns (all local).
@@ -812,7 +819,7 @@ mod tests {
         // no hazard there. Instead trigger the same column twice: second
         // task hits the same slots.
         let mut pe = Pe::new(0, &cfg, tp, &x);
-        let mut router = Router::new(0, 16);
+        let mut router = Router::new(prog.grid, 0, 16);
         let mut out = vec![0.0; 9];
         let mut stats = KernelStats::default();
         pe.push_trigger(&cfg, Trigger::X { idx: 4, val: 1.0 }, &mut stats);
@@ -844,7 +851,7 @@ mod tests {
             let mut cfg = base.clone();
             cfg.contexts = contexts;
             let mut pe = Pe::new(0, &cfg, tp, &x);
-            let mut router = Router::new(0, 64);
+            let mut router = Router::new(prog.grid, 0, 64);
             let mut out = vec![0.0; 9];
             let mut stats = KernelStats::default();
             // Many tasks hitting overlapping slots.
@@ -894,7 +901,7 @@ mod tests {
                 cfg.contexts = 1;
             }
             let mut pe = Pe::new(0, &cfg, tp, &x);
-            let mut router = Router::new(0, 64);
+            let mut router = Router::new(prog.grid, 0, 64);
             let mut out = vec![0.0; 9];
             let mut stats = KernelStats::default();
             for j in 0..9u32 {
@@ -935,7 +942,7 @@ mod tests {
         let x = vec![2.0; 9];
         let tp = prog.tile(0);
         let mut pe = Pe::new(0, &cfg, tp, &x);
-        let mut router = Router::new(0, 1024);
+        let mut router = Router::new(prog.grid, 0, 1024);
         let mut out = vec![0.0; 9];
         let mut stats = KernelStats::default();
         for j in 0..9u32 {

@@ -34,8 +34,6 @@ use azul_mapping::{Placement, TileGrid, TileId};
 use azul_sparse::Csr;
 use azul_telemetry::span;
 
-use crate::router::FlitKind;
-
 /// What happens when an accumulator slot's `updates_remaining` hits zero.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SlotAction {
@@ -43,6 +41,9 @@ pub enum SlotAction {
     SendPartial {
         /// Reduction-tree index (the target row).
         target: u32,
+        /// The slot tile's row in the reduction tree, where the partial
+        /// starts.
+        row: u32,
     },
     /// Write the slot value to output element `target` (SpMV home slots).
     FinalY {
@@ -62,7 +63,7 @@ impl SlotAction {
     /// The row or variable index the slot accumulates.
     pub(crate) fn target(self) -> u32 {
         match self {
-            SlotAction::SendPartial { target }
+            SlotAction::SendPartial { target, .. }
             | SlotAction::FinalY { target }
             | SlotAction::Solve { target } => target,
         }
@@ -294,20 +295,13 @@ impl Program {
         (lower, upper)
     }
 
-    /// The tree row a flit for `idx` starts at when `tile` injects it:
-    /// the root row of `idx`'s multicast tree, or `tile`'s row in `idx`'s
-    /// reduction tree. `None` when the program routes no such flit.
-    pub(crate) fn inject_row(&self, kind: FlitKind, idx: u32, tile: TileId) -> Option<u32> {
-        match kind {
-            FlitKind::X => {
-                let tree = self.x_tree.get(idx as usize).copied().flatten()?;
-                Some(self.trees.root_row(tree))
-            }
-            FlitKind::Partial => {
-                let tree = self.partial_tree.get(idx as usize).copied().flatten()?;
-                Some(self.trees.tree(tree).node(tile)?.index())
-            }
-        }
+    /// The tree row a multicast of `idx` starts at: the root row of its
+    /// tree, or `None` when the program multicasts no such value. A
+    /// partial starts at the row its slot names
+    /// ([`SlotAction::SendPartial`]).
+    pub(crate) fn multicast_row(&self, idx: u32) -> Option<u32> {
+        let tree = self.x_tree.get(idx as usize).copied().flatten()?;
+        Some(self.trees.root_row(tree))
     }
 
     /// The tile program of tile `t`.
@@ -654,7 +648,10 @@ fn assemble(
             }
             let pair = (p < pairs.end && targets.tiles[p] == t).then_some(p);
             let local = pair.map_or(0, |p| targets.count[p]);
-            let partial = SlotAction::SendPartial { target: i as u32 };
+            let partial = SlotAction::SendPartial {
+                target: i as u32,
+                row: node.index(),
+            };
             let slot = if t == root {
                 alloc_slot(&mut tiles, root, local + children, home_action, init_from_b)
             } else if node.is_dest() {

@@ -9,11 +9,15 @@
 //! the tree root, and combining happens at the PEs of combiner tiles.
 //! Each flit names its row in the program's [`TreeTable`], as a
 //! hardware router holds the tree entry of the flit it buffers, so a
-//! routing decision reads one row and searches nothing.
+//! routing decision reads that one row and searches nothing. The row
+//! gives the output links and the row each copy takes at the next hop;
+//! the tile on the far side of a link is the router's own neighbour,
+//! fixed when the router is built, so a router never reads another
+//! tile's row.
 
 use crate::program::Program;
 use azul_mapping::tree::TreeTable;
-use azul_mapping::TileId;
+use azul_mapping::{TileGrid, TileId};
 use azul_telemetry::trace::{TraceEvent, TraceKind, CAT_ROUTER};
 use std::collections::VecDeque;
 
@@ -74,6 +78,8 @@ struct Queued {
 #[derive(Debug, Clone)]
 pub struct Router {
     tile: TileId,
+    /// The tile on the far side of each output link, by direction.
+    neighbors: [TileId; 4],
     inputs: [VecDeque<Queued>; 5],
     /// Round-robin arbitration cursor.
     rr: usize,
@@ -92,10 +98,16 @@ pub struct Delivery {
 }
 
 impl Router {
-    /// Creates the router of `tile` with the given input-queue capacity.
-    pub fn new(tile: TileId, capacity: usize) -> Self {
+    /// Creates the router of `tile` on `grid` with the given input-queue
+    /// capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tile` is not on `grid`.
+    pub fn new(grid: TileGrid, tile: TileId, capacity: usize) -> Self {
         Router {
             tile,
+            neighbors: grid.neighbors(tile),
             inputs: Default::default(),
             rr: 0,
             capacity,
@@ -227,13 +239,15 @@ pub struct Accept {
     pub flit: Flit,
 }
 
-/// The routing decision for `flit`, read from its tree row: the output
-/// directions it must be forwarded to (with the neighbor tile and tree
-/// row behind each), how many of the four slots are used, and whether
-/// it is also delivered locally. Pure function of the compiled trees.
-/// Tree links connect mesh neighbors, so a flit forwards to at most one
-/// tile per direction — the fixed array keeps [`tick_router`]
-/// allocation-free.
+/// The routing decision for `flit`, read from its tree row alone: the
+/// output directions it must be forwarded to (with the neighbor tile and
+/// tree row behind each), how many of the four slots are used, and
+/// whether it is also delivered locally. Pure function of the compiled
+/// trees and the router's `neighbors`. Tree links connect grid
+/// neighbors in their link direction, so a flit forwards to at most one
+/// tile per direction, the neighbor in that direction, and a linked
+/// row's index comes from the flit's row without reading the linked row.
+/// The fixed array keeps [`tick_router`] allocation-free.
 ///
 /// A partial is delivered exactly where compile allocated a combining
 /// slot for it
@@ -241,14 +255,19 @@ pub struct Accept {
 /// unless this tile injected it; everywhere else it climbs to the
 /// parent. Only the root has no parent, and the root never injects a
 /// partial: its slot solves or writes the output.
-fn route_of(trees: &TreeTable, flit: Flit) -> ([(usize, TileId, u32); 4], usize, bool) {
+fn route_of(
+    trees: &TreeTable,
+    neighbors: &[TileId; 4],
+    flit: Flit,
+) -> ([(usize, TileId, u32); 4], usize, bool) {
     let row = trees.row(flit.row);
     let mut out = [(0usize, 0 as TileId, 0u32); 4];
     let mut out_n = 0usize;
     let deliver = match flit.kind {
         FlitKind::X => {
             for (dir, child) in row.children() {
-                out[out_n] = (dir.index(), child.tile(), child.index());
+                let d = dir.index();
+                out[out_n] = (d, neighbors[d], child.index());
                 out_n += 1;
             }
             !flit.outbound && row.is_dest()
@@ -257,7 +276,8 @@ fn route_of(trees: &TreeTable, flit: Flit) -> ([(usize, TileId, u32); 4], usize,
             let deliver = !flit.outbound && row.combines();
             match row.parent() {
                 Some((dir, parent)) if !deliver => {
-                    out[0] = (dir.index(), parent.tile(), parent.index());
+                    let d = dir.index();
+                    out[0] = (d, neighbors[d], parent.index());
                     out_n = 1;
                 }
                 _ => {}
@@ -299,7 +319,7 @@ pub fn tick_router(
         }
         let flit = head.flit;
         let tile = t as TileId;
-        let (out_dirs, out_n, deliver) = route_of(&program.trees, flit);
+        let (out_dirs, out_n, deliver) = route_of(&program.trees, &router.neighbors, flit);
         let out_dirs = &out_dirs[..out_n];
 
         // Partial fork: serve whatever outputs are free this cycle; the
@@ -444,7 +464,7 @@ mod tests {
 
     #[test]
     fn inject_and_capacity() {
-        let mut r = Router::new(0, 2);
+        let mut r = Router::new(TileGrid::new(2, 2), 0, 2);
         assert!(r.can_inject());
         r.inject(
             0,
@@ -482,7 +502,9 @@ mod tests {
         let root = prog.trees.tree(tree_id).root();
 
         let num = prog.grid.num_tiles();
-        let mut routers: Vec<Router> = (0..num as u32).map(|t| Router::new(t, 16)).collect();
+        let mut routers: Vec<Router> = (0..num as u32)
+            .map(|t| Router::new(prog.grid, t, 16))
+            .collect();
         routers[root as usize].inject(
             0,
             Flit {
@@ -528,7 +550,9 @@ mod tests {
         let home = tree.root();
 
         let num = prog.grid.num_tiles();
-        let mut routers: Vec<Router> = (0..num as u32).map(|t| Router::new(t, 16)).collect();
+        let mut routers: Vec<Router> = (0..num as u32)
+            .map(|t| Router::new(prog.grid, t, 16))
+            .collect();
         routers[leaf as usize].inject(
             0,
             Flit {
@@ -564,7 +588,9 @@ mod tests {
         let num = prog.grid.num_tiles();
 
         let run = |hop: u64| -> u64 {
-            let mut routers: Vec<Router> = (0..num as u32).map(|t| Router::new(t, 16)).collect();
+            let mut routers: Vec<Router> = (0..num as u32)
+                .map(|t| Router::new(prog.grid, t, 16))
+                .collect();
             routers[root as usize].inject(
                 0,
                 Flit {
@@ -602,7 +628,7 @@ mod tests {
 
     #[test]
     fn next_event_reports_head_ready_cycles() {
-        let mut r = Router::new(0, 16);
+        let mut r = Router::new(TileGrid::new(1, 1), 0, 16);
         assert_eq!(r.next_event(0), None, "empty router: no events");
         r.inject(5, x_flit(0)); // head becomes ready at cycle 6
         assert_eq!(
@@ -621,7 +647,7 @@ mod tests {
         // An outage can only delay a ready head, so reporting `now` for
         // it stays a sound (early) bound: every direction down must not
         // push the event past the head's ready cycle.
-        let mut r = Router::new(0, 16);
+        let mut r = Router::new(TileGrid::new(1, 1), 0, 16);
         r.inject(5, x_flit(0));
         for d in 0..4 {
             r.inject_link_down(d);

@@ -4,6 +4,7 @@
 
 use super::*;
 use crate::program::oracle_tests::arb_spd;
+use crate::program::SlotAction;
 use azul_mapping::strategies::{AzulMapper, BlockMapper, Mapper, RoundRobinMapper};
 use azul_mapping::TileGrid;
 use proptest::prelude::*;
@@ -56,7 +57,8 @@ fn route_by_tile(
 /// Routes a flit at every row of every tree of `prog`, of each kind and
 /// both `outbound` values, by row and by tile, and asserts the same
 /// decision; also checks each injection row and the combiner rule
-/// against the slot tables.
+/// against the slot tables, and that the tile a router's neighbour
+/// table puts behind each output is the linked row's tile.
 fn assert_same_decisions(prog: &Program, what: &str) {
     let trees = &prog.trees;
     for (kind, tree_of) in [
@@ -72,9 +74,8 @@ fn assert_same_decisions(prog: &Program, what: &str) {
             let home = prog.home[idx as usize];
             assert_eq!(tree.root(), home, "{what}: trees are rooted at the home");
             if kind == FlitKind::X {
-                let row = prog.inject_row(kind, idx, home);
                 assert_eq!(
-                    row,
+                    prog.multicast_row(idx),
                     Some(trees.root_row(tree_id)),
                     "{what}: x {idx} starts at the root"
                 );
@@ -85,13 +86,16 @@ fn assert_same_decisions(prog: &Program, what: &str) {
                     format!("{what}: {kind:?} {idx} at tile {}", node.tile()),
                 );
                 if kind == FlitKind::Partial {
-                    let slot = prog.tile(tile).combine_slot(idx);
+                    let tp = prog.tile(tile);
+                    let slot = tp.combine_slot(idx);
                     assert_eq!(node.combines(), slot.is_some(), "{ctx}: combiner rule");
-                    if slot.is_some() && !node.is_root() {
-                        let row = prog.inject_row(kind, idx, tile);
+                    if let Some(slot) = slot.filter(|_| !node.is_root()) {
                         assert_eq!(
-                            row,
-                            Some(node.index()),
+                            tp.slots[slot as usize].action,
+                            SlotAction::SendPartial {
+                                target: idx,
+                                row: node.index()
+                            },
                             "{ctx}: a combiner sends from its row"
                         );
                     }
@@ -104,7 +108,8 @@ fn assert_same_decisions(prog: &Program, what: &str) {
                         val: 0.0,
                         outbound,
                     };
-                    let (got, got_n, got_deliver) = route_of(trees, flit);
+                    let neighbors = prog.grid.neighbors(tile);
+                    let (got, got_n, got_deliver) = route_of(trees, &neighbors, flit);
                     let ctx = format!("{ctx} outbound={outbound}");
                     if kind == FlitKind::Partial && outbound && node.is_root() {
                         // The root never injects a partial; the tile lookup
@@ -120,6 +125,11 @@ fn assert_same_decisions(prog: &Program, what: &str) {
                     assert_eq!(got_dirs, &want[..want_n], "{ctx}: outputs");
                     assert_eq!(got_deliver, want_deliver, "{ctx}: delivery");
                     for &(_, next, next_row) in &got[..got_n] {
+                        assert_eq!(
+                            trees.row(next_row).tile(),
+                            next,
+                            "{ctx}: the neighbour table names the linked row's tile"
+                        );
                         let row = tree.node(next).map(|n| n.index());
                         assert_eq!(
                             row,
@@ -128,6 +138,49 @@ fn assert_same_decisions(prog: &Program, what: &str) {
                         );
                     }
                 }
+            }
+        }
+    }
+}
+
+/// Every routing check of [`assert_same_decisions`] on SpMV, the lower
+/// and upper solves and the shared-table pair.
+fn assert_same_decisions_all(a: &azul_sparse::Csr, p: &azul_mapping::Placement, ctx: &str) {
+    let l = azul_solver::ic0::ic0(a).expect("SPD factors");
+    assert_same_decisions(&Program::compile_spmv(a, p), &format!("{ctx} spmv"));
+    assert_same_decisions(
+        &Program::compile_sptrsv_lower(&l, a, p),
+        &format!("{ctx} lower"),
+    );
+    assert_same_decisions(
+        &Program::compile_sptrsv_upper(&l, a, p),
+        &format!("{ctx} upper"),
+    );
+    let (lo, up) = Program::compile_sptrsv_pair(&l, a, p);
+    assert!(
+        Arc::ptr_eq(&lo.trees, &up.trees),
+        "the pair shares one table"
+    );
+    assert_same_decisions(&lo, &format!("{ctx} pair lower"));
+    assert_same_decisions(&up, &format!("{ctx} pair upper"));
+}
+
+/// The shapes where a neighbour table is easiest to get wrong, each as a
+/// torus and a mesh: 1-wide and 1-high rings (no link in one
+/// dimension), 2-wide and 2-high rings (East and West, or North and
+/// South, reach the same tile), and a plain grid.
+#[test]
+fn neighbor_tables_match_linked_rows_on_narrow_rings() {
+    let a = azul_sparse::generate::grid_laplacian_2d(6, 6);
+    let shapes = [(1, 4), (4, 1), (2, 3), (3, 2), (2, 2), (4, 4)];
+    for (cols, rows) in shapes {
+        for grid in [TileGrid::new(cols, rows), TileGrid::mesh(cols, rows)] {
+            for (name, mapper) in [
+                ("rr", &RoundRobinMapper as &dyn Mapper),
+                ("block", &BlockMapper),
+            ] {
+                let ctx = format!("{cols}x{rows} torus={} {name}", grid.is_torus());
+                assert_same_decisions_all(&a, &mapper.map(&a, grid), &ctx);
             }
         }
     }
@@ -154,14 +207,7 @@ proptest! {
             _ => Box::new(AzulMapper { fast: true, quantiles: 0, ..Default::default() }),
         };
         let p = mapper.map(&a, grid);
-        let l = azul_solver::ic0::ic0(&a).expect("SPD factors");
         let ctx = format!("n={} grid={cols}x{rows} mesh={mesh} mapper={mapper_ix}", a.rows());
-        assert_same_decisions(&Program::compile_spmv(&a, &p), &format!("{ctx} spmv"));
-        assert_same_decisions(&Program::compile_sptrsv_lower(&l, &a, &p), &format!("{ctx} lower"));
-        assert_same_decisions(&Program::compile_sptrsv_upper(&l, &a, &p), &format!("{ctx} upper"));
-        let (lo, up) = Program::compile_sptrsv_pair(&l, &a, &p);
-        prop_assert!(Arc::ptr_eq(&lo.trees, &up.trees), "the pair shares one table");
-        assert_same_decisions(&lo, &format!("{ctx} pair lower"));
-        assert_same_decisions(&up, &format!("{ctx} pair upper"));
+        assert_same_decisions_all(&a, &p, &ctx);
     }
 }
