@@ -4,12 +4,9 @@
 //! Unlike the `fig*`/`table*` targets, this bench measures the
 //! *simulator*, not the simulated accelerator. Three sections:
 //!
-//! 1. **PCG across worker threads** — a full solve with 1, 2 and 4
-//!    shards. Each run's telemetry is re-serialized and compared
-//!    byte-for-byte against `threads=1`; any divergence aborts the
-//!    bench. Thread scaling is bounded by host cores (the pool is capped
-//!    at `available_parallelism`, so on a 1-core runner the thread axis
-//!    measures sharding overhead only).
+//! 1. **PCG solve** — one full solve per matrix, on a
+//!    parallelism-limited and a grid-like analog: the engine's
+//!    throughput in simulated Mcycles per host second.
 //! 2. **SpTRSV serial chain** — a tridiagonal chain round-robined
 //!    across the grid, the dependence-limited tail where nearly every
 //!    tile waits nearly every cycle, at three hop latencies.
@@ -33,9 +30,6 @@ use azul_sparse::suite::Scale;
 use azul_sparse::{generate, suite};
 use azul_telemetry::TelemetryReport;
 use std::time::Instant;
-
-/// Worker-thread counts under test.
-const THREADS: [usize; 3] = [1, 2, 4];
 
 /// One kernel run with its wall time and the engine's host work:
 /// `(stats, wall seconds, ticked, credited)` tile-cycles.
@@ -75,54 +69,25 @@ fn main() {
     );
     let mut reports: Vec<TelemetryReport> = Vec::new();
 
-    // Section 1: full PCG solves across worker threads.
-    header("sim_perf §1 — PCG engine throughput across threads", "");
-    row(
-        "threads",
-        &THREADS.iter().map(|t| format!("{t}w")).collect::<Vec<_>>(),
-    );
+    // Section 1: one full PCG solve per matrix.
+    header("sim_perf §1 — PCG engine throughput", "");
+    row("matrix", &["throughput".to_string()]);
     for name in ["nd12k", "thermal2"] {
         let m = prepare(suite::by_name(name).unwrap(), ctx.scale);
         let placement = ctx.azul_mapper().map(&m.a, ctx.grid);
-        let mut cells = Vec::new();
-        let mut walls = Vec::new();
-        let mut baseline_json = String::new();
-        for &threads in &THREADS {
-            let mut cfg = SimConfig::azul(ctx.grid);
-            cfg.threads = threads;
-            let sim = PcgSim::build(&m.a, &placement, &cfg).expect("IC(0) succeeds");
-            let t0 = Instant::now();
-            let rep = sim.run(&m.b, &ctx.pcg_cfg());
-            let wall = t0.elapsed().as_secs_f64();
-            // Self-check before annotating with host timings: every
-            // thread count must produce byte-identical telemetry. This
-            // is the bench-side guard behind the determinism test suite.
-            let mut doc = telemetry_report(&m, &cfg, &rep);
-            let key = doc.to_json().to_string_pretty();
-            if threads == 1 {
-                baseline_json = key;
-            } else {
-                assert_eq!(
-                    key, baseline_json,
-                    "{name}: telemetry diverged at threads={threads}"
-                );
-            }
-            let mcps = rep.total_cycles as f64 / wall / 1.0e6;
-            doc.scenario_field("section", "pcg");
-            doc.scenario_field("tracing", false);
-            doc.scenario_field("threads", threads as u64);
-            doc.scenario_field("wall_seconds", wall);
-            doc.scenario_field("sim_mcycles_per_sec", mcps);
-            reports.push(doc);
-            walls.push(wall);
-            cells.push(format!("{mcps:.2} Mc/s"));
-        }
-        row(name, &cells);
-        println!(
-            "{name:<14} threads=2 vs threads=1: {:.2}x   threads=4 vs threads=1: {:.2}x",
-            walls[0] / walls[1],
-            walls[0] / walls[2]
-        );
+        let cfg = SimConfig::azul(ctx.grid);
+        let sim = PcgSim::build(&m.a, &placement, &cfg).expect("IC(0) succeeds");
+        let t0 = Instant::now();
+        let rep = sim.run(&m.b, &ctx.pcg_cfg());
+        let wall = t0.elapsed().as_secs_f64();
+        let mcps = rep.total_cycles as f64 / wall / 1.0e6;
+        let mut doc = telemetry_report(&m, &cfg, &rep);
+        doc.scenario_field("section", "pcg");
+        doc.scenario_field("tracing", false);
+        doc.scenario_field("wall_seconds", wall);
+        doc.scenario_field("sim_mcycles_per_sec", mcps);
+        reports.push(doc);
+        row(name, &[format!("{mcps:.2} Mc/s")]);
     }
 
     // Section 2: the dependence-limited SpTRSV tail. A tridiagonal

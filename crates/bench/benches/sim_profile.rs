@@ -2,14 +2,14 @@
 //!
 //! The companion of `sim_perf`: that bench measures *how fast* the tick
 //! engine runs, this one measures *where the time goes* inside it —
-//! router arbitration, PE execute, the barrier/commit phase, waking
+//! router arbitration, PE execute, the commit of each tick, waking
 //! parked tiles, and stats sampling, attributed via the
 //! [`azul_sim::profile`] probes (the only sanctioned wall-clock use in
 //! the sim crate; see the `wall-clock-in-sim` lint rule).
 //!
-//! Runs a full PCG solve with `threads = 1` so the inner probe scopes
-//! nest strictly inside the `tick_loop` scope and shares are
-//! well-defined, then writes `BENCH_sim_profile.json` with one
+//! Runs a full PCG solve, whose kernels tick on the calling thread, so
+//! the inner probe scopes nest strictly inside the `tick_loop` scope and
+//! shares are well-defined, then writes `BENCH_sim_profile.json` with one
 //! `share_ppm_<component>` field per component plus the unattributed
 //! remainder. The shares must cover the tick loop: their sum is
 //! asserted to land within 1% of 100%.
@@ -50,11 +50,7 @@ fn main() {
     let m = prepare(suite::by_name("thermal2").unwrap(), ctx.scale);
     let placement = BlockMapper.map(&m.a, ctx.grid);
 
-    // One worker: with a pool, shard workers run concurrently and their
-    // probe times overlap the coordinator's, so "share of the tick
-    // loop" would stop being a partition of anything.
-    let mut cfg = SimConfig::azul(ctx.grid);
-    cfg.threads = 1;
+    let cfg = SimConfig::azul(ctx.grid);
     let l = ic0(&m.a).expect("IC(0) succeeds on suite matrices");
     let sim = PcgSim::build_with_factor(&m.a, &l, &placement, &cfg);
     // The solve's tree tables: SpMV's, and the one the SpTRSV pair
@@ -146,7 +142,6 @@ fn main() {
     doc.scenario_field("mapping", "block");
     doc.scenario_field("n", m.a.rows() as u64);
     doc.scenario_field("nnz", m.a.nnz() as u64);
-    doc.scenario_field("threads", 1u64);
     doc.scenario_field("total_cycles", total_cycles);
     doc.scenario_field("runs_per_setting", RUNS as u64);
     doc.scenario_field("probe_overhead_ratio", overhead);

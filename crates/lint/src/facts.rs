@@ -42,8 +42,6 @@ pub enum SinkKind {
     AllocGrow,
     /// `.lock()` — recorded for future contention rules.
     Lock,
-    /// Machine-wide `routers[..]` / `pes[..]` indexing.
-    SharedIndex,
 }
 
 /// One sink fact, anchored to a line of the declaring file.
@@ -140,9 +138,6 @@ const GROW_METHODS: [&str; 7] = [
     "reserve",
     "append",
 ];
-
-/// The machine-wide per-tile arrays a shard tick must never index.
-const SHARD_GLOBAL_ARRAYS: [&str; 2] = ["routers", "pes"];
 
 fn ident(t: &Token) -> Option<&str> {
     match &t.tok {
@@ -412,24 +407,6 @@ pub fn extract(path: &str, src: &str) -> FileFacts {
                         },
                     );
                 }
-                // Machine-wide per-tile array indexing.
-                if SHARD_GLOBAL_ARRAYS.contains(&w.as_str())
-                    && toks.get(i + 1).is_some_and(|t| punct(t, '['))
-                {
-                    push_sink(
-                        &fn_stack,
-                        &mut fns,
-                        &mut orphan_sinks,
-                        Sink {
-                            kind: SinkKind::SharedIndex,
-                            line,
-                            what: w.clone(),
-                            justified: false,
-                            poison_guard: false,
-                        },
-                    );
-                }
-
                 if prev_dot {
                     if let Some(paren) = call_paren(toks, i) {
                         method_call_sinks(

@@ -38,10 +38,6 @@
 //! * [`PANIC_IN_SIM_HOT_PATH`] — `unwrap`/`expect`/`panic!` family
 //!   macros inside functions whose name contains `tick`, `route` or
 //!   `execute` in `crates/sim` (warning).
-//! * [`SHARED_MUTABLE_IN_SHARD`] — indexing the machine-wide `routers`
-//!   / `pes` arrays inside a function whose name contains `tick` in
-//!   `crates/sim` (warning). Cross-tile effects must go through
-//!   shard-local views and the barrier-applied outbox.
 //! * [`UNWRAP_IN_PIPELINE`] — `.unwrap()` / `.expect(..)` inside
 //!   functions whose name contains `prepare`, `solve`, `factor`,
 //!   `request`, `schedule`, `admit` or `submit` in `crates/core`,
@@ -113,8 +109,6 @@ pub const WALL_CLOCK_IN_SIM: &str = "wall-clock-in-sim";
 pub const UNCHECKED_FLOAT_REDUCTION: &str = "unchecked-float-reduction";
 /// Rule: panicking calls inside tick/route/execute hot paths.
 pub const PANIC_IN_SIM_HOT_PATH: &str = "panic-in-sim-hot-path";
-/// Rule: global per-tile arrays indexed inside shard tick functions.
-pub const SHARED_MUTABLE_IN_SHARD: &str = "shared-mutable-in-shard";
 /// Rule: panicking `.unwrap()`/`.expect()` in pipeline and service
 /// request-path code.
 pub const UNWRAP_IN_PIPELINE: &str = "unwrap-in-pipeline";
@@ -130,12 +124,11 @@ pub const ALLOC_IN_TICK_PATH: &str = "alloc-in-tick-path";
 pub const STALE_WAIVER: &str = "stale-waiver";
 
 /// Every rule this linter knows, in reporting order.
-pub const ALL_RULES: [&str; 11] = [
+pub const ALL_RULES: [&str; 10] = [
     NONDETERMINISTIC_ITERATION,
     WALL_CLOCK_IN_SIM,
     UNCHECKED_FLOAT_REDUCTION,
     PANIC_IN_SIM_HOT_PATH,
-    SHARED_MUTABLE_IN_SHARD,
     UNWRAP_IN_PIPELINE,
     TRANSITIVE_PANIC_IN_HOT_PATH,
     TRANSITIVE_WALL_CLOCK,
@@ -419,52 +412,6 @@ fn execute(c: u32) {
 }
 "#;
         assert!(lint_source(SIM_PATH, allowed).is_empty());
-    }
-
-    #[test]
-    fn global_array_index_in_tick_fn_flagged() {
-        let src = r#"
-fn tick_shard(routers: &mut [u32], pes: &mut [u32], t: usize) {
-    routers[t] += 1;
-    let _ = pes[t];
-}
-fn commit(routers: &mut [u32], t: usize) {
-    routers[t] += 1; // fine: not a tick function
-}
-"#;
-        let diags = lint_source(SIM_PATH, src);
-        assert_eq!(
-            rules_at(&diags),
-            vec![SHARED_MUTABLE_IN_SHARD, SHARED_MUTABLE_IN_SHARD]
-        );
-        assert_eq!(diags[0].line, 3);
-        assert_eq!(diags[1].line, 4);
-        assert!(diags.iter().all(|d| d.severity == Severity::Warning));
-    }
-
-    #[test]
-    fn shard_local_views_in_tick_fn_clean() {
-        let src = r#"
-fn tick_shard(local_routers: &mut [u32], local_pes: &mut [u32], t: usize) {
-    local_routers[t] += 1;
-    let _ = local_pes[t];
-}
-"#;
-        assert!(lint_source(SIM_PATH, src).is_empty());
-        // And outside the sim scope the rule does not apply at all.
-        let global = "fn tick(routers: &mut [u32]) { routers[0] += 1; }";
-        assert!(lint_source("crates/models/src/fake.rs", global).is_empty());
-    }
-
-    #[test]
-    fn shared_mutable_waivable_with_allow() {
-        let src = r#"
-fn tick_routers(routers: &mut [u32], t: usize) {
-    // azul-lint: allow(shared-mutable-in-shard) serial helper owns the array
-    routers[t] += 1;
-}
-"#;
-        assert!(lint_source(SIM_PATH, src).is_empty());
     }
 
     #[test]

@@ -148,24 +148,6 @@ pub(crate) fn lexical_diags(file: &FileFacts) -> Vec<Diagnostic> {
                     });
                 }
             }
-            SinkKind::SharedIndex if scope == "sim" => {
-                if let Some(f) = f {
-                    if f.name.contains("tick") {
-                        diags.push(Diagnostic {
-                            line: sink.line,
-                            rule: crate::SHARED_MUTABLE_IN_SHARD,
-                            severity: Severity::Warning,
-                            message: format!(
-                                "`{}[..]` indexed inside `{}`: shard tick functions run \
-                                 concurrently; use the shard-local views and the \
-                                 barrier-applied outbox, not the machine-wide arrays",
-                                sink.what, f.name
-                            ),
-                            trace: Vec::new(),
-                        });
-                    }
-                }
-            }
             _ => {}
         }
     };

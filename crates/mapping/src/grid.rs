@@ -8,14 +8,53 @@ pub type TileId = u32;
 /// is exact up to this size.
 pub const MAX_TILES: usize = 1 << 16;
 
-/// Panics unless a `width x height` grid has between 1 and
-/// [`MAX_TILES`] tiles.
-fn check_dims(width: usize, height: usize) {
-    assert!(width > 0 && height > 0, "grid dimensions must be positive");
-    assert!(
-        width.checked_mul(height).is_some_and(|n| n <= MAX_TILES),
-        "a {width}x{height} grid has more than {MAX_TILES} tiles"
-    );
+/// Why a grid shape was rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum GridError {
+    /// A side is zero.
+    ZeroSide,
+    /// The grid has more than [`MAX_TILES`] tiles.
+    TooManyTiles {
+        /// Requested width.
+        width: usize,
+        /// Requested height.
+        height: usize,
+    },
+    /// A side given as text is not a whole number.
+    NotASide(String),
+}
+
+impl std::fmt::Display for GridError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GridError::ZeroSide => write!(f, "grid dimensions must be positive"),
+            GridError::TooManyTiles { width, height } => {
+                write!(f, "a {width}x{height} grid has more than {MAX_TILES} tiles")
+            }
+            GridError::NotASide(text) => write!(f, "grid side {text:?} is not a whole number"),
+        }
+    }
+}
+
+impl std::error::Error for GridError {}
+
+/// Checks that a `width x height` grid has between 1 and [`MAX_TILES`]
+/// tiles.
+fn check_dims(width: usize, height: usize) -> Result<(), GridError> {
+    if width == 0 || height == 0 {
+        return Err(GridError::ZeroSide);
+    }
+    if width.checked_mul(height).is_none_or(|n| n > MAX_TILES) {
+        return Err(GridError::TooManyTiles { width, height });
+    }
+    Ok(())
+}
+
+/// Panics with the [`GridError`] of a rejected shape.
+fn expect_dims(width: usize, height: usize) {
+    if let Err(e) = check_dims(width, height) {
+        panic!("{e}");
+    }
 }
 
 /// A rectangular grid of tiles connected as a 2-D torus (Table III's
@@ -36,7 +75,7 @@ impl TileGrid {
     /// Panics if either dimension is zero or the grid has more than
     /// [`MAX_TILES`] tiles.
     pub fn new(width: usize, height: usize) -> Self {
-        check_dims(width, height);
+        expect_dims(width, height);
         TileGrid {
             width,
             height,
@@ -50,6 +89,23 @@ impl TileGrid {
         TileGrid::new(side, side)
     }
 
+    /// A square torus whose side is given as text, the way the
+    /// command-line tools take `--grid`.
+    ///
+    /// # Errors
+    ///
+    /// [`GridError::NotASide`] when `side` is not a whole number,
+    /// [`GridError::ZeroSide`] for 0, and [`GridError::TooManyTiles`]
+    /// when the square has more than [`MAX_TILES`] tiles.
+    pub fn parse_square(side: &str) -> Result<Self, GridError> {
+        let n: usize = side
+            .trim()
+            .parse()
+            .map_err(|_| GridError::NotASide(side.to_string()))?;
+        check_dims(n, n)?;
+        Ok(TileGrid::square(n))
+    }
+
     /// Creates a `width x height` *mesh*: same tiles and routers but no
     /// wraparound links, halving the bisection width. Used to quantify how
     /// much the paper's torus topology buys (see the `topology_study`
@@ -60,7 +116,7 @@ impl TileGrid {
     /// Panics if either dimension is zero or the grid has more than
     /// [`MAX_TILES`] tiles.
     pub fn mesh(width: usize, height: usize) -> Self {
-        check_dims(width, height);
+        expect_dims(width, height);
         TileGrid {
             width,
             height,
@@ -391,6 +447,42 @@ mod tests {
     #[should_panic(expected = "more than 65536 tiles")]
     fn overflowing_dimensions_panic() {
         TileGrid::new(usize::MAX, 2);
+    }
+
+    #[test]
+    fn parse_square_accepts_every_allowed_side() {
+        assert_eq!(TileGrid::parse_square("1"), Ok(TileGrid::square(1)));
+        assert_eq!(TileGrid::parse_square(" 16 "), Ok(TileGrid::square(16)));
+        assert_eq!(TileGrid::parse_square("256"), Ok(TileGrid::square(256)));
+    }
+
+    #[test]
+    fn parse_square_rejects_bad_sides() {
+        assert_eq!(TileGrid::parse_square("0"), Err(GridError::ZeroSide));
+        assert_eq!(
+            TileGrid::parse_square("257"),
+            Err(GridError::TooManyTiles {
+                width: 257,
+                height: 257
+            })
+        );
+        // A side whose square overflows is too large, not a panic.
+        let huge = usize::MAX.to_string();
+        assert!(matches!(
+            TileGrid::parse_square(&huge),
+            Err(GridError::TooManyTiles { .. })
+        ));
+        for text in ["banana", "-4", "", "4.5", "true"] {
+            assert_eq!(
+                TileGrid::parse_square(text),
+                Err(GridError::NotASide(text.to_string())),
+                "{text:?}"
+            );
+        }
+        assert_eq!(
+            TileGrid::parse_square("0").unwrap_err().to_string(),
+            "grid dimensions must be positive"
+        );
     }
 
     #[test]

@@ -39,6 +39,6 @@ pub mod traffic;
 pub mod tree;
 pub mod workload;
 
-pub use grid::{TileGrid, TileId};
+pub use grid::{GridError, TileGrid, TileId};
 pub use placement::Placement;
 pub use strategies::{AzulMapper, BlockMapper, Mapper, RoundRobinMapper, SparsePMapper};

@@ -55,7 +55,17 @@ fn main() -> ExitCode {
     let queue_capacity = get("queue-capacity", 4);
     let workers = get("workers", 1);
     let operators = get("operators", 2).max(1);
-    let grid = get("grid", 4);
+    let tiles = match opts
+        .get("grid")
+        .map_or(Ok(TileGrid::square(4)), |g| TileGrid::parse_square(g))
+    {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("error: --grid: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let grid = tiles.width();
     let fault_events = get("fault-events", 3);
     let fault_seed: Option<u64> = opts.get("fault-seed").and_then(|v| v.parse().ok());
     let cycle_budget: Option<u64> = opts.get("cycle-budget").and_then(|v| v.parse().ok());
@@ -63,7 +73,7 @@ fn main() -> ExitCode {
     let out_dir: Option<PathBuf> = opts.get("out-dir").map(PathBuf::from);
     let quiet = opts.contains_key("quiet");
 
-    let mut cfg = ServeConfig::new(AzulConfig::new(TileGrid::new(grid, grid)));
+    let mut cfg = ServeConfig::new(AzulConfig::new(tiles));
     cfg.queue_capacity = queue_capacity;
     cfg.workers = workers;
     if let Some(budget) = cycle_budget {

@@ -13,9 +13,9 @@
 //!
 //! Determinism: the *machine state* at which a cancelled kernel stops is
 //! wall-timing dependent by nature (that is the point of cancellation),
-//! but because the flag is only sampled in the serial prologue of the
-//! cycle loop, a cancellation never tears a cycle in half — the abort
-//! lands on a cycle boundary for any `threads` setting, and a token
+//! but because the flag is only sampled between cycles, a cancellation
+//! never tears a cycle in half — the abort lands on a cycle boundary
+//! whether or not tiles are parked, and a token
 //! that is never tripped perturbs nothing: the fast path is one branch
 //! per iteration. Cancellation is deliberately *not* a wake source for
 //! parked tiles: a cancel landing inside a clock jump is observed at

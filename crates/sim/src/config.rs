@@ -84,32 +84,24 @@ pub struct SimConfig {
     /// release runs) and off otherwise, so production sweeps pay one
     /// branch per cycle.
     pub check_invariants: bool,
-    /// Host worker threads for the sharded tick engine
-    /// (`docs/PERFORMANCE.md`). Tiles are partitioned into this many
-    /// contiguous shards ticked in parallel each cycle; results are
-    /// bit-for-bit identical for every value. `1` (the default) ticks
-    /// everything on the calling thread with no pool or barriers. This
-    /// is a host-side performance knob, not simulated hardware, so it
-    /// is deliberately absent from telemetry scenario descriptions.
-    pub threads: usize,
     /// Cycle-accurate event tracing
     /// ([`azul_telemetry::trace`]). `None` (the default) keeps the
     /// zero-trace fast path: every hook is guarded by one branch on an
     /// empty category mask and no event is ever constructed. `Some`
     /// records category-filtered [`azul_telemetry::trace::TraceEvent`]s
     /// into `KernelStats::trace_ev` with deterministic bounded
-    /// sampling; traced output is byte-identical across
-    /// [`SimConfig::threads`] and repeated seeded-fault runs.
+    /// sampling; traced output is byte-identical with parking on or
+    /// off and across repeated seeded-fault runs.
     pub trace: Option<TraceConfig>,
     /// Cooperative cancellation ([`crate::cancel`]). `None` (the
     /// default) keeps the fast path: the tick engine pays one branch
     /// per cycle and never touches an atomic. `Some` makes the engine
-    /// sample the token once per cycle at the serial commit boundary
-    /// and abort with [`SimError::Cancelled`](crate::SimError) when it
-    /// trips, so a service front-end can abandon a solve mid-kernel
-    /// without tearing a cycle. Like [`SimConfig::threads`], this is a
-    /// host-side control channel, not simulated hardware: it is absent
-    /// from telemetry and ignored by config equality.
+    /// sample the token once per cycle, between cycles, and abort with
+    /// [`SimError::Cancelled`](crate::SimError) when it trips, so a
+    /// service front-end can abandon a solve mid-kernel without tearing
+    /// a cycle. This is a host-side control channel, not simulated
+    /// hardware: it is absent from telemetry and ignored by config
+    /// equality.
     pub cancel: Option<CancelToken>,
     /// Cap on the per-iteration convergence-history samples a solve
     /// frontend keeps (`0` = unlimited, the default, which preserves
@@ -217,7 +209,6 @@ impl SimConfig {
             watchdog_no_progress_cycles: 50_000,
             faults: None,
             check_invariants: cfg!(debug_assertions),
-            threads: 1,
             trace: None,
             cancel: None,
             history_limit: 0,
@@ -284,9 +275,7 @@ mod tests {
 
     #[test]
     fn engine_knobs_default_to_reference_path() {
-        // One thread by default; sweeps opt in explicitly.
         let cfg = SimConfig::azul(TileGrid::square(4));
-        assert_eq!(cfg.threads, 1);
         assert!(cfg.trace.is_none(), "tracing is opt-in");
         assert_eq!(cfg.history_limit, 0, "history is unbounded by default");
         assert!(cfg.cancel.is_none(), "cancellation is opt-in");

@@ -120,22 +120,30 @@ impl Checker {
             return Ok(());
         }
         self.checks[OCCUPANCY] += 1;
-        check_router_occupancy(cycle, router)
+        let occ = router.inject_occupancy();
+        if occ > router.capacity() {
+            return Err(violation(
+                RULE_OCCUPANCY_BOUNDS,
+                cycle,
+                format!(
+                    "router {} inject queue holds {occ} flits, capacity {}",
+                    router.tile(),
+                    router.capacity()
+                ),
+            ));
+        }
+        Ok(())
     }
 
     /// Whether per-cycle occupancy auditing applies (checking enabled and
-    /// the PE model honors inject backpressure). Shard workers consult
-    /// this to decide locally, then report their evaluation counts back
-    /// through [`Checker::credit_occupancy_checks`].
-    pub(crate) fn occupancy_active(&self) -> bool {
+    /// the PE model honors inject backpressure).
+    fn occupancy_active(&self) -> bool {
         self.enabled && self.bounded_inject
     }
 
-    /// Credits `n` occupancy-rule evaluations performed outside this
-    /// checker: by shard workers (which run [`check_router_occupancy`]
-    /// against their own routers), or by a parked tile's span credit
-    /// (its `k` skipped ticks would each have audited its router, and
-    /// are credited in one call when it wakes). Because
+    /// Credits `n` occupancy-rule evaluations a parked tile's span
+    /// skipped: its `k` skipped ticks would each have audited its
+    /// router, and are credited in one call when it wakes. Because
     /// `KernelStats::invariant_checks` participates in stats equality,
     /// the determinism suite audits this crediting byte-for-byte. No-op
     /// when occupancy auditing is off.
@@ -228,32 +236,6 @@ impl Checker {
             stats.invariant_checks[k] += self.checks[k];
         }
     }
-}
-
-/// The occupancy-bound check itself, callable without a [`Checker`] so
-/// shard workers can audit their own routers concurrently (each worker
-/// counts its evaluations; the coordinator folds them back in via
-/// [`Checker::credit_occupancy_checks`]).
-///
-/// # Errors
-///
-/// [`RULE_OCCUPANCY_BOUNDS`] when the inject queue holds more flits
-/// than its configured capacity.
-pub(crate) fn check_router_occupancy(cycle: u64, router: &Router) -> Result<(), SimError> {
-    let occ = router.inject_occupancy();
-    if occ > router.capacity() {
-        return Err(violation(
-            RULE_OCCUPANCY_BOUNDS,
-            cycle,
-            // azul-lint: allow(alloc-in-tick-path) failure path: allocates once while aborting the kernel
-            format!(
-                "router {} inject queue holds {occ} flits, capacity {}",
-                router.tile(),
-                router.capacity()
-            ),
-        ));
-    }
-    Ok(())
 }
 
 /// Solve-level audit over stats merged across every kernel and vector

@@ -37,7 +37,7 @@
 //!   `SimConfig::detailed_stats`) into `azul-telemetry` reports;
 //! * [`profile`] — host-side self-profiling probes attributing the
 //!   simulator's *wall time* to its components (tick loop, router
-//!   arbitration, PE execute, barrier/commit, waking parked tiles,
+//!   arbitration, PE execute, commit, waking parked tiles,
 //!   stats), inert unless a harness enables them, plus exact counts of
 //!   the tile ticks parking saved.
 //!

@@ -19,16 +19,15 @@
 
 use crate::config::SimConfig;
 use crate::faults::{FaultEvent, FaultKind, FaultSession};
-use crate::invariants::{check_router_occupancy, Checker};
-use crate::pe::{trace_wake, trigger_code, OutSink, Pe, PeSkipClass, Trigger};
+use crate::invariants::Checker;
+use crate::pe::{trace_wake, trigger_code, Pe, PeSkipClass, Trigger};
+use crate::profile::{self, Component};
 use crate::program::Program;
 use crate::router::{tick_router, Accept, Delivery, FlitKind, Router};
 use crate::stats::KernelStats;
 use azul_telemetry::trace::{TraceEvent, TraceKind, CAT_FAULT, CAT_KERNEL};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Stable code carried in the `arg` of [`TraceKind::FaultFire`] events.
 fn fault_code(kind: &FaultKind) -> u64 {
@@ -86,8 +85,8 @@ pub enum SimError {
     /// The kernel was abandoned cooperatively: the
     /// [`CancelToken`](crate::CancelToken) armed via
     /// [`SimConfig::cancel`] tripped. The flag is sampled once per loop
-    /// iteration at a serial point, so the abort always lands on a cycle
-    /// boundary regardless of `threads` or parked tiles. Not a machine
+    /// iteration, between cycles, so the abort always lands on a cycle
+    /// boundary regardless of parked tiles. Not a machine
     /// failure — the host asked the run to stop (deadline, client gone,
     /// service shutdown).
     Cancelled {
@@ -137,226 +136,6 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// One contiguous slice of the tile array, owned by exactly one worker
-/// during the parallel phase of a cycle (`SimConfig::threads` shards).
-///
-/// All cross-shard traffic is double-buffered: forwards land in
-/// `outbox` ([`Accept`]s applied at the cycle barrier), output-vector
-/// writes land in `out_buf`, and per-cycle stats land in the shard's
-/// own `stats` delta (merged into the main ledger in shard order at
-/// kernel end). A shard tick therefore only ever mutates shard-local
-/// state, which is what makes the engine's results independent of how
-/// many workers run and in what order shards are ticked.
-struct Shard {
-    /// First global tile id in this shard (tiles `lo..lo + routers.len()`).
-    lo: usize,
-    routers: Vec<Router>,
-    pes: Vec<Pe>,
-    /// Injected PE stall/kill windows, per local tile.
-    stalled: Vec<bool>,
-    /// Global tile ids to tick this cycle (filled by the coordinator).
-    bucket: Vec<usize>,
-    /// Scratch: local deliveries of the tile currently being ticked.
-    deliveries: Vec<Delivery>,
-    /// Cross-tile flit arrivals produced this cycle; the coordinator
-    /// applies them in shard order at the cycle barrier.
-    outbox: Vec<Accept>,
-    /// Output-vector writes produced this cycle; applied at the barrier.
-    out_buf: Vec<(u32, f64)>,
-    /// Tiles of `bucket` still holding work after their tick, with
-    /// whether the tick made progress.
-    still: Vec<(usize, bool)>,
-    /// This shard's stats delta (`cycles` stays 0; merge adds counters).
-    stats: KernelStats,
-    /// Occupancy-rule evaluations performed by this shard's ticks.
-    occ_checks: u64,
-    /// First invariant violation this shard observed, if any.
-    err: Option<SimError>,
-}
-
-impl Shard {
-    fn router_mut(&mut self, t: usize) -> &mut Router {
-        let i = t - self.lo;
-        &mut self.routers[i]
-    }
-
-    fn pe_mut(&mut self, t: usize) -> &mut Pe {
-        let i = t - self.lo;
-        &mut self.pes[i]
-    }
-
-    fn router_ref(&self, t: usize) -> &Router {
-        &self.routers[t - self.lo]
-    }
-
-    fn pe_ref(&self, t: usize) -> &Pe {
-        &self.pes[t - self.lo]
-    }
-}
-
-/// Ticks every tile in `sh.bucket` for cycle `now`, touching only
-/// shard-local state (see [`Shard`]). Safe to run concurrently with the
-/// ticks of every other shard.
-fn tick_shard(
-    sh: &mut Shard,
-    now: u64,
-    cfg: &SimConfig,
-    program: &Program,
-    input: &[f64],
-    faulting: bool,
-    check_occupancy: bool,
-) {
-    // Destructure so disjoint fields can be borrowed simultaneously.
-    // The renamed bindings also make the sharding contract explicit:
-    // only *this shard's* routers/PEs are ever indexed here.
-    let Shard {
-        lo,
-        routers: local_routers,
-        pes: local_pes,
-        stalled,
-        bucket,
-        deliveries,
-        outbox,
-        out_buf,
-        still,
-        stats,
-        occ_checks,
-        err,
-    } = sh;
-    let lo = *lo;
-    // One flag load per shard-tick, not per tile: host-profiling probes
-    // stay off the per-tile fast path unless a harness enabled them.
-    let profiling = crate::profile::enabled();
-    still.clear();
-    for &t in bucket.iter() {
-        let local = t - lo;
-        // Router first: deliveries trigger PE tasks this same cycle.
-        deliveries.clear();
-        let mut progressed = {
-            let _p =
-                profiling.then(|| crate::profile::scope(crate::profile::Component::RouterTick));
-            tick_router(
-                &mut local_routers[local],
-                now,
-                cfg.hop_latency as u64,
-                program,
-                deliveries,
-                outbox,
-                stats,
-            )
-        };
-        for d in deliveries.iter() {
-            let trig = match d.flit.kind {
-                FlitKind::X => Trigger::X {
-                    idx: d.flit.idx,
-                    val: d.flit.val,
-                },
-                FlitKind::Partial => Trigger::Partial {
-                    idx: d.flit.idx,
-                    val: d.flit.val,
-                },
-            };
-            local_pes[local].push_trigger(cfg, trig, stats);
-            trace_wake(stats, now, t as u32, trigger_code(&trig));
-        }
-        // PE next — unless inside an injected stall/kill window, in
-        // which case the router keeps forwarding and triggers keep
-        // queueing so the tile stays active (and a permanent kill is
-        // observable as a watchdog hang).
-        if !(faulting && stalled[local]) {
-            let _p = profiling.then(|| crate::profile::scope(crate::profile::Component::PeTick));
-            let tp = program.tile(t as u32);
-            let ticked = local_pes[local].tick(
-                now,
-                cfg,
-                tp,
-                program,
-                &mut local_routers[local],
-                input,
-                &mut OutSink::Buffered(out_buf),
-                stats,
-            );
-            // Misrouted triggers surface through the same first-error-
-            // wins channel as invariant violations; the barrier commit
-            // aborts the kernel with the typed error.
-            match ticked {
-                Ok(p) => progressed |= p,
-                Err(e) => {
-                    if err.is_none() {
-                        *err = Some(e);
-                    }
-                }
-            }
-        }
-        // Runtime invariant: the inject queue is the only bounded
-        // buffer; exceeding its capacity means a PE bypassed
-        // `can_inject` backpressure.
-        if check_occupancy {
-            *occ_checks += 1;
-            if err.is_none() {
-                if let Err(e) = check_router_occupancy(now, &local_routers[local]) {
-                    *err = Some(e);
-                }
-            }
-        }
-        // Re-arm check (pre-barrier view): tiles receiving an accept
-        // this cycle are re-activated from the outbox instead.
-        if local_pes[local].has_work() || local_routers[local].occupancy() > 0 {
-            still.push((t, progressed));
-        }
-    }
-}
-
-/// A reusable generation-counting spin barrier for the fixed-size
-/// worker pool. Spins briefly, then yields: the pool is sized to the
-/// host's cores but may still be descheduled (or the host may have a
-/// single core), and a blocking barrier would cost a syscall per cycle.
-struct SpinBarrier {
-    total: usize,
-    count: AtomicUsize,
-    generation: AtomicUsize,
-}
-
-impl SpinBarrier {
-    fn new(total: usize) -> Self {
-        SpinBarrier {
-            total,
-            count: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
-        }
-    }
-
-    fn wait(&self) {
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            self.count.store(0, Ordering::Release);
-            self.generation.fetch_add(1, Ordering::Release);
-            return;
-        }
-        let mut spins = 0u32;
-        while self.generation.load(Ordering::Acquire) == generation {
-            spins += 1;
-            if spins > 64 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-}
-
-/// Coordinator → worker channel for the parallel engine: the cycle
-/// being ticked, the shutdown flag, and the two barriers bracketing
-/// each cycle's parallel phase. Shard data itself travels through the
-/// per-shard `Mutex`es, which provide the happens-before edges.
-struct ParallelCtx {
-    pool: usize,
-    barrier_a: SpinBarrier,
-    barrier_b: SpinBarrier,
-    cycle_now: AtomicU64,
-    stop: AtomicBool,
-}
-
 /// Consecutive no-progress ticks after which a busy tile is considered
 /// for parking. A single quiet tick is routine (a RAW hazard window, a
 /// flit one hop out) and usually followed by progress, so the wake
@@ -373,7 +152,7 @@ struct TileCycles {
     credited: u64,
 }
 
-/// Coordinator-side parking state (`docs/PERFORMANCE.md`).
+/// Parking state (`docs/PERFORMANCE.md`).
 ///
 /// A parked tile is one the per-cycle loop would still tick every
 /// cycle, but which provably cannot act before `wake[t]`: its PE wake
@@ -458,6 +237,133 @@ impl Parking {
     }
 }
 
+/// Every tile's router and PE, with the injected stall/kill windows and
+/// the per-cycle scratch buffers of the tick phase.
+struct Tiles {
+    routers: Vec<Router>,
+    pes: Vec<Pe>,
+    /// Injected PE stall/kill windows, per tile.
+    stalled: Vec<bool>,
+    /// Scratch: local deliveries of the tile being ticked.
+    deliveries: Vec<Delivery>,
+    /// Cross-tile flit arrivals produced this cycle, applied once every
+    /// tile has ticked (see "The outbox" in `docs/PERFORMANCE.md`).
+    outbox: Vec<Accept>,
+}
+
+impl Tiles {
+    /// Ticks tile `t` for cycle `now`: its router first, so deliveries
+    /// trigger PE tasks this same cycle, then its PE — unless inside an
+    /// injected stall/kill window, in which case the router keeps
+    /// forwarding and triggers keep queueing so the tile stays active
+    /// (and a permanent kill is observable as a watchdog hang). Returns
+    /// whether the tile made progress.
+    #[allow(clippy::too_many_arguments)]
+    fn tick(
+        &mut self,
+        t: usize,
+        now: u64,
+        cfg: &SimConfig,
+        program: &Program,
+        input: &[f64],
+        out: &mut [f64],
+        profiling: bool,
+        stats: &mut KernelStats,
+    ) -> Result<bool, SimError> {
+        let router = &mut self.routers[t];
+        let pe = &mut self.pes[t];
+        self.deliveries.clear();
+        let mut progressed = {
+            let _p = profiling.then(|| profile::scope(Component::RouterTick));
+            tick_router(
+                router,
+                now,
+                cfg.hop_latency as u64,
+                program,
+                &mut self.deliveries,
+                &mut self.outbox,
+                stats,
+            )
+        };
+        for d in &self.deliveries {
+            let trig = match d.flit.kind {
+                FlitKind::X => Trigger::X {
+                    idx: d.flit.idx,
+                    val: d.flit.val,
+                },
+                FlitKind::Partial => Trigger::Partial {
+                    idx: d.flit.idx,
+                    val: d.flit.val,
+                },
+            };
+            pe.push_trigger(cfg, trig, stats);
+            trace_wake(stats, now, t as u32, trigger_code(&trig));
+        }
+        if !self.stalled[t] {
+            let _p = profiling.then(|| profile::scope(Component::PeTick));
+            let tp = program.tile(t as u32);
+            progressed |= pe.tick(now, cfg, tp, program, router, input, out, stats)?;
+        }
+        Ok(progressed)
+    }
+
+    /// Whether tile `t` still holds router or PE work.
+    fn busy(&self, t: usize) -> bool {
+        self.pes[t].has_work() || !self.routers[t].is_empty()
+    }
+
+    /// The skip class and earliest action cycle of tile `t` as of cycle
+    /// `now`, right after its tick at `now - 1`: the earlier of its PE's
+    /// wake profile and its router's next head event. `None` when
+    /// neither reports a self-driven wake.
+    fn wake_of(
+        &self,
+        t: usize,
+        now: u64,
+        cfg: &SimConfig,
+        program: &Program,
+    ) -> Option<(PeSkipClass, u64)> {
+        let router = &self.routers[t];
+        let (class, pe_wake) =
+            self.pes[t].wake_profile(now, cfg, program.tile(t as u32), router.can_inject());
+        let wake = match (pe_wake, router.next_event(now)) {
+            (Some(a), Some(b)) => a.min(b),
+            (a, b) => a.or(b)?,
+        };
+        Some((class, wake))
+    }
+
+    /// Re-applies the session's active fault windows onto freshly
+    /// cleared router/PE fault state. Called whenever the window set
+    /// changes; rare enough that the O(tiles) reset does not matter.
+    fn sync_faults(&mut self, session: &FaultSession, local_now: u64) {
+        for r in &mut self.routers {
+            r.clear_faults();
+        }
+        self.stalled.fill(false);
+        let gnow = session.global_cycle(local_now);
+        for &(kind, until) in session.active_windows() {
+            if until <= gnow {
+                continue;
+            }
+            match kind {
+                FaultKind::LinkDown { tile, dir, .. } => {
+                    self.routers[tile as usize].inject_link_down(dir as usize);
+                }
+                FaultKind::LinkDegrade {
+                    tile,
+                    extra_latency,
+                    ..
+                } => self.routers[tile as usize].inject_link_degrade(extra_latency),
+                FaultKind::PeStall { tile, .. } | FaultKind::PeKill { tile } => {
+                    self.stalled[tile as usize] = true;
+                }
+                FaultKind::SramBitFlip { .. } => {}
+            }
+        }
+    }
+}
+
 /// Runs `program` on the simulated machine.
 ///
 /// `input` is the trigger vector: `x` for SpMV, `b` for SpTRSV. Returns
@@ -504,7 +410,7 @@ pub fn run_kernel_checked(
     faults: Option<&mut FaultSession>,
 ) -> Result<(Vec<f64>, KernelStats), SimError> {
     let (out, stats, counts) = run_engine(cfg, program, input, faults, true)?;
-    crate::profile::count_tile_cycles(counts.ticked, counts.credited);
+    profile::count_tile_cycles(counts.ticked, counts.credited);
     Ok((out, stats))
 }
 
@@ -565,63 +471,17 @@ fn run_engine(
     }
     let mut inv = Checker::new(cfg);
     let mut out = vec![0.0f64; program.n];
-
-    // Tile sharding: contiguous ranges, one per configured thread. The
-    // shard count only partitions work — results are bit-identical for
-    // every value — so the worker pool is sized to the host
-    // (`available_parallelism`), never above the shard count.
-    let num_shards = cfg.threads.max(1).min(num_tiles);
-    let pool = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(num_shards);
-    let shard_of: Vec<usize> = {
-        let mut v = vec![0usize; num_tiles];
-        for s in 0..num_shards {
-            let lo = s * num_tiles / num_shards;
-            let hi = (s + 1) * num_tiles / num_shards;
-            for slot in v.iter_mut().take(hi).skip(lo) {
-                *slot = s;
-            }
-        }
-        v
+    let mut tiles = Tiles {
+        routers: (0..num_tiles)
+            .map(|t| Router::new(program.grid, t as u32, cfg.router_queue_capacity))
+            .collect(),
+        pes: (0..num_tiles)
+            .map(|t| Pe::new(t as u32, cfg, program.tile(t as u32), input))
+            .collect(),
+        stalled: vec![false; num_tiles],
+        deliveries: Vec::new(),
+        outbox: Vec::new(),
     };
-    let mut shards: Vec<Mutex<Shard>> = (0..num_shards)
-        .map(|s| {
-            let lo = s * num_tiles / num_shards;
-            let hi = (s + 1) * num_tiles / num_shards;
-            let mut shard_stats = KernelStats::default();
-            if cfg.detailed_stats {
-                // Full-width detail arrays: each shard only touches its
-                // own tiles' entries, and merge adds elementwise.
-                shard_stats.enable_detail(num_tiles);
-            }
-            if let Some(tc) = cfg.trace {
-                // Shards collect into private buffers; the postlude
-                // merge concatenates them in shard order and the seal
-                // sorts, so thread count cannot reorder the trace.
-                shard_stats.trace_ev.configure(tc);
-            }
-            Mutex::new(Shard {
-                lo,
-                routers: (lo..hi)
-                    .map(|t| Router::new(program.grid, t as u32, cfg.router_queue_capacity))
-                    .collect(),
-                pes: (lo..hi)
-                    .map(|t| Pe::new(t as u32, cfg, program.tile(t as u32), input))
-                    .collect(),
-                stalled: vec![false; hi - lo],
-                bucket: Vec::new(),
-                deliveries: Vec::new(),
-                outbox: Vec::new(),
-                out_buf: Vec::new(),
-                still: Vec::new(),
-                stats: shard_stats,
-                occ_checks: 0,
-                err: None,
-            })
-        })
-        .collect();
 
     // Fault session: the caller's cross-kernel session wins; otherwise a
     // config-level plan gets a session scoped to this kernel. `None`
@@ -639,26 +499,20 @@ fn run_engine(
     // Fault runs tick every active tile every cycle: window openings,
     // expiries and injected stalls then need no wake bookkeeping.
     let parking = allow_parking && !faulting;
-    let check_occupancy = inv.occupancy_active();
     let mut fired: Vec<FaultEvent> = Vec::new();
     // Windows opened in an earlier kernel of the same session (e.g. a
     // PeKill) must constrain this kernel from cycle 0.
-    if faulting {
-        // azul-lint: allow(unwrap-in-pipeline) `faulting` is derived from `session.is_some_and` above
-        let s = session.as_deref_mut().expect("faulting implies session");
+    if let Some(s) = session.as_deref().filter(|_| faulting) {
         if !s.active_windows().is_empty() {
-            let mut init: Vec<&mut Shard> = shards
-                .iter_mut()
-                // azul-lint: allow(unwrap-in-pipeline) poison guard: workers have not spawned yet
-                .map(|m| m.get_mut().expect("no shard lock held yet"))
-                .collect();
-            sync_fault_state(s, 0, &mut init, &shard_of);
+            tiles.sync_faults(s, 0);
         }
     }
 
     // Active-tile tracking: a tile ticks while it has router or PE work
-    // and is not parked.
+    // and is not parked. `ticking` holds the cycle being ticked while
+    // `active` collects the next one.
     let mut active: Vec<usize> = Vec::with_capacity(num_tiles);
+    let mut ticking: Vec<usize> = Vec::with_capacity(num_tiles);
     let mut on_list: Vec<bool> = vec![false; num_tiles];
     let activate = |t: usize, active: &mut Vec<usize>, on_list: &mut Vec<bool>| {
         if !on_list[t] {
@@ -670,15 +524,12 @@ fn run_engine(
 
     // Kernel-start triggers.
     for t in 0..num_tiles {
-        let sh = shards[shard_of[t]]
-            .get_mut()
-            // azul-lint: allow(unwrap-in-pipeline) poison guard: workers have not spawned yet
-            .expect("no shard lock held yet");
+        let pe = &mut tiles.pes[t];
         let tp = program.tile(t as u32);
         for &j in &tp.send_v {
             if program.x_tree[j as usize].is_some() {
                 let trig = Trigger::SendV { idx: j };
-                sh.pe_mut(t).push_trigger(cfg, trig, &mut stats);
+                pe.push_trigger(cfg, trig, &mut stats);
                 trace_wake(&mut stats, 0, t as u32, trigger_code(&trig));
             }
             if tp.saac_range(j).is_some() {
@@ -686,397 +537,267 @@ fn run_engine(
                     idx: j,
                     val: input[j as usize],
                 };
-                sh.pe_mut(t).push_trigger(cfg, trig, &mut stats);
+                pe.push_trigger(cfg, trig, &mut stats);
                 trace_wake(&mut stats, 0, t as u32, trigger_code(&trig));
             }
         }
         for &i in &tp.initial_solves {
             let trig = Trigger::Solve { idx: i };
-            sh.pe_mut(t).push_trigger(cfg, trig, &mut stats);
+            pe.push_trigger(cfg, trig, &mut stats);
             trace_wake(&mut stats, 0, t as u32, trigger_code(&trig));
         }
-        if sh.pe_ref(t).has_work() {
+        if pe.has_work() {
             activate(t, &mut active, &mut on_list);
         }
     }
 
     let mut now = 0u64;
-    let ctx = ParallelCtx {
-        pool,
-        barrier_a: SpinBarrier::new(pool),
-        barrier_b: SpinBarrier::new(pool),
-        cycle_now: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
-    };
-
     // Watchdog state: a monotone progress signature and the last cycle it
     // moved. Any issued op, message, link hop or router traversal counts.
     let mut last_signature = u64::MAX;
     let mut last_progress = 0u64;
+    // Closes the fault session on every early exit.
+    let abort = |session: &mut Option<&mut FaultSession>, now: u64, e: SimError| {
+        if let Some(s) = session.as_deref_mut() {
+            s.end_kernel(now);
+        }
+        Err(e)
+    };
 
-    let result: Result<(), SimError> = std::thread::scope(|scope| {
-        // Fixed-size worker pool: workers park on `barrier_a` until the
-        // coordinator publishes a cycle, tick their strided shard subset,
-        // then meet the coordinator at `barrier_b`.
-        if ctx.pool > 1 {
-            for w in 1..ctx.pool {
-                let shards = &shards;
-                let ctx = &ctx;
-                scope.spawn(move || loop {
-                    ctx.barrier_a.wait();
-                    if ctx.stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let wnow = ctx.cycle_now.load(Ordering::Acquire);
-                    let mut s = w;
-                    while s < num_shards {
-                        let mut sh = shards[s].lock().expect("shard lock poisoned");
-                        tick_shard(
-                            &mut sh,
-                            wnow,
-                            cfg,
-                            program,
-                            input,
-                            faulting,
-                            check_occupancy,
-                        );
-                        s += ctx.pool;
-                    }
-                    ctx.barrier_b.wait();
-                });
-            }
+    // Host-profiling: one flag load per kernel; the TickLoop scope
+    // encloses every inner probe so component shares can be expressed
+    // against it.
+    let profiling = profile::enabled();
+    let prof_loop = profiling.then(|| profile::scope(Component::TickLoop));
+
+    while !active.is_empty() || park.num_parked > 0 {
+        // Cooperative cancellation: sampled once per iteration, at the
+        // boundary right after the previous cycle's arrivals landed or
+        // right after a clock jump, so an abort always lands on a cycle
+        // boundary. Untripped (or absent) tokens cost one branch.
+        if cfg.cancel.as_ref().is_some_and(|tok| tok.is_cancelled()) {
+            return abort(&mut session, now, SimError::Cancelled { cycle: now });
         }
 
-        let mut body = || -> Result<(), SimError> {
-            // The coordinator holds every shard lock between cycle
-            // barriers; during the parallel tick phase the guards are
-            // dropped and each shard is locked by exactly one worker.
-            let mut guards: Vec<std::sync::MutexGuard<'_, Shard>> = shards
-                .iter()
-                .map(|m| m.lock().expect("shard lock poisoned"))
-                .collect();
-
-            // Host-profiling: one flag load per kernel; the TickLoop
-            // scope encloses every inner probe so component shares can
-            // be expressed against it.
-            let profiling = crate::profile::enabled();
-            let _prof_loop =
-                profiling.then(|| crate::profile::scope(crate::profile::Component::TickLoop));
-
-            while !active.is_empty() || park.num_parked > 0 {
-                // Cooperative cancellation: sampled once per iteration at
-                // this serial point — the boundary right after the previous
-                // cycle's barrier commit, or right after a clock jump — so
-                // an abort always lands on a cycle boundary with every
-                // cross-shard effect applied. Untripped (or absent) tokens
-                // cost one branch.
-                if let Some(tok) = &cfg.cancel {
-                    if tok.is_cancelled() {
-                        if let Some(s) = session.as_deref_mut() {
-                            s.end_kernel(now);
-                        }
-                        return Err(SimError::Cancelled { cycle: now });
-                    }
-                }
-
-                // Fault schedule: fire due events, expire windows, re-sync
-                // injected router/PE state when the window set changes.
-                if faulting {
-                    // azul-lint: allow(unwrap-in-pipeline) `faulting` is derived from `session.is_some_and` above
-                    let s = session.as_deref_mut().expect("faulting implies session");
-                    fired.clear();
-                    let trace_faults = stats.trace_ev.wants(CAT_FAULT);
-                    let prev_windows = if trace_faults {
-                        s.active_windows().to_vec()
-                    } else {
-                        Vec::new()
-                    };
-                    if s.advance(now, num_tiles, &mut fired) {
-                        sync_fault_state(s, now, &mut guards, &shard_of);
-                        if trace_faults {
-                            // Mark each window that opened this cycle
-                            // (expired ones just vanish from the set).
-                            for &(kind, until) in s.active_windows() {
-                                if !prev_windows.contains(&(kind, until)) {
-                                    stats.trace_ev.push(TraceEvent {
-                                        cycle: now,
-                                        tile: kind.tile(),
-                                        kind: TraceKind::FaultFire,
-                                        arg: fault_code(&kind),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    for ev in fired.drain(..) {
-                        if trace_faults {
+        // Fault schedule: fire due events, expire windows, re-sync
+        // injected router/PE state when the window set changes.
+        if faulting {
+            // azul-lint: allow(unwrap-in-pipeline) `faulting` is derived from `session.is_some_and` above
+            let s = session.as_deref_mut().expect("faulting implies session");
+            fired.clear();
+            let trace_faults = stats.trace_ev.wants(CAT_FAULT);
+            let prev_windows = if trace_faults {
+                s.active_windows().to_vec()
+            } else {
+                Vec::new()
+            };
+            if s.advance(now, num_tiles, &mut fired) {
+                tiles.sync_faults(s, now);
+                if trace_faults {
+                    // Mark each window that opened this cycle
+                    // (expired ones just vanish from the set).
+                    for &(kind, until) in s.active_windows() {
+                        if !prev_windows.contains(&(kind, until)) {
                             stats.trace_ev.push(TraceEvent {
                                 cycle: now,
-                                tile: ev.kind.tile(),
+                                tile: kind.tile(),
                                 kind: TraceKind::FaultFire,
-                                arg: fault_code(&ev.kind),
+                                arg: fault_code(&kind),
                             });
                         }
-                        let FaultKind::SramBitFlip { tile, slot, bit } = ev.kind else {
-                            unreachable!("only bit flips are handed to the machine");
-                        };
-                        let gnow = s.global_cycle(now);
-                        match guards[shard_of[tile as usize]]
-                            .pe_mut(tile as usize)
-                            .flip_slot_bit(slot, bit)
-                        {
-                            Some((old, new)) => {
-                                s.record(gnow, ev.kind, true, format!("{old:e} -> {new:e}"));
-                            }
-                            None => s.record(
-                                gnow,
-                                ev.kind,
-                                false,
-                                format!("tile {tile} has no slot {slot}"),
-                            ),
-                        }
-                    }
-                    if s.suspends_watchdog(now) {
-                        last_progress = now;
                     }
                 }
-
-                // Watchdog: structured deadlock report instead of spinning
-                // to the 500M-cycle deadline (or panicking there). The
-                // signature sums the main ledger and every shard delta.
-                let _prof_stats =
-                    profiling.then(|| crate::profile::scope(crate::profile::Component::Stats));
-                let mut sig_ops = stats.total_ops();
-                let mut sig_src = stats.messages + stats.link_activations;
-                let mut sig_snk = stats.router_traversals;
-                for g in guards.iter() {
-                    sig_ops += g.stats.total_ops();
-                    sig_src += g.stats.messages + g.stats.link_activations;
-                    sig_snk += g.stats.router_traversals;
-                }
-                let signature = sig_ops + sig_src + sig_snk;
-                if signature != last_signature {
-                    last_signature = signature;
-                    last_progress = now;
-                }
-                // Flits in multi-hop transit are progress even while the
-                // signature holds still (a long `hop_latency` drain issues
-                // nothing for many cycles): every send/forward has been
-                // counted but not yet retired as a router traversal, so
-                // hold the watchdog off until the counters rebalance. A
-                // permanently parked flit (a LinkDown that never lifts)
-                // then falls through to the `max_kernel_cycles` deadline.
-                let inflight_ctr = sig_src.saturating_sub(sig_snk);
-                if inflight_ctr > 0 {
-                    last_progress = now;
-                }
-                let wedged = cfg.watchdog_no_progress_cycles > 0
-                    && now.saturating_sub(last_progress) >= cfg.watchdog_no_progress_cycles;
-                if wedged || now >= cfg.max_kernel_cycles {
-                    let mut stalled_pes: Vec<u32> = Vec::new();
-                    let mut inflight_flits = 0usize;
-                    for g in guards.iter() {
-                        for (i, pe) in g.pes.iter().enumerate() {
-                            if pe.has_work() {
-                                stalled_pes.push((g.lo + i) as u32);
-                            }
-                        }
-                        inflight_flits += g.routers.iter().map(Router::occupancy).sum::<usize>();
-                    }
-                    if let Some(s) = session.as_deref_mut() {
-                        s.end_kernel(now);
-                    }
-                    return Err(SimError::Deadlock {
+            }
+            for ev in fired.drain(..) {
+                if trace_faults {
+                    stats.trace_ev.push(TraceEvent {
                         cycle: now,
-                        stalled_pes,
-                        inflight_flits,
+                        tile: ev.kind.tile(),
+                        kind: TraceKind::FaultFire,
+                        arg: fault_code(&ev.kind),
                     });
                 }
-                drop(_prof_stats);
-
-                // Wake parked tiles that are due, crediting each span once
-                // with what its skipped ticks would have recorded: the
-                // arbitration-cursor rotation, the idle/stall counters and
-                // the occupancy audits.
-                if park.num_parked > 0 {
-                    let _prof_park =
-                        profiling.then(|| crate::profile::scope(crate::profile::Component::Park));
-                    while let Some((t, class, k)) = park.pop_due(now) {
-                        guards[shard_of[t]].router_mut(t).advance_rr(k);
-                        match class {
-                            PeSkipClass::Idle => stats.idle_at_n(t as u32, k),
-                            PeSkipClass::Stall => stats.stall_at_n(t as u32, k),
-                            PeSkipClass::Silent => {}
-                        }
-                        inv.credit_occupancy_checks(k);
-                        activate(t, &mut active, &mut on_list);
+                let FaultKind::SramBitFlip { tile, slot, bit } = ev.kind else {
+                    unreachable!("only bit flips are handed to the machine");
+                };
+                let gnow = s.global_cycle(now);
+                match tiles.pes[tile as usize].flip_slot_bit(slot, bit) {
+                    Some((old, new)) => {
+                        s.record(gnow, ev.kind, true, format!("{old:e} -> {new:e}"));
                     }
-                    // Nothing to tick: jump the clock to the earliest wake,
-                    // clamped so the watchdog and the deadline fire on the
-                    // cycle they would have fired ticking. The skipped
-                    // cycles change no state, so the progress samples they
-                    // would have taken are replayed, and the watchdog
-                    // refresh (constant across the span) lands on its last
-                    // cycle.
-                    if active.is_empty() {
-                        let mut ne = cfg.max_kernel_cycles;
-                        if cfg.watchdog_no_progress_cycles > 0 {
-                            ne = ne
-                                .min(last_progress.saturating_add(cfg.watchdog_no_progress_cycles));
-                        }
-                        if let Some(w) = park.next_wake() {
-                            ne = ne.min(w);
-                        }
-                        if cfg.trace_interval > 0 {
-                            let total = ops_total(&stats, &guards);
-                            let iv = cfg.trace_interval;
-                            let mut c = now.next_multiple_of(iv);
-                            while c < ne {
-                                stats.trace.push((c, total));
-                                c += iv;
-                            }
-                        }
-                        if inflight_ctr > 0 {
-                            last_progress = ne - 1;
-                        }
-                        now = ne;
-                        continue;
-                    }
+                    None => s.record(
+                        gnow,
+                        ev.kind,
+                        false,
+                        format!("tile {tile} has no slot {slot}"),
+                    ),
                 }
-
-                // Partition this cycle's active tiles into their shards.
-                park.counts.ticked += active.len() as u64;
-                for g in guards.iter_mut() {
-                    g.bucket.clear();
-                }
-                for t in active.drain(..) {
-                    on_list[t] = false;
-                    guards[shard_of[t]].bucket.push(t);
-                }
-
-                // Parallel phase: tick every shard's bucket.
-                if ctx.pool > 1 {
-                    ctx.cycle_now.store(now, Ordering::Release);
-                    guards.clear();
-                    ctx.barrier_a.wait();
-                    let mut s = 0usize;
-                    while s < num_shards {
-                        let mut sh = shards[s].lock().expect("shard lock poisoned");
-                        tick_shard(&mut sh, now, cfg, program, input, faulting, check_occupancy);
-                        s += ctx.pool;
-                    }
-                    ctx.barrier_b.wait();
-                    guards = shards
-                        .iter()
-                        .map(|m| m.lock().expect("shard lock poisoned"))
-                        .collect();
-                } else {
-                    for g in guards.iter_mut() {
-                        tick_shard(g, now, cfg, program, input, faulting, check_occupancy);
-                    }
-                }
-
-                // Serial commit, always in shard order so results do not
-                // depend on worker scheduling: first error wins, still-busy
-                // tiles re-arm or park, deferred link transfers land, and
-                // buffered output writes land.
-                let _prof_commit = profiling
-                    .then(|| crate::profile::scope(crate::profile::Component::BarrierCommit));
-                for g in guards.iter_mut() {
-                    if let Some(e) = g.err.take() {
-                        if let Some(s) = session.as_deref_mut() {
-                            s.end_kernel(now);
-                        }
-                        return Err(e);
-                    }
-                }
-                for g in guards.iter_mut() {
-                    for &(t, progressed) in &g.still {
-                        if parking {
-                            if progressed {
-                                park.quiet[t] = 0;
-                            } else {
-                                park.quiet[t] = park.quiet[t].saturating_add(1);
-                                if park.quiet[t] >= PARK_AFTER_QUIET_TICKS {
-                                    if let Some((class, w)) = wake_of(g, t, now + 1, cfg, program) {
-                                        if w > now + 1 {
-                                            park.park(t, now + 1, class, w);
-                                            continue;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        activate(t, &mut active, &mut on_list);
-                    }
-                    g.still.clear();
-                    for &(i, v) in &g.out_buf {
-                        out[i as usize] = v;
-                    }
-                    g.out_buf.clear();
-                }
-                for s in 0..num_shards {
-                    let mut accepts = std::mem::take(&mut guards[s].outbox);
-                    for a in &accepts {
-                        let d = a.dest as usize;
-                        let g = &mut guards[shard_of[d]];
-                        g.router_mut(d)
-                            .apply_accept(a.port as usize, a.ready, a.flit);
-                        // An arrival only ever pulls a parked tile's wake
-                        // earlier. An idle tile whose new flit is not ready
-                        // next cycle parks straight away: its PE is empty,
-                        // so the span until the flit is ready is pure idle
-                        // time.
-                        let at = a.ready.max(now + 1);
-                        if parking && park.parked[d] {
-                            park.pull(d, at);
-                        } else if parking && !on_list[d] && at > now + 1 {
-                            let (class, _) = g.pe_ref(d).wake_profile(
-                                now + 1,
-                                cfg,
-                                program.tile(d as u32),
-                                g.router_ref(d).can_inject(),
-                            );
-                            park.park(d, now + 1, class, at);
-                        } else {
-                            activate(d, &mut active, &mut on_list);
-                        }
-                    }
-                    accepts.clear();
-                    guards[s].outbox = accepts;
-                }
-                drop(_prof_commit);
-
-                // Progress trace sample (Fig. 17).
-                if cfg.trace_interval > 0 && now.is_multiple_of(cfg.trace_interval) {
-                    let _p =
-                        profiling.then(|| crate::profile::scope(crate::profile::Component::Stats));
-                    stats.trace.push((now, ops_total(&stats, &guards)));
-                }
-
-                now += 1;
             }
-            Ok(())
-        };
-        let r = body();
-        if ctx.pool > 1 {
-            ctx.stop.store(true, Ordering::Release);
-            ctx.barrier_a.wait();
+            if s.suspends_watchdog(now) {
+                last_progress = now;
+            }
         }
-        r
-    });
-    result?;
 
-    // Postlude (workers joined, locks free): merge shard deltas into the
-    // main ledger in shard order, then close out the run.
-    let mut inflight = 0usize;
-    for m in shards.iter_mut() {
-        // azul-lint: allow(unwrap-in-pipeline) poison guard: workers were joined by thread::scope
-        let sh = m.get_mut().expect("workers joined");
-        stats.merge(&sh.stats);
-        inv.credit_occupancy_checks(sh.occ_checks);
-        inflight += sh.routers.iter().map(Router::occupancy).sum::<usize>();
+        // Watchdog: structured deadlock report instead of spinning to
+        // the 500M-cycle deadline (or panicking there).
+        let prof_stats = profiling.then(|| profile::scope(Component::Stats));
+        let sig_src = stats.messages + stats.link_activations;
+        let signature = stats.total_ops() + sig_src + stats.router_traversals;
+        if signature != last_signature {
+            last_signature = signature;
+            last_progress = now;
+        }
+        // Flits in multi-hop transit are progress even while the
+        // signature holds still (a long `hop_latency` drain issues
+        // nothing for many cycles): every send/forward has been counted
+        // but not yet retired as a router traversal, so hold the
+        // watchdog off until the counters rebalance. A permanently
+        // parked flit (a LinkDown that never lifts) then falls through
+        // to the `max_kernel_cycles` deadline.
+        let inflight_ctr = sig_src.saturating_sub(stats.router_traversals);
+        if inflight_ctr > 0 {
+            last_progress = now;
+        }
+        let wedged = cfg.watchdog_no_progress_cycles > 0
+            && now.saturating_sub(last_progress) >= cfg.watchdog_no_progress_cycles;
+        if wedged || now >= cfg.max_kernel_cycles {
+            let stalled_pes = (0..num_tiles)
+                .filter(|&t| tiles.pes[t].has_work())
+                .map(|t| t as u32)
+                .collect();
+            let inflight_flits = tiles.routers.iter().map(Router::occupancy).sum();
+            let e = SimError::Deadlock {
+                cycle: now,
+                stalled_pes,
+                inflight_flits,
+            };
+            return abort(&mut session, now, e);
+        }
+        drop(prof_stats);
+
+        // Wake parked tiles that are due, crediting each span once with
+        // what its skipped ticks would have recorded: the
+        // arbitration-cursor rotation, the idle/stall counters and the
+        // occupancy audits.
+        if park.num_parked > 0 {
+            let _prof_park = profiling.then(|| profile::scope(Component::Park));
+            while let Some((t, class, k)) = park.pop_due(now) {
+                tiles.routers[t].advance_rr(k);
+                match class {
+                    PeSkipClass::Idle => stats.idle_at_n(t as u32, k),
+                    PeSkipClass::Stall => stats.stall_at_n(t as u32, k),
+                    PeSkipClass::Silent => {}
+                }
+                inv.credit_occupancy_checks(k);
+                activate(t, &mut active, &mut on_list);
+            }
+            // Nothing to tick: jump the clock to the earliest wake,
+            // clamped so the watchdog and the deadline fire on the cycle
+            // they would have fired ticking. The skipped cycles change no
+            // state, so the progress samples they would have taken are
+            // replayed, and the watchdog refresh (constant across the
+            // span) lands on its last cycle.
+            if active.is_empty() {
+                let mut ne = cfg.max_kernel_cycles;
+                if cfg.watchdog_no_progress_cycles > 0 {
+                    ne = ne.min(last_progress.saturating_add(cfg.watchdog_no_progress_cycles));
+                }
+                if let Some(w) = park.next_wake() {
+                    ne = ne.min(w);
+                }
+                if cfg.trace_interval > 0 {
+                    let total = stats.total_ops();
+                    let iv = cfg.trace_interval;
+                    let mut c = now.next_multiple_of(iv);
+                    while c < ne {
+                        stats.trace.push((c, total));
+                        c += iv;
+                    }
+                }
+                if inflight_ctr > 0 {
+                    last_progress = ne - 1;
+                }
+                now = ne;
+                continue;
+            }
+        }
+
+        // Tick phase: every active tile, in list order. A tile that still
+        // holds work re-arms for the next cycle or parks.
+        std::mem::swap(&mut active, &mut ticking);
+        park.counts.ticked += ticking.len() as u64;
+        for &t in &ticking {
+            let progressed =
+                match tiles.tick(t, now, cfg, program, input, &mut out, profiling, &mut stats) {
+                    Ok(p) => p,
+                    Err(e) => return abort(&mut session, now, e),
+                };
+            // Runtime invariant: the inject queue is the only bounded
+            // buffer; exceeding its capacity means a PE bypassed
+            // `can_inject` backpressure.
+            if let Err(e) = inv.check_router(now, &tiles.routers[t]) {
+                return abort(&mut session, now, e);
+            }
+            let _p = profiling.then(|| profile::scope(Component::Commit));
+            on_list[t] = false;
+            if !tiles.busy(t) {
+                continue;
+            }
+            if parking {
+                if progressed {
+                    park.quiet[t] = 0;
+                } else {
+                    park.quiet[t] = park.quiet[t].saturating_add(1);
+                    if park.quiet[t] >= PARK_AFTER_QUIET_TICKS {
+                        if let Some((class, w)) = tiles.wake_of(t, now + 1, cfg, program) {
+                            if w > now + 1 {
+                                park.park(t, now + 1, class, w);
+                                continue;
+                            }
+                        }
+                    }
+                }
+            }
+            activate(t, &mut active, &mut on_list);
+        }
+        ticking.clear();
+
+        // Commit: land the cycle's flit arrivals. An arrival only ever
+        // pulls a parked tile's wake earlier. An idle tile whose new
+        // flit is not ready next cycle parks straight away: its PE is
+        // empty, so the span until the flit is ready is pure idle time.
+        let prof_commit = profiling.then(|| profile::scope(Component::Commit));
+        for a in tiles.outbox.drain(..) {
+            let d = a.dest as usize;
+            tiles.routers[d].apply_accept(a.port as usize, a.ready, a.flit);
+            let at = a.ready.max(now + 1);
+            if parking && park.parked[d] {
+                park.pull(d, at);
+            } else if parking && !on_list[d] && at > now + 1 {
+                let (class, _) = tiles.pes[d].wake_profile(
+                    now + 1,
+                    cfg,
+                    program.tile(d as u32),
+                    tiles.routers[d].can_inject(),
+                );
+                park.park(d, now + 1, class, at);
+            } else {
+                activate(d, &mut active, &mut on_list);
+            }
+        }
+        drop(prof_commit);
+
+        // Progress trace sample (Fig. 17).
+        if cfg.trace_interval > 0 && now.is_multiple_of(cfg.trace_interval) {
+            let _p = profiling.then(|| profile::scope(Component::Stats));
+            stats.trace.push((now, stats.total_ops()));
+        }
+
+        now += 1;
     }
+    drop(prof_loop);
+
+    let inflight: usize = tiles.routers.iter().map(Router::occupancy).sum();
     stats.cycles = now;
     // Close the progress trace with an exact final sample so the last
     // entry always matches the kernel totals.
@@ -1084,9 +805,8 @@ fn run_engine(
         stats.trace.push((now, stats.total_ops()));
     }
     // Close and seal the event trace: the KernelEnd marker balances the
-    // cycle-0 KernelBegin, and the seal sorts all shards' events into
-    // canonical order (then applies the bounded-capacity compaction),
-    // erasing any thread-count dependence.
+    // cycle-0 KernelBegin, and the seal sorts the events into canonical
+    // order (then applies the bounded-capacity compaction).
     if stats.trace_ev.mask() != 0 {
         if stats.trace_ev.wants(CAT_KERNEL) {
             stats.trace_ev.push(TraceEvent {
@@ -1114,78 +834,6 @@ fn run_engine(
     }
     end_check?;
     Ok((out, stats, park.counts))
-}
-
-/// Operations issued so far: the main ledger plus every shard delta.
-fn ops_total(stats: &KernelStats, guards: &[std::sync::MutexGuard<'_, Shard>]) -> u64 {
-    stats.total_ops() + guards.iter().map(|g| g.stats.total_ops()).sum::<u64>()
-}
-
-/// The skip class and earliest action cycle of tile `t` as of cycle
-/// `now`, right after its tick at `now - 1`: the earlier of its PE's
-/// wake profile and its router's next head event. `None` when neither
-/// reports a self-driven wake.
-fn wake_of(
-    sh: &Shard,
-    t: usize,
-    now: u64,
-    cfg: &SimConfig,
-    program: &Program,
-) -> Option<(PeSkipClass, u64)> {
-    let router = sh.router_ref(t);
-    let (class, pe_wake) =
-        sh.pe_ref(t)
-            .wake_profile(now, cfg, program.tile(t as u32), router.can_inject());
-    let wake = match (pe_wake, router.next_event(now)) {
-        (Some(a), Some(b)) => a.min(b),
-        (a, b) => a.or(b)?,
-    };
-    Some((class, wake))
-}
-
-/// Re-applies the session's active fault windows onto freshly cleared
-/// router/PE fault state. Called whenever the window set changes; rare
-/// enough that the O(tiles) reset does not matter. Generic over the
-/// shard handle so it serves both the in-loop coordinator (lock guards)
-/// and pre-loop setup (plain `&mut` from `Mutex::get_mut`).
-fn sync_fault_state<S: std::ops::DerefMut<Target = Shard>>(
-    session: &FaultSession,
-    local_now: u64,
-    shards: &mut [S],
-    shard_of: &[usize],
-) {
-    for sh in shards.iter_mut() {
-        for r in sh.routers.iter_mut() {
-            r.clear_faults();
-        }
-        sh.stalled.fill(false);
-    }
-    let gnow = session.global_cycle(local_now);
-    for &(kind, until) in session.active_windows() {
-        if until <= gnow {
-            continue;
-        }
-        match kind {
-            FaultKind::LinkDown { tile, dir, .. } => {
-                shards[shard_of[tile as usize]]
-                    .router_mut(tile as usize)
-                    .inject_link_down(dir as usize);
-            }
-            FaultKind::LinkDegrade {
-                tile,
-                extra_latency,
-                ..
-            } => shards[shard_of[tile as usize]]
-                .router_mut(tile as usize)
-                .inject_link_degrade(extra_latency),
-            FaultKind::PeStall { tile, .. } | FaultKind::PeKill { tile } => {
-                let sh = &mut shards[shard_of[tile as usize]];
-                let lo = sh.lo;
-                sh.stalled[tile as usize - lo] = true;
-            }
-            FaultKind::SramBitFlip { .. } => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1444,11 +1092,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_results_invariant_to_thread_count_and_parking() {
-        // The engine contract: shard count, worker pool and parking are
-        // pure host mechanics — outputs and every statistic (including
-        // per-tile detail and the progress trace) must be bit-identical
-        // to the per-cycle oracle.
+    fn traced_engine_results_match_the_oracle() {
+        // Parking is pure host mechanics: outputs and every statistic,
+        // including per-tile detail, the progress trace and the sealed
+        // event trace (events, order and drop accounting), must be
+        // bit-identical to the per-cycle oracle.
         let a = generate::grid_laplacian_2d(10, 10);
         let l = ic0(&a).unwrap();
         let grid = TileGrid::new(4, 4);
@@ -1456,28 +1104,17 @@ mod tests {
         let spmv = Program::compile_spmv(&a, &p);
         let trsv = Program::compile_sptrsv_lower(&l, &a, &p);
         let input = test_input(a.rows());
-        let cfg_with = |threads: usize| {
-            let mut cfg = SimConfig::azul(grid);
-            cfg.threads = threads;
-            cfg.detailed_stats = true;
-            cfg.check_invariants = true;
-            cfg.trace_interval = 7;
-            // Event tracing is part of the contract too: the sealed
-            // buffer (events, order and drop accounting) must be
-            // bit-identical across every engine configuration.
-            cfg.trace = Some(azul_telemetry::trace::TraceConfig::default());
-            cfg
-        };
+        let mut cfg = SimConfig::azul(grid);
+        cfg.detailed_stats = true;
+        cfg.check_invariants = true;
+        cfg.trace_interval = 7;
+        cfg.trace = Some(azul_telemetry::trace::TraceConfig::default());
         for prog in [&spmv, &trsv] {
-            let (base, _) = assert_matches_oracle(&cfg_with(1), prog, &input);
+            let (base, _) = assert_matches_oracle(&cfg, prog, &input);
             assert!(
                 !base.1.trace_ev.events.is_empty(),
                 "traced kernel must record events"
             );
-            for threads in [3usize, 16] {
-                let got = run_kernel(&cfg_with(threads), prog, &input);
-                assert_eq!(got, base, "diverged at threads={threads}");
-            }
         }
     }
 

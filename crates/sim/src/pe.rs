@@ -107,32 +107,6 @@ pub enum Trigger {
     },
 }
 
-/// Where completed output values (`y[i]` / solved `x[i]`) land.
-///
-/// The tick engine buffers `(row, value)` pairs per shard and applies
-/// them at the cycle barrier so concurrently ticking shards never alias
-/// the output slice; single-PE harnesses write straight into the output
-/// vector. Each row has exactly one home tile, so at most one write
-/// targets any row per cycle and buffered application order cannot
-/// change the result.
-#[derive(Debug)]
-pub enum OutSink<'a> {
-    /// Write directly into the output vector.
-    Direct(&'a mut [f64]),
-    /// Defer to a `(row, value)` list applied at the cycle barrier.
-    Buffered(&'a mut Vec<(u32, f64)>),
-}
-
-impl OutSink<'_> {
-    #[inline]
-    fn write(&mut self, idx: u32, val: f64) {
-        match self {
-            OutSink::Direct(out) => out[idx as usize] = val,
-            OutSink::Buffered(buf) => buf.push((idx, val)),
-        }
-    }
-}
-
 /// How a PE accounts for the skipped cycles of a parked tile. Classes map
 /// one-to-one onto what a real tick of a zero-progress cycle would have
 /// recorded — see [`Pe::wake_profile`] and `docs/PERFORMANCE.md`.
@@ -197,10 +171,22 @@ impl Task {
 /// Per-tile processing element state.
 #[derive(Debug, Clone)]
 pub struct Pe {
+    /// The hardware contexts, each holding at most one task.
+    contexts: Vec<Option<Task>>,
+    /// How many of `contexts` hold a task.
+    busy: usize,
+    /// Round-robin issue cursor over `contexts`.
+    rr: usize,
+    dp: Datapath,
+}
+
+/// The state every context of a PE shares: the message buffer, the
+/// accumulator slots and the Dalorex issue timer. Kept apart from the
+/// contexts so a task issues in place, borrowed next to it.
+#[derive(Debug, Clone)]
+struct Datapath {
     tile: TileId,
     msg_buffer: VecDeque<Trigger>,
-    contexts: Vec<Option<Task>>,
-    rr: usize,
     /// Dalorex: no issue until this cycle (bookkeeping instructions).
     busy_until: u64,
     /// Accumulator values, one per program slot.
@@ -232,33 +218,207 @@ impl Pe {
             slot_remaining.push(s.remaining);
         }
         Pe {
-            tile,
-            msg_buffer: VecDeque::new(),
             contexts: vec![None; cfg.contexts.max(1)],
+            busy: 0,
             rr: 0,
-            busy_until: 0,
-            slot_vals,
-            slot_remaining,
-            slot_ready: vec![0; tp.slots.len()],
+            dp: Datapath {
+                tile,
+                msg_buffer: VecDeque::new(),
+                busy_until: 0,
+                slot_vals,
+                slot_remaining,
+                slot_ready: vec![0; tp.slots.len()],
+            },
         }
     }
 
     /// Enqueues a trigger, counting a spill if the register buffer is
     /// full (Sec. V-A: overflow goes to the Data SRAM).
     pub fn push_trigger(&mut self, cfg: &SimConfig, trig: Trigger, stats: &mut KernelStats) {
-        if self.msg_buffer.len() >= cfg.msg_buffer_capacity {
-            stats.spill_at(self.tile);
-            stats.sram_read_at(self.tile); // spill write+read modeled as one RMW
+        let dp = &mut self.dp;
+        if dp.msg_buffer.len() >= cfg.msg_buffer_capacity {
+            stats.spill_at(dp.tile);
+            stats.sram_read_at(dp.tile); // spill write+read modeled as one RMW
         }
-        self.msg_buffer.push_back(trig);
-        stats.note_msg_queue_depth(self.tile, self.msg_buffer.len());
+        dp.msg_buffer.push_back(trig);
+        stats.note_msg_queue_depth(dp.tile, dp.msg_buffer.len());
     }
 
     /// Whether the PE holds any pending or in-flight work.
     pub fn has_work(&self) -> bool {
-        !self.msg_buffer.is_empty() || self.contexts.iter().any(Option::is_some)
+        !self.dp.msg_buffer.is_empty() || self.busy > 0
     }
 
+    /// One PE cycle. Returns whether the PE made progress — refilled a
+    /// context from the message buffer or issued an operation — or a
+    /// [`SimError::MisroutedTrigger`] when a dequeued trigger has no
+    /// entry in the tile program.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tick(
+        &mut self,
+        now: u64,
+        cfg: &SimConfig,
+        tp: &TileProgram,
+        prog: &Program,
+        router: &mut Router,
+        input: &[f64],
+        out: &mut [f64],
+        stats: &mut KernelStats,
+    ) -> Result<bool, SimError> {
+        if cfg.pe_model == PeModel::Ideal {
+            let drained = !self.dp.msg_buffer.is_empty();
+            self.dp
+                .tick_ideal(now, tp, prog, router, input, out, stats)?;
+            return Ok(drained);
+        }
+
+        // Refill free contexts, lowest index first, from the message
+        // buffer.
+        let mut refilled = false;
+        if self.busy < self.contexts.len() && !self.dp.msg_buffer.is_empty() {
+            for ctx in self.contexts.iter_mut().filter(|c| c.is_none()) {
+                let Some(trig) = self.dp.msg_buffer.pop_front() else {
+                    break;
+                };
+                *ctx = Some(self.dp.make_task(now, tp, trig)?);
+                self.busy += 1;
+                refilled = true;
+            }
+        }
+
+        if !self.has_work() {
+            stats.idle_at(self.dp.tile);
+            return Ok(false);
+        }
+
+        // Dalorex bookkeeping stall.
+        if now < self.dp.busy_until {
+            return Ok(refilled);
+        }
+
+        // Issue from the first context (round-robin from `rr`) with an
+        // issueable operation; single-context configs degrade to
+        // in-order behavior.
+        let nctx = self.contexts.len();
+        for k in 0..nctx {
+            let c = (self.rr + k) % nctx;
+            let Some(task) = self.contexts[c].as_mut() else {
+                continue;
+            };
+            if self
+                .dp
+                .try_issue(now, cfg, tp, prog, router, input, out, stats, task)?
+            {
+                if task.done() {
+                    self.contexts[c] = None;
+                    self.busy -= 1;
+                }
+                self.rr = (c + 1) % nctx;
+                return Ok(true);
+            }
+        }
+        stats.stall_at(self.dp.tile);
+        Ok(refilled)
+    }
+
+    /// The per-PE wake prediction (`docs/PERFORMANCE.md`): how each
+    /// untaken cycle from `now` on must be accounted for this PE, and
+    /// the earliest cycle it could act again (`None` = no self-driven
+    /// wake; only a router event, a delivery or a fault-window change
+    /// can revive it).
+    ///
+    /// Valid whenever the PE has not ticked since cycle `now - 1`, so
+    /// its state is frozen as of `now`: the engine consults it right
+    /// after a tick at `now - 1` to park the tile until the reported
+    /// wake. A `Some(w)` with `w <= now` means "cannot skip — tick at
+    /// `now`". The class is
+    /// stable across the whole parked span: flit arrivals only touch
+    /// the router, and a delivery (which would change the class) can
+    /// only happen during a tick, which re-evaluates the profile.
+    /// `can_inject` is the tile router's current inject capacity
+    /// ([`crate::router::Router::can_inject`]): a context whose front
+    /// operation is a send can issue at `now` when the queue has room,
+    /// so it pins the wake to `now`. When the queue is full the send
+    /// reports no wake of its own — the router then necessarily holds
+    /// flits, so its `Router::next_event` bounds the park instead.
+    /// (Passing `false` here with an injectable send pending would
+    /// strand the tile: the PE may have issued a *different* context's
+    /// operation on its last tick, leaving the send unattempted with an
+    /// empty, event-less router.)
+    pub(crate) fn wake_profile(
+        &self,
+        now: u64,
+        cfg: &SimConfig,
+        tp: &TileProgram,
+        can_inject: bool,
+    ) -> (PeSkipClass, Option<u64>) {
+        if cfg.pe_model == PeModel::Ideal {
+            // Ideal PEs drain fully every tick and record no idle/stall
+            // stats; a leftover trigger (should not happen) pins the
+            // event to `now` so the engine falls back to real ticking.
+            let wake = if self.has_work() { Some(now) } else { None };
+            return (PeSkipClass::Silent, wake);
+        }
+        if !self.has_work() {
+            return (PeSkipClass::Idle, None);
+        }
+        let dp = &self.dp;
+        // A buffered trigger plus a free context means a real tick would
+        // refill and possibly issue: refuse to skip this tile's cycles.
+        if !dp.msg_buffer.is_empty() && self.busy < self.contexts.len() {
+            return (PeSkipClass::Stall, Some(now));
+        }
+        if dp.busy_until > now {
+            // Dalorex bookkeeping window: the real tick returns early
+            // with no stat recorded until the timer expires.
+            return (PeSkipClass::Silent, Some(dp.busy_until));
+        }
+        // Blocked on hazards/backpressure: a real tick counts one stall
+        // per cycle until the earliest slot-ready timer expires.
+        let mut wake: Option<u64> = None;
+        for task in self.contexts.iter().flatten() {
+            let slot = match task.pending {
+                Some(PendingOp::Combine { slot }) => Some(slot),
+                Some(PendingOp::SolveMul { slot, .. }) => Some(slot),
+                Some(PendingOp::SendX { .. }) | Some(PendingOp::SendPartial { .. }) => {
+                    if can_inject {
+                        // Issueable right now: only single-issue
+                        // arbitration held it back on the last tick.
+                        return (PeSkipClass::Stall, Some(now));
+                    }
+                    // Router-bound: woken by the router, not a PE timer.
+                    None
+                }
+                None => {
+                    debug_assert!(task.cur < task.end);
+                    Some(tp.entries[task.cur as usize].slot)
+                }
+            };
+            if let Some(s) = slot {
+                let ready = dp.slot_ready[s as usize];
+                wake = Some(wake.map_or(ready, |w: u64| w.min(ready)));
+            }
+        }
+        (PeSkipClass::Stall, wake)
+    }
+
+    /// The tile this PE belongs to.
+    pub fn tile(&self) -> TileId {
+        self.dp.tile
+    }
+
+    /// Injected SRAM upset: flips `bit` (mod 64) of accumulator slot
+    /// `slot`. Returns the `(old, new)` values, or `None` when this
+    /// tile's program has no such slot (the upset lands in unused SRAM).
+    pub fn flip_slot_bit(&mut self, slot: u32, bit: u32) -> Option<(f64, f64)> {
+        let v = self.dp.slot_vals.get_mut(slot as usize)?;
+        let old = *v;
+        *v = f64::from_bits(old.to_bits() ^ (1u64 << (bit % 64)));
+        Some((old, *v))
+    }
+}
+
+impl Datapath {
     /// Typed error for a trigger this tile's program cannot serve.
     fn misrouted(&self, now: u64, what: &str, idx: u32) -> SimError {
         SimError::MisroutedTrigger {
@@ -319,7 +479,7 @@ impl Pe {
     }
 
     /// Runs slot-completion logic, queueing `task`'s follow-up op.
-    fn complete_slot(&mut self, slot: u32, tp: &TileProgram, task: &mut Task, out: &mut OutSink) {
+    fn complete_slot(&mut self, slot: u32, tp: &TileProgram, task: &mut Task, out: &mut [f64]) {
         match tp.slots[slot as usize].action {
             SlotAction::SendPartial { target, row } => {
                 task.queue(PendingOp::SendPartial {
@@ -329,7 +489,7 @@ impl Pe {
                 });
             }
             SlotAction::FinalY { target } => {
-                out.write(target, self.slot_vals[slot as usize]);
+                out[target as usize] = self.slot_vals[slot as usize];
             }
             SlotAction::Solve { target } => {
                 task.queue(PendingOp::SolveMul { target, slot });
@@ -375,76 +535,6 @@ impl Pe {
         trace_enqueue(stats, now, self.tile);
     }
 
-    /// One PE cycle. Returns whether the PE made progress — refilled a
-    /// context from the message buffer or issued an operation — or a
-    /// [`SimError::MisroutedTrigger`] when a dequeued trigger has no
-    /// entry in the tile program.
-    #[allow(clippy::too_many_arguments)]
-    pub fn tick(
-        &mut self,
-        now: u64,
-        cfg: &SimConfig,
-        tp: &TileProgram,
-        prog: &Program,
-        router: &mut Router,
-        input: &[f64],
-        out: &mut OutSink,
-        stats: &mut KernelStats,
-    ) -> Result<bool, SimError> {
-        if cfg.pe_model == PeModel::Ideal {
-            let drained = !self.msg_buffer.is_empty();
-            self.tick_ideal(now, tp, prog, router, input, out, stats)?;
-            return Ok(drained);
-        }
-
-        // Refill free contexts from the message buffer.
-        let mut refilled = false;
-        for c in 0..self.contexts.len() {
-            if self.contexts[c].is_none() {
-                if let Some(trig) = self.msg_buffer.pop_front() {
-                    self.contexts[c] = Some(self.make_task(now, tp, trig)?);
-                    refilled = true;
-                } else {
-                    break;
-                }
-            }
-        }
-
-        if !self.has_work() {
-            stats.idle_at(self.tile);
-            return Ok(false);
-        }
-
-        // Dalorex bookkeeping stall.
-        if now < self.busy_until {
-            return Ok(refilled);
-        }
-
-        // Pick the first context (round-robin from `rr`) with an
-        // issueable operation; single-context configs degrade to
-        // in-order behavior.
-        let nctx = self.contexts.len();
-        for k in 0..nctx {
-            let c = (self.rr + k) % nctx;
-            let Some(task) = self.contexts[c].take() else {
-                continue;
-            };
-            let mut task = task;
-            if self.try_issue(now, cfg, tp, prog, router, input, out, stats, &mut task)? {
-                if task.done() {
-                    self.contexts[c] = None;
-                } else {
-                    self.contexts[c] = Some(task);
-                }
-                self.rr = (c + 1) % nctx;
-                return Ok(true);
-            }
-            self.contexts[c] = Some(task);
-        }
-        stats.stall_at(self.tile);
-        Ok(refilled)
-    }
-
     /// Attempts to issue `task`'s next operation. Returns whether an
     /// operation issued, or a [`SimError::MisroutedTrigger`] when a
     /// multicast has no tree to start at.
@@ -457,7 +547,7 @@ impl Pe {
         prog: &Program,
         router: &mut Router,
         input: &[f64],
-        out: &mut OutSink,
+        out: &mut [f64],
         stats: &mut KernelStats,
         task: &mut Task,
     ) -> Result<bool, SimError> {
@@ -494,7 +584,7 @@ impl Pe {
                     }
                     task.pending = None;
                     let x = self.slot_vals[slot as usize] * prog.inv_diag[target as usize];
-                    out.write(target, x);
+                    out[target as usize] = x;
                     self.slot_ready[slot as usize] = now + hazard;
                     stats.count_op_at(self.tile, OpKind::Mul);
                     stats.sram_read_at(self.tile); // reciprocal diagonal fetch
@@ -573,7 +663,7 @@ impl Pe {
         prog: &Program,
         router: &mut Router,
         input: &[f64],
-        out: &mut OutSink,
+        out: &mut [f64],
         stats: &mut KernelStats,
     ) -> Result<(), SimError> {
         while let Some(trig) = self.msg_buffer.pop_front() {
@@ -595,7 +685,7 @@ impl Pe {
                         }
                         PendingOp::SolveMul { target, slot } => {
                             let x = self.slot_vals[slot as usize] * prog.inv_diag[target as usize];
-                            out.write(target, x);
+                            out[target as usize] = x;
                             stats.count_op_at(self.tile, OpKind::Mul);
                             stats.sram_read_at(self.tile);
                             trace_op(stats, now, self.tile, OpKind::Mul);
@@ -646,101 +736,6 @@ impl Pe {
         }
         Ok(())
     }
-
-    /// The per-PE wake prediction (`docs/PERFORMANCE.md`): how each
-    /// untaken cycle from `now` on must be accounted for this PE, and
-    /// the earliest cycle it could act again (`None` = no self-driven
-    /// wake; only a router event, a delivery or a fault-window change
-    /// can revive it).
-    ///
-    /// Valid whenever the PE has not ticked since cycle `now - 1`, so
-    /// its state is frozen as of `now`: the engine consults it right
-    /// after a tick at `now - 1` to park the tile until the reported
-    /// wake. A `Some(w)` with `w <= now` means "cannot skip — tick at
-    /// `now`". The class is
-    /// stable across the whole parked span: flit arrivals only touch
-    /// the router, and a delivery (which would change the class) can
-    /// only happen during a tick, which re-evaluates the profile.
-    /// `can_inject` is the tile router's current inject capacity
-    /// ([`crate::router::Router::can_inject`]): a context whose front
-    /// operation is a send can issue at `now` when the queue has room,
-    /// so it pins the wake to `now`. When the queue is full the send
-    /// reports no wake of its own — the router then necessarily holds
-    /// flits, so its `Router::next_event` bounds the park instead.
-    /// (Passing `false` here with an injectable send pending would
-    /// strand the tile: the PE may have issued a *different* context's
-    /// operation on its last tick, leaving the send unattempted with an
-    /// empty, event-less router.)
-    pub(crate) fn wake_profile(
-        &self,
-        now: u64,
-        cfg: &SimConfig,
-        tp: &TileProgram,
-        can_inject: bool,
-    ) -> (PeSkipClass, Option<u64>) {
-        if cfg.pe_model == PeModel::Ideal {
-            // Ideal PEs drain fully every tick and record no idle/stall
-            // stats; a leftover trigger (should not happen) pins the
-            // event to `now` so the engine falls back to real ticking.
-            let wake = if self.has_work() { Some(now) } else { None };
-            return (PeSkipClass::Silent, wake);
-        }
-        if !self.has_work() {
-            return (PeSkipClass::Idle, None);
-        }
-        // A buffered trigger plus a free context means a real tick would
-        // refill and possibly issue: refuse to skip this tile's cycles.
-        if !self.msg_buffer.is_empty() && self.contexts.iter().any(Option::is_none) {
-            return (PeSkipClass::Stall, Some(now));
-        }
-        if self.busy_until > now {
-            // Dalorex bookkeeping window: the real tick returns early
-            // with no stat recorded until the timer expires.
-            return (PeSkipClass::Silent, Some(self.busy_until));
-        }
-        // Blocked on hazards/backpressure: a real tick counts one stall
-        // per cycle until the earliest slot-ready timer expires.
-        let mut wake: Option<u64> = None;
-        for task in self.contexts.iter().flatten() {
-            let slot = match task.pending {
-                Some(PendingOp::Combine { slot }) => Some(slot),
-                Some(PendingOp::SolveMul { slot, .. }) => Some(slot),
-                Some(PendingOp::SendX { .. }) | Some(PendingOp::SendPartial { .. }) => {
-                    if can_inject {
-                        // Issueable right now: only single-issue
-                        // arbitration held it back on the last tick.
-                        return (PeSkipClass::Stall, Some(now));
-                    }
-                    // Router-bound: woken by the router, not a PE timer.
-                    None
-                }
-                None => {
-                    debug_assert!(task.cur < task.end);
-                    Some(tp.entries[task.cur as usize].slot)
-                }
-            };
-            if let Some(s) = slot {
-                let ready = self.slot_ready[s as usize];
-                wake = Some(wake.map_or(ready, |w: u64| w.min(ready)));
-            }
-        }
-        (PeSkipClass::Stall, wake)
-    }
-
-    /// The tile this PE belongs to.
-    pub fn tile(&self) -> TileId {
-        self.tile
-    }
-
-    /// Injected SRAM upset: flips `bit` (mod 64) of accumulator slot
-    /// `slot`. Returns the `(old, new)` values, or `None` when this
-    /// tile's program has no such slot (the upset lands in unused SRAM).
-    pub fn flip_slot_bit(&mut self, slot: u32, bit: u32) -> Option<(f64, f64)> {
-        let v = self.slot_vals.get_mut(slot as usize)?;
-        let old = *v;
-        *v = f64::from_bits(old.to_bits() ^ (1u64 << (bit % 64)));
-        Some((old, *v))
-    }
 }
 
 #[cfg(test)]
@@ -783,17 +778,8 @@ mod tests {
         }
         let mut now = 0u64;
         while pe.has_work() {
-            pe.tick(
-                now,
-                &cfg,
-                tp,
-                &prog,
-                &mut router,
-                &x,
-                &mut OutSink::Direct(&mut out),
-                &mut stats,
-            )
-            .unwrap();
+            pe.tick(now, &cfg, tp, &prog, &mut router, &x, &mut out, &mut stats)
+                .unwrap();
             now += 1;
             assert!(now < 10_000, "PE failed to drain");
         }
@@ -826,17 +812,8 @@ mod tests {
         pe.push_trigger(&cfg, Trigger::X { idx: 4, val: 1.0 }, &mut stats);
         let mut now = 0u64;
         while pe.has_work() && now < 1000 {
-            pe.tick(
-                now,
-                &cfg,
-                tp,
-                &prog,
-                &mut router,
-                &x,
-                &mut OutSink::Direct(&mut out),
-                &mut stats,
-            )
-            .unwrap();
+            pe.tick(now, &cfg, tp, &prog, &mut router, &x, &mut out, &mut stats)
+                .unwrap();
             now += 1;
         }
         assert!(stats.stall_cycles > 0, "same-slot FMACs must stall");
@@ -862,17 +839,8 @@ mod tests {
             }
             let mut now = 0u64;
             while pe.has_work() && now < 10_000 {
-                pe.tick(
-                    now,
-                    &cfg,
-                    tp,
-                    &prog,
-                    &mut router,
-                    &x,
-                    &mut OutSink::Direct(&mut out),
-                    &mut stats,
-                )
-                .unwrap();
+                pe.tick(now, &cfg, tp, &prog, &mut router, &x, &mut out, &mut stats)
+                    .unwrap();
                 now += 1;
             }
             (now, stats.stall_cycles)
@@ -911,17 +879,8 @@ mod tests {
             }
             let mut now = 0u64;
             while pe.has_work() && now < 100_000 {
-                pe.tick(
-                    now,
-                    &cfg,
-                    tp,
-                    &prog,
-                    &mut router,
-                    &x,
-                    &mut OutSink::Direct(&mut out),
-                    &mut stats,
-                )
-                .unwrap();
+                pe.tick(now, &cfg, tp, &prog, &mut router, &x, &mut out, &mut stats)
+                    .unwrap();
                 now += 1;
             }
             now
@@ -950,17 +909,8 @@ mod tests {
                 pe.push_trigger(&cfg, Trigger::X { idx: j, val: 2.0 }, &mut stats);
             }
         }
-        pe.tick(
-            0,
-            &cfg,
-            tp,
-            &prog,
-            &mut router,
-            &x,
-            &mut OutSink::Direct(&mut out),
-            &mut stats,
-        )
-        .unwrap();
+        pe.tick(0, &cfg, tp, &prog, &mut router, &x, &mut out, &mut stats)
+            .unwrap();
         assert!(!pe.has_work(), "ideal PE drains in one tick");
         let expect = a.spmv(&x);
         for i in 0..9 {

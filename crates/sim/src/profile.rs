@@ -3,8 +3,9 @@
 //! Simulated-time tracing ([`azul_telemetry::trace`]) answers "what did
 //! the modeled hardware do"; this module answers "what does the
 //! simulator itself spend host cycles on" — the tick loop, router
-//! arbitration, PE execution, the barrier/commit phase, waking parked
-//! tiles, and stats sampling — and how many tile ticks parking saved.
+//! arbitration, PE execution, the commit of each tick (re-arming or
+//! parking the tile, landing flit arrivals), waking parked tiles, and
+//! stats sampling — and how many tile ticks parking saved.
 //! The two must never mix: wall-clock reads inside the deterministic
 //! engine are a determinism hazard (`azul-lint`'s `wall-clock-in-sim`
 //! rule), so the probes here are the *only* sanctioned wall-clock use
@@ -14,11 +15,10 @@
 //!
 //! Recording is thread-scoped: [`enable`], [`disable`], [`reset`] and
 //! [`snapshot`] act on the calling thread's own flag and totals, and a
-//! probe counts only on a thread that armed it. A harness therefore
-//! profiles the simulator runs on its own thread, which is the
-//! `threads = 1` configuration shares are defined for; shard workers of a
-//! pool, and kernels on other threads of the process (other tests, other
-//! service workers), record nothing into its totals.
+//! probe counts only on a thread that armed it. The tick engine runs a
+//! kernel on the calling thread, so a harness profiles the kernels it
+//! runs itself; kernels on other threads of the process (other tests,
+//! other service workers) record nothing into its totals.
 //!
 //! Besides wall time, every kernel adds its host work in tile-cycles —
 //! tiles ticked, and cycles parked tiles were credited for instead —
@@ -65,8 +65,9 @@ pub enum Component {
     RouterTick = 1,
     /// PE issue/execute.
     PeTick = 2,
-    /// Cycle-barrier synchronization and outbox commit.
-    BarrierCommit = 3,
+    /// Re-arming or parking each ticked tile, and landing the cycle's
+    /// flit arrivals.
+    Commit = 3,
     /// Waking parked tiles, crediting their skipped cycles, and clock
     /// jumps.
     Park = 4,
@@ -79,7 +80,7 @@ pub const ALL: [Component; 6] = [
     Component::TickLoop,
     Component::RouterTick,
     Component::PeTick,
-    Component::BarrierCommit,
+    Component::Commit,
     Component::Park,
     Component::Stats,
 ];
@@ -91,7 +92,7 @@ impl Component {
             Component::TickLoop => "tick_loop",
             Component::RouterTick => "router_tick",
             Component::PeTick => "pe_tick",
-            Component::BarrierCommit => "barrier_commit",
+            Component::Commit => "commit",
             Component::Park => "park",
             Component::Stats => "stats",
         }

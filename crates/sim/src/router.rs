@@ -81,6 +81,14 @@ pub struct Router {
     /// The tile on the far side of each output link, by direction.
     neighbors: [TileId; 4],
     inputs: [VecDeque<Queued>; 5],
+    /// Bit `p` is set while input port `p` holds a flit.
+    live: u8,
+    /// The earliest `ready` over the port heads (`u64::MAX` when every
+    /// port is empty). Exact at all times: a push onto an empty port
+    /// lowers it, and [`tick_router`] recomputes it from the heads it
+    /// reads anyway, so a router with no ready head returns without
+    /// touching a queue.
+    head_ready: u64,
     /// Round-robin arbitration cursor.
     rr: usize,
     capacity: usize,
@@ -109,6 +117,8 @@ impl Router {
             tile,
             neighbors: grid.neighbors(tile),
             inputs: Default::default(),
+            live: 0,
+            head_ready: u64::MAX,
             rr: 0,
             capacity,
             fault_extra_delay: 0,
@@ -142,8 +152,19 @@ impl Router {
 
     /// Injects a locally generated flit (PE Send operation).
     pub fn inject(&mut self, now: u64, flit: Flit) {
-        self.inputs[PORT_INJECT].push_back(Queued {
-            ready: now + 1,
+        self.push(PORT_INJECT, now + 1, flit);
+    }
+
+    /// Queues `flit` on `port`, ready at `ready`, keeping the live mask
+    /// and the earliest head `ready` exact: only a flit landing on an
+    /// empty port becomes a head.
+    fn push(&mut self, port: usize, ready: u64, flit: Flit) {
+        if self.live & (1 << port) == 0 {
+            self.live |= 1 << port;
+            self.head_ready = self.head_ready.min(ready);
+        }
+        self.inputs[port].push_back(Queued {
+            ready,
             flit,
             forwarded: 0,
             delivered: false,
@@ -153,6 +174,11 @@ impl Router {
     /// Number of buffered flits across all input ports.
     pub fn occupancy(&self) -> usize {
         self.inputs.iter().map(VecDeque::len).sum()
+    }
+
+    /// Whether every input port is empty.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
     }
 
     /// Number of flits buffered on the local inject port — the only
@@ -177,16 +203,11 @@ impl Router {
     }
 
     /// Applies a deferred [`Accept`]: enqueues a flit arriving from a
-    /// neighbor on `port`. Called at the cycle barrier, never from
-    /// inside a router tick — see [`tick_router`] for why arrivals are
-    /// double-buffered.
+    /// neighbor on `port`. Called once every tile has ticked, never from
+    /// inside a router tick — see [`Accept`] for why arrivals are
+    /// buffered.
     pub fn apply_accept(&mut self, port: usize, ready: u64, flit: Flit) {
-        self.inputs[port].push_back(Queued {
-            ready,
-            flit,
-            forwarded: 0,
-            delivered: false,
-        });
+        self.push(port, ready, flit);
     }
 
     /// The earliest cycle (`>= now`) at which this router could move a
@@ -200,13 +221,14 @@ impl Router {
     /// local delivery left (a fully served head retires in the tick that
     /// serves it), so the bound is exact. An outage can hold a ready head
     /// longer, which only makes the bound early; the engine does not
-    /// park tiles during fault runs anyway.
+    /// park tiles during fault runs anyway. Reads the cached earliest
+    /// head instead of the queues.
     pub fn next_event(&self, now: u64) -> Option<u64> {
-        self.inputs
-            .iter()
-            .filter_map(VecDeque::front)
-            .map(|head| head.ready.max(now))
-            .min()
+        if self.is_empty() {
+            None
+        } else {
+            Some(self.head_ready.max(now))
+        }
     }
 
     /// The tile id this router serves.
@@ -216,17 +238,19 @@ impl Router {
 }
 
 /// A deferred flit arrival: the result of one router forwarding toward
-/// tile `dest` this cycle, to be applied to `dest`'s input queue at the
-/// cycle barrier via [`Router::apply_accept`].
+/// tile `dest` this cycle, to be applied to `dest`'s input queue via
+/// [`Router::apply_accept`] once every tile has ticked.
 ///
-/// Arrivals are double-buffered so intra-cycle tick order cannot leak
-/// between tiles: every router of a cycle observes the queues exactly
-/// as the previous barrier left them, which is what lets shards tick in
-/// parallel — and in any order — without changing a single bit of the
-/// outcome. Determinism does not depend on outbox application order:
-/// each input port has exactly one upstream tile and each output
-/// direction carries at most one flit per cycle, so at most one accept
-/// targets any `(dest, port)` pair per cycle.
+/// Arrivals are buffered so intra-cycle tick order cannot leak between
+/// tiles: every router of a cycle observes the queues exactly as the
+/// previous cycle left them. Since every arrival is ready at `now + 1`
+/// or later, applying it at forward time would not change what the
+/// receiving router moves; it would change which tiles the engine
+/// re-arms or parks, and so its tile-cycle counts (`docs/PERFORMANCE.md`,
+/// "The outbox"). Outbox application order does not matter: each input
+/// port has exactly one upstream tile and each output direction carries
+/// at most one flit per cycle, so at most one accept targets any
+/// `(dest, port)` pair per cycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Accept {
     /// Receiving tile.
@@ -290,9 +314,10 @@ fn route_of(
 
 /// Ticks one router: moves at most one flit per output link, appends
 /// local deliveries to `deliveries`, pushes cross-tile arrivals onto
-/// `outbox` (applied at the cycle barrier, see [`Accept`]), and updates
+/// `outbox` (applied after the tick phase, see [`Accept`]), and updates
 /// traffic stats. Returns whether any flit was forwarded, delivered or
-/// retired.
+/// retired. The arbitration cursor rotates on every tick; a router whose
+/// earliest head is not ready returns right after.
 pub fn tick_router(
     router: &mut Router,
     now: u64,
@@ -308,13 +333,22 @@ pub fn tick_router(
     let mut dir_used = [false; 4];
     let rr_start = router.rr;
     router.rr = (router.rr + 1) % 5;
+    if router.head_ready > now {
+        return false;
+    }
+    // The earliest head `ready` after this tick, from the heads read
+    // below: a waiting or partly served head, or the one a pop exposes.
+    let mut head_ready = u64::MAX;
     for q in 0..5 {
         let port = (rr_start + q) % 5;
-        // Peek head flit if ready.
+        if router.live & (1 << port) == 0 {
+            continue;
+        }
         let Some(&head) = router.inputs[port].front() else {
             continue;
         };
         if head.ready > now {
+            head_ready = head_ready.min(head.ready);
             continue;
         }
         let flit = head.flit;
@@ -383,6 +417,10 @@ pub fn tick_router(
         if all_dirs_done && (delivered || !deliver) {
             moved = true;
             router.inputs[port].pop_front();
+            match router.inputs[port].front() {
+                Some(next) => head_ready = head_ready.min(next.ready),
+                None => router.live &= !(1 << port),
+            }
             stats.router_traversal_at(tile);
             if stats.trace_ev.wants(CAT_ROUTER) {
                 stats.trace_ev.push(TraceEvent {
@@ -392,13 +430,17 @@ pub fn tick_router(
                     arg: port as u64,
                 });
             }
-        } else if progressed {
-            // azul-lint: allow(panic-in-sim-hot-path, unwrap-in-pipeline) the head was peeked above and not popped
-            let h = router.inputs[port].front_mut().expect("head still queued");
-            h.forwarded = forwarded;
-            h.delivered = delivered;
+        } else {
+            head_ready = head_ready.min(head.ready);
+            if progressed {
+                // azul-lint: allow(panic-in-sim-hot-path, unwrap-in-pipeline) the head was peeked above and not popped
+                let h = router.inputs[port].front_mut().expect("head still queued");
+                h.forwarded = forwarded;
+                h.delivered = delivered;
+            }
         }
     }
+    router.head_ready = head_ready;
     moved
 }
 
@@ -439,7 +481,6 @@ mod tests {
         #[allow(clippy::needless_range_loop)] // index used across several structures
         for t in 0..routers.len() {
             tick_router(
-                // azul-lint: allow(shared-mutable-in-shard) serial test helper: owns the whole array, no shards
                 &mut routers[t],
                 now,
                 hop_latency,
@@ -450,7 +491,6 @@ mod tests {
             );
         }
         for a in outbox.drain(..) {
-            // azul-lint: allow(shared-mutable-in-shard) serial test helper: this IS the cycle barrier
             routers[a.dest as usize].apply_accept(a.port as usize, a.ready, a.flit);
         }
     }

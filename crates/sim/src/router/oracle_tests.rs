@@ -1,6 +1,7 @@
 //! The router's tile lookup that routing by tree row replaced, kept as
 //! an oracle, and a property test that both decide the same for every
-//! row of every tree of a compiled program.
+//! row of every tree of a compiled program; and a property test of the
+//! router's cached head state against a scan of its queues.
 
 use super::*;
 use crate::program::oracle_tests::arb_spd;
@@ -8,6 +9,7 @@ use crate::program::SlotAction;
 use azul_mapping::strategies::{AzulMapper, BlockMapper, Mapper, RoundRobinMapper};
 use azul_mapping::TileGrid;
 use proptest::prelude::*;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The routing decision looked up by tile: the tree behind `flit.idx`,
@@ -209,5 +211,101 @@ proptest! {
         let p = mapper.map(&a, grid);
         let ctx = format!("n={} grid={cols}x{rows} mesh={mesh} mapper={mapper_ix}", a.rows());
         assert_same_decisions_all(&a, &p, &ctx);
+    }
+}
+
+/// The scanning definition [`Router::next_event`] had before the head
+/// cache: the earliest head `ready` over the five queues, never before
+/// `now`.
+fn scanned_next_event(r: &Router, now: u64) -> Option<u64> {
+    r.inputs
+        .iter()
+        .filter_map(VecDeque::front)
+        .map(|head| head.ready.max(now))
+        .min()
+}
+
+/// Asserts the router's live mask and earliest head `ready` against its
+/// queues, and `next_event` against the scan.
+fn assert_head_cache_exact(r: &Router, now: u64, ctx: &str) {
+    let fronts = r
+        .inputs
+        .iter()
+        .filter_map(VecDeque::front)
+        .map(|head| head.ready)
+        .min()
+        .unwrap_or(u64::MAX);
+    assert_eq!(r.head_ready, fronts, "{ctx}: earliest head ready");
+    let mask = (0..5)
+        .filter(|&p| !r.inputs[p].is_empty())
+        .fold(0u8, |m, p| m | 1 << p);
+    assert_eq!(r.live, mask, "{ctx}: live mask");
+    assert_eq!(r.is_empty(), r.occupancy() == 0, "{ctx}: emptiness");
+    for probe in [0, now, now + 1, now + 7] {
+        assert_eq!(
+            r.next_event(probe),
+            scanned_next_event(r, probe),
+            "{ctx}: next_event({probe})"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random sequences of injects, accepts (ready now, soon or later),
+    /// ticks, idle cycles, link-down windows and their ends on one
+    /// router of a compiled SpMV: after every step the cached head state
+    /// is exactly what a scan of the queues gives. Heads that want the
+    /// same output in one cycle block each other, partly served
+    /// multicasts stay queued, and downed links hold ready heads.
+    #[test]
+    fn head_cache_matches_a_queue_scan(
+        ops in proptest::collection::vec((0u8..7, 0usize..5, 0usize..4096, 0u64..6, 0usize..16), 1..160),
+        tile in 0u32..16,
+    ) {
+        let a = azul_sparse::generate::grid_laplacian_2d(8, 8);
+        let grid = TileGrid::new(4, 4);
+        let prog = Program::compile_spmv(&a, &RoundRobinMapper.map(&a, grid));
+        let rows = prog.trees.num_rows();
+        let mut r = Router::new(grid, tile, 4);
+        let mut deliveries = Vec::new();
+        let mut outbox = Vec::new();
+        let mut stats = crate::stats::KernelStats::default();
+        let mut now = 0u64;
+        assert_head_cache_exact(&r, now, "new");
+        for (step, &(op, port, row, delay, idx)) in ops.iter().enumerate() {
+            let flit = Flit {
+                kind: if row % 2 == 0 { FlitKind::X } else { FlitKind::Partial },
+                idx: idx as u32,
+                row: (row % rows) as u32,
+                val: 1.0,
+                outbound: op == 0,
+            };
+            match op {
+                0 if r.can_inject() => r.inject(now, flit),
+                0 | 1 => r.apply_accept(port % 4, now + delay, flit),
+                2 | 3 => {
+                    deliveries.clear();
+                    outbox.clear();
+                    tick_router(&mut r, now, 1, &prog, &mut deliveries, &mut outbox, &mut stats);
+                    now += 1;
+                }
+                4 => now += delay,
+                5 => r.inject_link_down(port % 4),
+                _ => r.clear_faults(),
+            }
+            assert_head_cache_exact(&r, now, &format!("step {step} op {op}"));
+        }
+        // Drain: every flit retires and the cache empties with it.
+        r.clear_faults();
+        let deadline = now + 4 * ops.len() as u64 + 16;
+        while !r.is_empty() && now < deadline {
+            tick_router(&mut r, now, 1, &prog, &mut deliveries, &mut outbox, &mut stats);
+            now += 1;
+            assert_head_cache_exact(&r, now, "drain");
+        }
+        assert!(r.is_empty(), "the router drains");
+        assert_eq!(r.next_event(now), None);
     }
 }

@@ -13,16 +13,16 @@
 //!
 //! # Determinism contract
 //!
-//! Traced runs must stay byte-identical across `SimConfig::threads`,
-//! parked or ticked idle tiles, and repeated seeded-fault runs. Three
-//! properties deliver that:
+//! Traced runs must stay byte-identical across parked or ticked idle
+//! tiles, with host-profiling probes on or off, and across repeated
+//! seeded-fault runs. Three properties deliver that:
 //!
 //! 1. During collection only the per-category filter applies — a pure
 //!    per-event predicate, so every engine configuration records the
-//!    same multiset of events (shards collect into private buffers).
+//!    same multiset of events.
 //! 2. Every event is keyed `(cycle, tile, kind, arg)` and [`TraceBuf::
-//!    seal`] sorts on exactly that derived order at the serial end of
-//!    the kernel, erasing shard/interleaving differences.
+//!    seal`] sorts on exactly that derived order at the end of the
+//!    kernel, erasing the order in which tiles were ticked.
 //! 3. The bounded-capacity policy is deterministic stride sampling
 //!    applied only to the *sorted* buffer (never mid-collection), so
 //!    which events are dropped depends only on the sorted content.
@@ -179,8 +179,8 @@ impl TraceBuf {
 
     /// Absorbs another buffer, offsetting its cycles by `cycle_offset`
     /// (the number of cycles this buffer already accounts for). Never
-    /// compacts: shard buffers merge in shard order before the sort, so
-    /// any mid-merge sampling would depend on the shard partition.
+    /// compacts: sampling before the sort would depend on the order in
+    /// which buffers merge.
     pub fn merge(&mut self, other: &TraceBuf, cycle_offset: u64) {
         self.mask |= other.mask;
         self.capacity = self.capacity.max(other.capacity);

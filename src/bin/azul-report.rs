@@ -86,7 +86,17 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let grid: usize = opts.get("grid").and_then(|g| g.parse().ok()).unwrap_or(16);
+    let tiles = match opts
+        .get("grid")
+        .map_or(Ok(TileGrid::square(16)), |g| TileGrid::parse_square(g))
+    {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("error: --grid: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let grid = tiles.width();
     let tol: f64 = opts
         .get("tol")
         .and_then(|t| t.parse().ok())
@@ -97,7 +107,7 @@ fn main() -> ExitCode {
         .unwrap_or_else(|| "azul-report.json".to_string());
     let quiet = opts.contains_key("quiet");
 
-    let mut cfg = AzulConfig::new(TileGrid::square(grid));
+    let mut cfg = AzulConfig::new(tiles);
     cfg.pcg.tol = tol;
     cfg.sim.detailed_stats = true;
     cfg.mapping = match opts.get("mapping").map(String::as_str) {

@@ -126,12 +126,22 @@ fn cmd_solve(opts: &HashMap<String, String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let grid: usize = opts.get("grid").and_then(|g| g.parse().ok()).unwrap_or(16);
+    let tiles = match opts
+        .get("grid")
+        .map_or(Ok(TileGrid::square(16)), |g| TileGrid::parse_square(g))
+    {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("error: --grid: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let grid = tiles.width();
     let tol: f64 = opts
         .get("tol")
         .and_then(|t| t.parse().ok())
         .unwrap_or(1e-10);
-    let mut cfg = AzulConfig::new(TileGrid::square(grid));
+    let mut cfg = AzulConfig::new(tiles);
     cfg.pcg.tol = tol;
     cfg.mapping = match opts.get("mapping").map(String::as_str) {
         Some("rr") => MappingStrategy::RoundRobin,

@@ -27,6 +27,7 @@ use azul::sim::gmres::{GmresSim, GmresSimConfig};
 use azul::sim::invariants::{Checker, RULE_FLIT_CONSERVATION};
 use azul::sim::machine::SimError;
 use azul::sim::pcg::{PcgSim, PcgSimConfig, PcgSimReport};
+use azul::sim::profile::{self, Component};
 use azul::sim::stats::KernelStats;
 use azul::sim::telemetry::{
     describe_config, fill_fault_report, fill_integrity_report, fill_invariant_report, fill_report,
@@ -101,43 +102,47 @@ fn serialize_parts(
     doc.to_json().to_string_pretty()
 }
 
-/// A detailed, checked `SimConfig` for the shared scenario with the
-/// engine knob under test.
-fn engine_cfg(grid: TileGrid, threads: usize, faults: Option<FaultPlan>) -> SimConfig {
+/// A detailed, checked `SimConfig` for the shared scenario.
+fn engine_cfg(grid: TileGrid, faults: Option<FaultPlan>) -> SimConfig {
     let mut cfg = SimConfig::azul(grid);
     cfg.detailed_stats = true;
     cfg.check_invariants = true;
-    cfg.threads = threads;
     cfg.faults = faults;
     cfg
 }
 
-/// Worker-thread counts checked against the single-threaded run. The
-/// engine's only host-side knob is sharding; parking has no switch and
-/// is checked against the per-cycle oracle inside `azul-sim`.
-const ENGINE_MATRIX: [usize; 1] = [3];
+/// Runs `f` with this thread's host-profiling probes armed, the one
+/// host-side setting of the tick engine: the tick loop then times its
+/// components, which must not move a single simulated byte. Parking has
+/// no switch and is checked against the per-cycle oracle inside
+/// `azul-sim`.
+fn with_probes<T>(f: impl FnOnce() -> T) -> T {
+    profile::reset();
+    profile::enable();
+    let r = f();
+    profile::disable();
+    assert!(
+        profile::snapshot().calls(Component::TickLoop) > 0,
+        "the probed run must tick kernels on this thread"
+    );
+    r
+}
 
-/// Asserts that a solver's full telemetry JSON is byte-identical across
-/// the engine matrix: sharded parallel ticking is a host-side knob that
-/// must not perturb a single deterministic byte.
+/// Asserts that a solver's full telemetry JSON is byte-identical with
+/// the host-profiling probes off and on.
 fn assert_engine_invariant(
     solver: &str,
     plan: &dyn Fn() -> Option<FaultPlan>,
-    json_of: &dyn Fn(usize, Option<FaultPlan>) -> String,
+    json_of: &dyn Fn(Option<FaultPlan>) -> String,
 ) {
-    let base = json_of(1, plan());
-    for threads in ENGINE_MATRIX {
-        let got = json_of(threads, plan());
-        assert_eq!(
-            got, base,
-            "{solver}: telemetry diverged at threads={threads}"
-        );
-    }
+    let base = json_of(plan());
+    let got = with_probes(|| json_of(plan()));
+    assert_eq!(got, base, "{solver}: telemetry diverged with probes on");
 }
 
-fn pcg_json(threads: usize, faults: Option<FaultPlan>) -> String {
+fn pcg_json(faults: Option<FaultPlan>) -> String {
     let (a, p, grid) = setup();
-    let cfg = engine_cfg(grid, threads, faults);
+    let cfg = engine_cfg(grid, faults);
     let run_cfg = PcgSimConfig {
         timed_iterations: 0,
         ..PcgSimConfig::default()
@@ -153,9 +158,9 @@ fn pcg_json(threads: usize, faults: Option<FaultPlan>) -> String {
     )
 }
 
-fn bicgstab_json(threads: usize, faults: Option<FaultPlan>) -> String {
+fn bicgstab_json(faults: Option<FaultPlan>) -> String {
     let (a, p, grid) = setup();
-    let cfg = engine_cfg(grid, threads, faults);
+    let cfg = engine_cfg(grid, faults);
     let run_cfg = BiCgStabSimConfig {
         timed_iterations: 0,
         ..BiCgStabSimConfig::default()
@@ -173,9 +178,9 @@ fn bicgstab_json(threads: usize, faults: Option<FaultPlan>) -> String {
     )
 }
 
-fn gmres_json(threads: usize, faults: Option<FaultPlan>) -> String {
+fn gmres_json(faults: Option<FaultPlan>) -> String {
     let (a, p, grid) = setup();
-    let cfg = engine_cfg(grid, threads, faults);
+    let cfg = engine_cfg(grid, faults);
     let run_cfg = GmresSimConfig {
         timed_iterations: 0,
         ..GmresSimConfig::default()
@@ -228,9 +233,9 @@ fn assert_clean_audit(solver: &str, audit: &IntegrityAudit) {
     assert_eq!(audit.escapes, 0, "{solver}: fault-free solve escaped");
 }
 
-fn pcg_audited_json(threads: usize) -> String {
+fn pcg_audited_json() -> String {
     let (a, p, grid) = setup();
-    let cfg = engine_cfg(grid, threads, None);
+    let cfg = engine_cfg(grid, None);
     let run_cfg = PcgSimConfig {
         timed_iterations: 0,
         integrity: IntegrityPolicy::audit(),
@@ -249,9 +254,9 @@ fn pcg_audited_json(threads: usize) -> String {
     )
 }
 
-fn bicgstab_audited_json(threads: usize) -> String {
+fn bicgstab_audited_json() -> String {
     let (a, p, grid) = setup();
-    let cfg = engine_cfg(grid, threads, None);
+    let cfg = engine_cfg(grid, None);
     let run_cfg = BiCgStabSimConfig {
         timed_iterations: 0,
         integrity: IntegrityPolicy::audit(),
@@ -272,9 +277,9 @@ fn bicgstab_audited_json(threads: usize) -> String {
     )
 }
 
-fn gmres_audited_json(threads: usize) -> String {
+fn gmres_audited_json() -> String {
     let (a, p, grid) = setup();
-    let cfg = engine_cfg(grid, threads, None);
+    let cfg = engine_cfg(grid, None);
     let run_cfg = GmresSimConfig {
         timed_iterations: 0,
         integrity: IntegrityPolicy::audit(),
@@ -293,11 +298,11 @@ fn gmres_audited_json(threads: usize) -> String {
     )
 }
 
-/// Fault-free engine matrix with [`IntegrityPolicy::audit`] armed, for
-/// all three frontends: the audit journal (checks, drift samples, final
-/// audit) must itself be byte-deterministic across host-side engine
-/// knobs, and no healthy run may report a violation or an escape.
-type AuditedJsonFn = fn(usize) -> String;
+/// Fault-free solves with [`IntegrityPolicy::audit`] armed, for all
+/// three frontends: the audit journal (checks, drift samples, final
+/// audit) must itself be byte-identical with the host-profiling probes
+/// off and on, and no healthy run may report a violation or an escape.
+type AuditedJsonFn = fn() -> String;
 
 #[test]
 fn integrity_audited_telemetry_invariant_to_engine_config() {
@@ -307,29 +312,27 @@ fn integrity_audited_telemetry_invariant_to_engine_config() {
         ("gmres", gmres_audited_json),
     ];
     for (solver, json_of) in frontends {
-        let base = json_of(1);
+        let base = json_of();
         assert!(
             base.contains("\"integrity\""),
             "{solver}: audited journal missing the integrity section"
         );
-        for threads in ENGINE_MATRIX {
-            let got = json_of(threads);
-            assert_eq!(
-                got, base,
-                "{solver}: audited telemetry diverged at threads={threads}"
-            );
-        }
+        let got = with_probes(json_of);
+        assert_eq!(
+            got, base,
+            "{solver}: audited telemetry diverged with probes on"
+        );
     }
 }
 
 /// Runs one solver of the shared scenario with event tracing on and
 /// returns its exported Chrome trace JSON. The export serializes the
-/// sealed event buffer verbatim, so byte-comparing it across engine
-/// configurations checks the full trace pipeline: hooks, shard merge,
-/// seal ordering, and the JSON writer.
-fn traced_trace_json(solver: &str, threads: usize, faults: Option<FaultPlan>) -> String {
+/// sealed event buffer verbatim, so byte-comparing it across runs
+/// checks the full trace pipeline: hooks, seal ordering, and the JSON
+/// writer.
+fn traced_trace_json(solver: &str, faults: Option<FaultPlan>) -> String {
     let (a, p, grid) = setup();
-    let mut cfg = engine_cfg(grid, threads, faults);
+    let mut cfg = engine_cfg(grid, faults);
     cfg.trace = Some(TraceConfig::default());
     let b = rhs(a.rows());
     let stats = match solver {
@@ -366,22 +369,20 @@ fn traced_trace_json(solver: &str, threads: usize, faults: Option<FaultPlan>) ->
     chrome_trace_json(&stats.trace_ev, grid.num_tiles() as u32, &[]).to_string_compact()
 }
 
-/// Asserts one solver's exported trace is byte-identical across the
-/// engine matrix — threads 1 and 3 — for both the fault-free and the
+/// Asserts one solver's exported trace is byte-identical with the
+/// host-profiling probes off and on, for both the fault-free and the
 /// seeded-fault scenario.
 fn assert_trace_invariant(solver: &str) {
     for (label, plan) in [
         ("fault-free", &(|| None) as &dyn Fn() -> Option<FaultPlan>),
         ("seeded faults", &seeded_plan),
     ] {
-        let base = traced_trace_json(solver, 1, plan());
-        for threads in ENGINE_MATRIX {
-            let got = traced_trace_json(solver, threads, plan());
-            assert_eq!(
-                got, base,
-                "{solver} ({label}): exported trace diverged at threads={threads}"
-            );
-        }
+        let base = traced_trace_json(solver, plan());
+        let got = with_probes(|| traced_trace_json(solver, plan()));
+        assert_eq!(
+            got, base,
+            "{solver} ({label}): exported trace diverged with probes on"
+        );
     }
 }
 
@@ -405,7 +406,7 @@ fn gmres_trace_export_invariant_to_engine_config() {
 /// router of the grid must have a named track.
 #[test]
 fn exported_trace_is_monotonic_and_balanced() {
-    let json = traced_trace_json("pcg", 1, seeded_plan());
+    let json = traced_trace_json("pcg", seeded_plan());
     let doc = azul::telemetry::json::parse(&json).expect("export must be valid JSON");
     let check = validate_chrome_trace(&doc).expect("export must validate");
     assert!(check.events > 0, "trace has data events");
@@ -704,7 +705,7 @@ fn golden_text(solver: &str, sc: &GoldenScenario) -> String {
     } else {
         setup()
     };
-    let cfg = engine_cfg(grid, 1, sc.faults.clone());
+    let cfg = engine_cfg(grid, sc.faults.clone());
     let b = rhs(a.rows());
     let (summary, telemetry) = match solver {
         "pcg" => {
