@@ -18,9 +18,10 @@ passed its own floors. Both compare exact, host-independent counts:
    lower than the baseline's: the counts are deterministic, so any drop
    means tiles park less than they did.
 
-Regenerate the baseline with:
+Regenerate the baseline from the repository root with (the directory
+must be absolute: the bench runs from crates/bench):
 
-    AZUL_BENCH_SCALE=tiny AZUL_BENCH_REPORT_DIR=crates/bench/baselines \
+    AZUL_BENCH_SCALE=tiny AZUL_BENCH_REPORT_DIR=$PWD/crates/bench/baselines \
         cargo bench -p azul-bench --bench sim_perf
 
 Usage: check_bench_trend.py CURRENT.json BASELINE.json
