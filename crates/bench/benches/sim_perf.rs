@@ -6,7 +6,13 @@
 //!
 //! 1. **PCG solve** — one full solve per matrix, on a
 //!    parallelism-limited and a grid-like analog: the engine's
-//!    throughput in simulated Mcycles per host second.
+//!    throughput in simulated Mcycles per host second. Each solve runs
+//!    on a freshly built `PcgSim`, so each kernel's first launch ticks;
+//!    a kernel's later launches under the same config replay its first
+//!    launch's record (`azul_sim::program::Program`), which within one
+//!    solve is the setup's SpTRSV pair run again. Two more rows time one
+//!    solve's first launch and the same solve replayed, and the bench
+//!    asserts their telemetry is equal.
 //! 2. **SpTRSV serial chain** — a tridiagonal chain round-robined
 //!    across the grid, the dependence-limited tail where nearly every
 //!    tile waits nearly every cycle, at three hop latencies.
@@ -89,6 +95,37 @@ fn main() {
         reports.push(doc);
         row(name, &[format!("{mcps:.2} Mc/s")]);
     }
+
+    // Section 1, replay: one solve's first launch, then the same solve
+    // again, every kernel of which replays. Everything but wall time
+    // must match.
+    let m = prepare(suite::by_name("thermal2").unwrap(), ctx.scale);
+    let placement = ctx.azul_mapper().map(&m.a, ctx.grid);
+    let cfg = SimConfig::azul(ctx.grid);
+    let sim = PcgSim::build(&m.a, &placement, &cfg).expect("IC(0) succeeds");
+    let mut launches = Vec::new();
+    for launch in ["first", "replay"] {
+        let t0 = Instant::now();
+        let rep = sim.run(&m.b, &ctx.pcg_cfg());
+        let wall = t0.elapsed().as_secs_f64();
+        let doc = telemetry_report(&m, &cfg, &rep);
+        launches.push((launch, wall, doc.to_json()));
+        let mut doc = doc;
+        doc.scenario_field("section", "pcg_launch");
+        doc.scenario_field("launch", launch);
+        doc.scenario_field("tracing", false);
+        doc.scenario_field("wall_seconds", wall);
+        doc.scenario_field("replay_bytes", sim.replay_bytes() as u64);
+        reports.push(doc);
+        row(
+            &format!("thermal2 {launch}"),
+            &[format!("{:.1} ms", wall * 1e3)],
+        );
+    }
+    assert_eq!(
+        launches[0].2, launches[1].2,
+        "a replayed solve must report exactly what its first launch did"
+    );
 
     // Section 2: the dependence-limited SpTRSV tail. A tridiagonal
     // chain serializes the whole solve, and round-robin placement puts

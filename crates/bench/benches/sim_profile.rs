@@ -7,12 +7,22 @@
 //! [`azul_sim::profile`] probes (the only sanctioned wall-clock use in
 //! the sim crate; see the `wall-clock-in-sim` lint rule).
 //!
-//! Runs a full PCG solve, whose kernels tick on the calling thread, so
-//! the inner probe scopes nest strictly inside the `tick_loop` scope and
-//! shares are well-defined, then writes `BENCH_sim_profile.json` with one
-//! `share_ppm_<component>` field per component plus the unattributed
-//! remainder. The shares must cover the tick loop: their sum is
-//! asserted to land within 1% of 100%.
+//! Runs the kernels of one PCG iteration — the lower and upper solves of
+//! the preconditioner, then an SpMV — which tick on the calling thread,
+//! so the inner probe scopes nest strictly inside the `tick_loop` scope
+//! and shares are well-defined, then writes `BENCH_sim_profile.json`
+//! with one `share_ppm_<component>` field per component plus the
+//! unattributed remainder. The shares must cover the tick loop: their
+//! sum is asserted to land within 1% of 100%.
+//!
+//! Every timed run compiles its programs afresh, outside the timer. A
+//! program's later launches under one config replay its first launch's
+//! record instead of ticking (`azul_sim::program::Program`), so a
+//! re-run program, or a whole PCG solve, which launches the solve pair
+//! twice, would time replays in the probes-off runs and the engine in
+//! the probed ones, which never replay. A first launch also records its
+//! slot arithmetic, a few percent of it, which the probes-off runs pay
+//! and the probed ones do not.
 //!
 //! The solve uses Block mapping, the placement of the benchmark's gated
 //! simulator workloads: Block and Azul mapping rank the components
@@ -21,16 +31,16 @@
 //! (`tree_rows`, `tree_bytes`), which routers read a row of per hop.
 //!
 //! The probes are not free: each takes two timestamps around work that
-//! is often shorter than the timestamps. So the same solve also runs
+//! is often shorter than the timestamps. So the same kernels also run
 //! with the probes off, alternating with the profiled runs, and the
-//! bench reports both solve times (best of each) and their ratio as
+//! bench reports both times (best of each) and their ratio as
 //! `probe_overhead_ratio`. A remainder or a share is only as good as
 //! that ratio is close to 1.
 
 use azul_bench::{header, prepare, row, write_bench_artifact, BenchCtx};
 use azul_mapping::strategies::{BlockMapper, Mapper};
 use azul_sim::config::SimConfig;
-use azul_sim::pcg::PcgSim;
+use azul_sim::machine::run_kernel;
 use azul_sim::profile::{self, Component, ALL};
 use azul_sim::program::Program;
 use azul_solver::ic0::ic0;
@@ -38,7 +48,7 @@ use azul_sparse::suite;
 use azul_telemetry::TelemetryReport;
 use std::time::Instant;
 
-/// Solves per probe setting; each setting keeps its fastest.
+/// Runs per probe setting; each setting keeps its fastest.
 const RUNS: usize = 3;
 
 fn main() {
@@ -52,44 +62,52 @@ fn main() {
 
     let cfg = SimConfig::azul(ctx.grid);
     let l = ic0(&m.a).expect("IC(0) succeeds on suite matrices");
-    let sim = PcgSim::build_with_factor(&m.a, &l, &placement, &cfg);
-    // The solve's tree tables: SpMV's, and the one the SpTRSV pair
+    // Fresh programs for every run, so each launch is a first launch.
+    let compile = || {
+        let spmv = Program::compile_spmv(&m.a, &placement);
+        let (lower, upper) = Program::compile_sptrsv_pair(&l, &m.a, &placement);
+        (spmv, lower, upper)
+    };
+    // The iteration's tree tables: SpMV's, and the one the SpTRSV pair
     // shares.
-    let spmv = Program::compile_spmv(&m.a, &placement);
-    let (lower, _) = Program::compile_sptrsv_pair(&l, &m.a, &placement);
+    let (spmv, lower, _) = compile();
     let tree_rows = spmv.trees.num_rows() + lower.trees.num_rows();
     let tree_bytes = spmv.trees.row_bytes() + lower.trees.row_bytes();
 
-    // Alternate unprofiled and profiled solves so host drift hits both
+    // Alternate unprofiled and profiled runs so host drift hits both
     // alike. Shares come from the profiled runs' summed totals.
     profile::reset();
     let (mut off_ns, mut on_ns) = (u128::MAX, u128::MAX);
     let mut cycles = None;
     for _ in 0..RUNS {
         for probes in [false, true] {
+            let (spmv, lower, upper) = compile();
             if probes {
                 profile::enable();
             }
             let t = Instant::now();
-            let rep = sim.run(&m.b, &ctx.pcg_cfg());
+            let (y, s_lo) = run_kernel(&cfg, &lower, &m.b);
+            let (z, s_up) = run_kernel(&cfg, &upper, &y);
+            let (_, s_mv) = run_kernel(&cfg, &spmv, &z);
             let ns = t.elapsed().as_nanos();
             profile::disable();
             let best = if probes { &mut on_ns } else { &mut off_ns };
             *best = (*best).min(ns);
+            let run_cycles = s_lo.cycles + s_up.cycles + s_mv.cycles;
             assert_eq!(
-                *cycles.get_or_insert(rep.total_cycles),
-                rep.total_cycles,
+                *cycles.get_or_insert(run_cycles),
+                run_cycles,
                 "probes must not change simulated cycles"
             );
         }
     }
-    let total_cycles = cycles.expect("at least one run");
+    let kernel_cycles = cycles.expect("at least one run");
     let snap = profile::snapshot();
     let overhead = on_ns as f64 / off_ns as f64;
 
     assert!(
         snap.calls(Component::TickLoop) > 0,
-        "the solve must have entered the tick loop"
+        "the kernels must have entered the tick loop"
     );
 
     row(
@@ -142,7 +160,7 @@ fn main() {
     doc.scenario_field("mapping", "block");
     doc.scenario_field("n", m.a.rows() as u64);
     doc.scenario_field("nnz", m.a.nnz() as u64);
-    doc.scenario_field("total_cycles", total_cycles);
+    doc.scenario_field("kernel_cycles", kernel_cycles);
     doc.scenario_field("runs_per_setting", RUNS as u64);
     doc.scenario_field("probe_overhead_ratio", overhead);
     azul_sim::telemetry::describe_config(&mut doc, &cfg);
@@ -155,8 +173,8 @@ fn main() {
     }
     doc.counter("share_ppm_other", snap.other_ppm());
     doc.counter("share_ppm_total", total_ppm);
-    doc.counter("solve_wall_ns_probes_off", off_ns as u64);
-    doc.counter("solve_wall_ns_probes_on", on_ns as u64);
+    doc.counter("kernels_wall_ns_probes_off", off_ns as u64);
+    doc.counter("kernels_wall_ns_probes_on", on_ns as u64);
     doc.counter("tree_rows", tree_rows as u64);
     doc.counter("tree_bytes", tree_bytes as u64);
 
@@ -171,7 +189,7 @@ fn main() {
     );
     println!("tree tables: {tree_rows} rows, {tree_bytes} bytes");
     println!(
-        "solve wall, best of {RUNS}: probes off {:.1} ms, on {:.1} ms, ratio {overhead:.2}x",
+        "kernels wall, best of {RUNS}: probes off {:.1} ms, on {:.1} ms, ratio {overhead:.2}x",
         off_ns as f64 / 1e6,
         on_ns as f64 / 1e6
     );

@@ -20,7 +20,12 @@
 //!   dispatch, Fmac/Add/Mul/Send operation mix (Fig. 21's categories);
 //! * [`machine`] — the tick engine that runs one kernel to quiescence,
 //!   co-simulating function (real `f64` arithmetic, validated against
-//!   `azul-solver`) and timing;
+//!   `azul-solver`) and timing. A kernel's first fault-free, untraced
+//!   launch under a config records its slot arithmetic in issue order;
+//!   later launches under an equal config replay that record on their
+//!   own input instead of ticking, with the engine's output bits and
+//!   statistics (a compiled [`program::Program`] is immutable, and its
+//!   clones share the record);
 //! * [`vecops`] — timing of the purely local dense-vector kernels and the
 //!   scalar all-reduce trees of the dot products;
 //! * [`invariants`] — debug-gated runtime audit of the machine's
@@ -72,6 +77,7 @@ pub mod pcg;
 pub mod pe;
 pub mod profile;
 pub mod program;
+mod replay;
 pub mod router;
 mod solve;
 pub mod stats;

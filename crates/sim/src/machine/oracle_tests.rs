@@ -64,7 +64,7 @@ fn run_both_kernels(
     let mut session = plan.map(|p| FaultSession::new(p.clone()));
     let (mut results, mut counts) = (Vec::new(), Vec::new());
     for prog in &programs {
-        let (x, stats, c) = run_engine(cfg, prog, &b, session.as_mut(), parking)
+        let (x, stats, c) = run_engine(cfg, prog, &b, session.as_mut(), parking, &mut ())
             .expect("windowed faults always resolve");
         results.push((x, stats));
         counts.push(c);

@@ -196,6 +196,16 @@ impl PcgSim {
         &self.a
     }
 
+    /// Heap bytes of the three kernels' replay records
+    /// ([`Program::replay_bytes`]): 0 before the first solve.
+    pub fn replay_bytes(&self) -> usize {
+        [Some(&self.spmv), self.lower.as_ref(), self.upper.as_ref()]
+            .into_iter()
+            .flatten()
+            .map(Program::replay_bytes)
+            .sum()
+    }
+
     /// Replaces the matrix *values* while keeping the sparsity pattern,
     /// placement and communication trees — the Sec. II-C time-stepping
     /// case where `A`'s stiffness values change but its structure (the

@@ -27,12 +27,14 @@
 //! once, for both programs.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use azul_mapping::tree::TreeTable;
 use azul_mapping::{Placement, TileGrid, TileId};
 use azul_sparse::Csr;
 use azul_telemetry::span;
+
+use crate::replay::Replay;
 
 /// What happens when an accumulator slot's `updates_remaining` hits zero.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,6 +82,19 @@ pub struct SlotDesc {
     /// Whether the slot starts at `b[target]` (SpTRSV home slots) instead
     /// of zero.
     pub init_from_b: bool,
+}
+
+impl SlotDesc {
+    /// The slot's value at kernel start: `input[target]` for a slot that
+    /// starts at `b`, zero otherwise.
+    pub(crate) fn initial(&self, input: &[f64]) -> f64 {
+        match self.action {
+            SlotAction::Solve { target } | SlotAction::FinalY { target } if self.init_from_b => {
+                input[target as usize]
+            }
+            _ => 0.0,
+        }
+    }
 }
 
 /// One ScaleAndAccumCol entry: `acc[slot] += coeff * incoming_value`.
@@ -144,6 +159,13 @@ pub enum ProgramKind {
 }
 
 /// A compiled kernel: per-tile programs plus the communication trees.
+///
+/// A compiled program is immutable: its first replayable launch records
+/// its slot arithmetic, and later launches under the same config replay
+/// that record instead of ticking (`crate::replay`), so every field must
+/// keep the value it was compiled with. To run other values, compile
+/// anew (as `PcgSim::update_values` does); a new program starts with no
+/// record. Clones share the record.
 #[derive(Debug, Clone)]
 pub struct Program {
     /// Kernel kind.
@@ -170,6 +192,8 @@ pub struct Program {
     pub inv_diag: Vec<f64>,
     /// Total FMAC work items (for sanity checks / FLOP accounting).
     pub num_items: usize,
+    /// The first replayable launch's record, shared by clones.
+    memo: Arc<OnceLock<Replay>>,
 }
 
 /// One unit of FMAC work for the generic compiler.
@@ -311,6 +335,17 @@ impl Program {
     /// Panics if `t` is out of range.
     pub fn tile(&self, t: TileId) -> &TileProgram {
         &self.tiles[t as usize]
+    }
+
+    /// The record of this program's first replayable launch.
+    pub(crate) fn memo(&self) -> &OnceLock<Replay> {
+        &self.memo
+    }
+
+    /// Heap bytes of the replay record: 0 until a replayable launch has
+    /// run (`crate::replay`).
+    pub fn replay_bytes(&self) -> usize {
+        self.memo.get().map_or(0, Replay::bytes)
     }
 }
 
@@ -705,6 +740,7 @@ fn assemble(
         home,
         inv_diag,
         num_items: items.len(),
+        memo: Arc::default(),
     }
 }
 

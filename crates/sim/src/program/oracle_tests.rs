@@ -236,6 +236,7 @@ fn reference_compile(
         home,
         inv_diag,
         num_items: items.len(),
+        memo: Arc::default(),
     }
 }
 

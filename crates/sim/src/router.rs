@@ -44,6 +44,11 @@ pub struct Flit {
     pub row: u32,
     /// The payload value.
     pub val: f64,
+    /// A partial's source: the global slot (slots numbered across tiles
+    /// in tile order) whose final value it carries, so a replayed launch
+    /// (`crate::replay`) can name the value without carrying it.
+    /// Simulator bookkeeping like `row`; 0 on multicast flits.
+    pub src: u32,
     /// True while the flit is still at its injection tile (so a partial
     /// injected by a combiner is not re-delivered to the same combiner).
     pub outbound: bool,
@@ -73,6 +78,11 @@ struct Queued {
     /// Whether local delivery has already happened.
     delivered: bool,
 }
+
+// A flit fills one 24-byte record and a queued flit 40: `src` sits in
+// what was padding.
+const _: () = assert!(std::mem::size_of::<Flit>() == 24);
+const _: () = assert!(std::mem::size_of::<Queued>() == 40);
 
 /// One tile's router.
 #[derive(Debug, Clone)]
@@ -513,6 +523,7 @@ mod tests {
                 idx: 0,
                 row: 0,
                 val: 1.0,
+                src: 0,
                 outbound: true,
             },
         );
@@ -523,6 +534,7 @@ mod tests {
                 idx: 1,
                 row: 0,
                 val: 1.0,
+                src: 0,
                 outbound: true,
             },
         );
@@ -552,6 +564,7 @@ mod tests {
                 idx: j as u32,
                 row: prog.trees.root_row(tree_id),
                 val: 2.5,
+                src: 0,
                 outbound: true,
             },
         );
@@ -600,6 +613,7 @@ mod tests {
                 idx: i as u32,
                 row: tree.node(leaf).unwrap().index(),
                 val: 7.0,
+                src: 0,
                 outbound: true,
             },
         );
@@ -638,6 +652,7 @@ mod tests {
                     idx: j as u32,
                     row: prog.trees.root_row(tree_id),
                     val: 1.0,
+                    src: 0,
                     outbound: true,
                 },
             );
@@ -662,6 +677,7 @@ mod tests {
             idx,
             row: 0,
             val: 1.0,
+            src: 0,
             outbound: true,
         }
     }

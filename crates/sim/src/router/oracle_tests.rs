@@ -108,6 +108,7 @@ fn assert_same_decisions(prog: &Program, what: &str) {
                         idx,
                         row: node.index(),
                         val: 0.0,
+                        src: 0,
                         outbound,
                     };
                     let neighbors = prog.grid.neighbors(tile);
@@ -280,6 +281,7 @@ proptest! {
                 idx: idx as u32,
                 row: (row % rows) as u32,
                 val: 1.0,
+                src: 0,
                 outbound: op == 0,
             };
             match op {

@@ -41,28 +41,28 @@ pub fn ic0(a: &Csr) -> Result<Csr> {
 /// One IC(0) attempt on `A + alpha * diag(A)`.
 fn ic0_attempt(a: &Csr, alpha: f64) -> Result<Csr> {
     let n = a.rows();
-    let tril = a.lower_triangle();
-    // Mutable copy of the lower-triangle values that we factor in place.
-    let mut l = tril.clone();
+    // The lower-triangle values, factored in place.
+    let mut l = a.lower_triangle();
+    let row_ptr = l.row_ptr().to_vec();
+    let col_idx = l.col_idx().to_vec();
     if alpha > 0.0 {
         // Shift the diagonal.
-        let shift: Vec<f64> = (0..n).map(|i| a.get(i, i) * alpha).collect();
-        let row_ptr = l.row_ptr().to_vec();
-        let col_idx = l.col_idx().to_vec();
         let vals = l.values_mut();
         for i in 0..n {
             for p in row_ptr[i]..row_ptr[i + 1] {
                 if col_idx[p] == i {
-                    vals[p] += shift[i];
+                    vals[p] += a.get(i, i) * alpha;
                 }
             }
         }
     }
 
-    let row_ptr = l.row_ptr().to_vec();
-    let col_idx = l.col_idx().to_vec();
-
     // Row-by-row up-looking factorization restricted to the pattern.
+    // `pos[k]` is the position of `L[i][k]` while row `i` is factored
+    // (`usize::MAX` off its pattern), so each `L[i][j]` walks row `j`
+    // alone and adds the products in ascending `k`.
+    let mut pos = vec![usize::MAX; n];
+    let vals = l.values_mut();
     for i in 0..n {
         let row_lo = row_ptr[i];
         let row_hi = row_ptr[i + 1];
@@ -72,37 +72,29 @@ fn ic0_attempt(a: &Csr, alpha: f64) -> Result<Csr> {
             )));
         }
         for p in row_lo..row_hi {
+            pos[col_idx[p]] = p;
+        }
+        for p in row_lo..row_hi {
             let j = col_idx[p];
             // sum_{k < j} L[i][k] * L[j][k], over the pattern intersection.
             let mut s = 0.0;
-            {
-                let vals = l.values();
-                let (mut pi, mut pj) = (row_lo, row_ptr[j]);
-                let (ei, ej) = (row_hi, row_ptr[j + 1]);
-                while pi < ei && pj < ej {
-                    let (ci, cj) = (col_idx[pi], col_idx[pj]);
-                    if ci >= j || cj >= j {
-                        break;
-                    }
-                    match ci.cmp(&cj) {
-                        std::cmp::Ordering::Less => pi += 1,
-                        std::cmp::Ordering::Greater => pj += 1,
-                        std::cmp::Ordering::Equal => {
-                            s += vals[pi] * vals[pj];
-                            pi += 1;
-                            pj += 1;
-                        }
-                    }
+            for pj in row_ptr[j]..row_ptr[j + 1] {
+                let k = col_idx[pj];
+                if k >= j {
+                    break;
+                }
+                if pos[k] != usize::MAX {
+                    s += vals[pos[k]] * vals[pj];
                 }
             }
             if j < i {
-                // Off-diagonal: L[i][j] = (A[i][j] - s) / L[j][j]
-                let djj = diag_value(&l, &row_ptr, &col_idx, j);
-                let vals = l.values_mut();
+                // Off-diagonal: L[i][j] = (A[i][j] - s) / L[j][j]; the
+                // up-looking order has already finalized `L[j][j]`, the
+                // last entry of row `j`.
+                let djj = vals[row_ptr[j + 1] - 1];
                 vals[p] = (vals[p] - s) / djj;
             } else {
                 // Diagonal: L[i][i] = sqrt(A[i][i] - s)
-                let vals = l.values_mut();
                 let d = vals[p] - s;
                 if d <= 0.0 {
                     return Err(SolverError::Breakdown(format!(
@@ -112,15 +104,11 @@ fn ic0_attempt(a: &Csr, alpha: f64) -> Result<Csr> {
                 vals[p] = d.sqrt();
             }
         }
+        for p in row_lo..row_hi {
+            pos[col_idx[p]] = usize::MAX;
+        }
     }
     Ok(l)
-}
-
-/// Reads `L[j][j]`, which the up-looking order has already finalized.
-fn diag_value(l: &Csr, row_ptr: &[usize], col_idx: &[usize], j: usize) -> f64 {
-    let p = row_ptr[j + 1] - 1;
-    debug_assert_eq!(col_idx[p], j, "diagonal must be last entry of row");
-    l.values()[p]
 }
 
 /// Builds the product `L L^T` (for testing the factorization quality).
@@ -159,7 +147,108 @@ pub fn llt(l: &Csr) -> Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use azul_sparse::suite::{self, Scale};
     use azul_sparse::{dense, generate};
+
+    /// The merge-loop attempt the marker-array one replaced, kept as an
+    /// oracle: each `L[i][j]` intersects rows `i` and `j` by merging.
+    fn ic0_attempt_merge(a: &Csr, alpha: f64) -> Result<Csr> {
+        let n = a.rows();
+        let mut l = a.lower_triangle();
+        let row_ptr = l.row_ptr().to_vec();
+        let col_idx = l.col_idx().to_vec();
+        if alpha > 0.0 {
+            let shift: Vec<f64> = (0..n).map(|i| a.get(i, i) * alpha).collect();
+            let vals = l.values_mut();
+            for i in 0..n {
+                for p in row_ptr[i]..row_ptr[i + 1] {
+                    if col_idx[p] == i {
+                        vals[p] += shift[i];
+                    }
+                }
+            }
+        }
+        for i in 0..n {
+            let (row_lo, row_hi) = (row_ptr[i], row_ptr[i + 1]);
+            if row_hi == row_lo || col_idx[row_hi - 1] != i {
+                return Err(SolverError::Breakdown(format!(
+                    "missing diagonal entry in row {i}"
+                )));
+            }
+            for p in row_lo..row_hi {
+                let j = col_idx[p];
+                let mut s = 0.0;
+                {
+                    let vals = l.values();
+                    let (mut pi, mut pj) = (row_lo, row_ptr[j]);
+                    let (ei, ej) = (row_hi, row_ptr[j + 1]);
+                    while pi < ei && pj < ej {
+                        let (ci, cj) = (col_idx[pi], col_idx[pj]);
+                        if ci >= j || cj >= j {
+                            break;
+                        }
+                        match ci.cmp(&cj) {
+                            std::cmp::Ordering::Less => pi += 1,
+                            std::cmp::Ordering::Greater => pj += 1,
+                            std::cmp::Ordering::Equal => {
+                                s += vals[pi] * vals[pj];
+                                pi += 1;
+                                pj += 1;
+                            }
+                        }
+                    }
+                }
+                let djj = l.values()[row_ptr[j + 1] - 1];
+                let vals = l.values_mut();
+                if j < i {
+                    vals[p] = (vals[p] - s) / djj;
+                } else {
+                    let d = vals[p] - s;
+                    if d <= 0.0 {
+                        return Err(SolverError::Breakdown(format!(
+                            "non-positive pivot {d:.3e} at row {i}"
+                        )));
+                    }
+                    vals[p] = d.sqrt();
+                }
+            }
+        }
+        Ok(l)
+    }
+
+    fn value_bits(l: &Result<Csr>) -> Option<Vec<u64>> {
+        l.as_ref()
+            .ok()
+            .map(|l| l.values().iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn marker_attempt_matches_the_merge_oracle_bit_for_bit() {
+        // Every suite analog at both small scales, unshifted and on the
+        // shifted-retry path: the same terms in the same ascending-k
+        // order must give the same bits.
+        for spec in suite::suite_4k() {
+            for scale in [Scale::Tiny, Scale::Small] {
+                let a = spec.build(scale);
+                for alpha in [0.0, 1e-3, 1e-2] {
+                    let got = ic0_attempt(&a, alpha);
+                    let want = ic0_attempt_merge(&a, alpha);
+                    assert_eq!(
+                        got.is_ok(),
+                        want.is_ok(),
+                        "{} {scale:?} alpha {alpha}",
+                        spec.name
+                    );
+                    assert_eq!(
+                        value_bits(&got),
+                        value_bits(&want),
+                        "{} {scale:?} alpha {alpha}",
+                        spec.name
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn exact_on_tridiagonal_pattern() {

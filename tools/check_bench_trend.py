@@ -5,10 +5,11 @@ Two checks, run by CI's `bench-smoke` job after the bench itself has
 passed its own floors. Both compare exact, host-independent counts:
 
 1. **Determinism diff** — simulated cycle counts are machine-independent,
-   so for every scenario present in both artifacts the `cycles` counter
-   must match the baseline exactly. A mismatch means the simulator's
-   behavior changed; if the change is intentional, regenerate the
-   baseline (see below) in the same PR.
+   so every scenario must be present in both artifacts and its `cycles`
+   counter must match the baseline exactly. A mismatch means the
+   simulator's behavior changed, and a row on one side only means a
+   scenario was added, dropped or re-keyed; if the change is
+   intentional, regenerate the baseline (see below) in the same change.
 
 2. **Parking trend** — the `idle_heavy` row records the engine's host
    work in tile-cycles: `ticked_tile_cycles` really ticked and
@@ -46,6 +47,7 @@ KEY_FIELDS = (
     "tracing",
     "grid",
     "active_tiles",
+    "launch",
 )
 
 
@@ -84,6 +86,19 @@ def main(argv):
         )
 
     failures = []
+
+    # 0. Every row on both sides: a row whose key changed would otherwise
+    # drop out of the diff unseen.
+    for k in baseline:
+        if k not in current:
+            failures.append(
+                f"baseline row [{fmt_key(k)}] has no current counterpart"
+            )
+    for k in current:
+        if k not in baseline:
+            failures.append(
+                f"current row [{fmt_key(k)}] has no baseline counterpart"
+            )
 
     # 1. Determinism diff on simulated cycles.
     for k in shared:
