@@ -12,7 +12,10 @@
 //!    launch's record (`azul_sim::program::Program`), which within one
 //!    solve is the setup's SpTRSV pair run again. Two more rows time one
 //!    solve's first launch and the same solve replayed, and the bench
-//!    asserts their telemetry is equal.
+//!    asserts their telemetry is equal. Then each kernel of one PCG
+//!    iteration (SpMV and the SpTRSV pair, Block mapping) on nd12k and
+//!    thermal2: its replay against its `azul-solver` reference kernel,
+//!    each the fastest of `REPLAY_LAUNCHES` launches.
 //! 2. **SpTRSV serial chain** — a tridiagonal chain round-robined
 //!    across the grid, the dependence-limited tail where nearly every
 //!    tile waits nearly every cycle, at three hop latencies.
@@ -24,7 +27,7 @@
 //!    committed baseline.
 
 use azul_bench::{header, prepare, row, telemetry_report, write_bench_artifact, BenchCtx};
-use azul_mapping::strategies::{Mapper, RoundRobinMapper};
+use azul_mapping::strategies::{BlockMapper, Mapper, RoundRobinMapper};
 use azul_mapping::{Placement, TileGrid};
 use azul_sim::config::SimConfig;
 use azul_sim::machine::run_kernel;
@@ -32,10 +35,28 @@ use azul_sim::pcg::PcgSim;
 use azul_sim::profile;
 use azul_sim::program::Program;
 use azul_sim::stats::KernelStats;
+use azul_solver::ic0::ic0;
+use azul_solver::kernels::{sptrsv_lower, sptrsv_lower_transpose};
 use azul_sparse::suite::Scale;
 use azul_sparse::{generate, suite};
 use azul_telemetry::TelemetryReport;
+use std::hint::black_box;
 use std::time::Instant;
+
+/// Launches per kernel in the `replay_kernel` rows; each keeps its
+/// fastest.
+const REPLAY_LAUNCHES: usize = 50;
+
+/// The fastest of `runs` calls of `f`, in seconds.
+fn min_seconds(runs: usize, mut f: impl FnMut()) -> f64 {
+    (0..runs)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
 
 /// One kernel run with its wall time and the engine's host work:
 /// `(stats, wall seconds, ticked, credited)` tile-cycles.
@@ -126,6 +147,74 @@ fn main() {
         launches[0].2, launches[1].2,
         "a replayed solve must report exactly what its first launch did"
     );
+
+    // Section 1, replayed kernels: once a kernel has recorded, what a
+    // launch costs against the reference kernel it stands in for.
+    header("sim_perf §1 — replayed kernels vs reference", "");
+    row(
+        "kernel",
+        &["replay".into(), "reference".into(), "ratio".into()],
+    );
+    for name in ["nd12k", "thermal2"] {
+        let m = prepare(suite::by_name(name).unwrap(), ctx.scale);
+        let (a, b) = (&m.a, &m.b);
+        let l = ic0(a).expect("IC(0) succeeds");
+        let placement = BlockMapper.map(a, ctx.grid);
+        let cfg = SimConfig::azul(ctx.grid);
+        let spmv = Program::compile_spmv(a, &placement);
+        let (lower, upper) = Program::compile_sptrsv_pair(&l, a, &placement);
+        for kernel in ["spmv", "sptrsv_lower", "sptrsv_upper"] {
+            let prog = match kernel {
+                "spmv" => &spmv,
+                "sptrsv_lower" => &lower,
+                _ => &upper,
+            };
+            let reference = |x: &[f64]| match kernel {
+                "spmv" => a.spmv(x),
+                "sptrsv_lower" => sptrsv_lower(&l, x),
+                _ => sptrsv_lower_transpose(&l, x),
+            };
+            let (first, stats) = run_kernel(&cfg, prog, b);
+            let replay_s = min_seconds(REPLAY_LAUNCHES, || {
+                black_box(run_kernel(&cfg, prog, black_box(b)));
+            });
+            let reference_s = min_seconds(REPLAY_LAUNCHES, || {
+                black_box(reference(black_box(b)));
+            });
+            let (again, again_stats) = run_kernel(&cfg, prog, b);
+            assert!(
+                again_stats == stats
+                    && again
+                        .iter()
+                        .zip(&first)
+                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "a replay must return exactly what its first launch did"
+            );
+            let ratio = replay_s / reference_s;
+            let mut doc = TelemetryReport::default();
+            doc.scenario_field("section", "replay_kernel");
+            doc.scenario_field("tracing", false);
+            doc.scenario_field("kernel", kernel);
+            doc.scenario_field("matrix", name);
+            doc.scenario_field("n", a.rows() as u64);
+            doc.scenario_field("nnz", a.nnz() as u64);
+            doc.scenario_field("launches", REPLAY_LAUNCHES as u64);
+            doc.scenario_field("replay_seconds", replay_s);
+            doc.scenario_field("reference_seconds", reference_s);
+            doc.scenario_field("replay_ratio", ratio);
+            doc.scenario_field("replay_bytes", prog.replay_bytes() as u64);
+            azul_sim::telemetry::fill_report(&mut doc, &cfg, &stats);
+            reports.push(doc);
+            row(
+                &format!("{name} {}", kernel.trim_start_matches("sptrsv_")),
+                &[
+                    format!("{:.3} ms", replay_s * 1e3),
+                    format!("{:.3} ms", reference_s * 1e3),
+                    format!("{ratio:.2}x"),
+                ],
+            );
+        }
+    }
 
     // Section 2: the dependence-limited SpTRSV tail. A tridiagonal
     // chain serializes the whole solve, and round-robin placement puts

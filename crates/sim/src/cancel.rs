@@ -53,8 +53,9 @@ impl CancelToken {
 }
 
 /// The token is a host-side control channel, not part of the simulated
-/// machine's identity: two configs that differ only in their cancel
-/// token describe the same hardware, so `SimConfig` equality ignores it.
+/// machine's identity, so any two tokens compare equal, whatever their
+/// state. `SimConfig` equality leaves the token out altogether: a config
+/// with a token equals the same config without one.
 impl PartialEq for CancelToken {
     fn eq(&self, _: &Self) -> bool {
         true

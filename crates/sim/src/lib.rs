@@ -21,8 +21,9 @@
 //! * [`machine`] — the tick engine that runs one kernel to quiescence,
 //!   co-simulating function (real `f64` arithmetic, validated against
 //!   `azul-solver`) and timing. A kernel's first fault-free, untraced
-//!   launch under a config records its slot arithmetic in issue order;
-//!   later launches under an equal config replay that record on their
+//!   launch under a config records its slot arithmetic, one row of
+//!   updates per accumulator slot in a dependency order; later
+//!   launches under an equal config replay that record on their
 //!   own input instead of ticking, with the engine's output bits and
 //!   statistics (a compiled [`program::Program`] is immutable, and its
 //!   clones share the record);

@@ -458,9 +458,9 @@ fn launch(
             }
             Ok((r.run(program, input), r.stats().clone(), None))
         }
-        Plan::Record(mut tape) => {
-            let (out, stats, c) = run_engine(cfg, program, input, None, true, &mut tape)?;
-            replay::keep(cfg, program, tape, &stats);
+        Plan::Record(mut rec) => {
+            let (out, stats, c) = run_engine(cfg, program, input, None, true, &mut rec)?;
+            replay::keep(cfg, program, rec, &stats);
             Ok((out, stats, Some(c)))
         }
         Plan::Engine => engine(None),

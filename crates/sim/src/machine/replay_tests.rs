@@ -197,3 +197,112 @@ fn replays_count_no_tile_cycles() {
     assert_eq!(bits(&first.0), bits(&again.0));
     assert_eq!(first.1, again.1);
 }
+
+#[test]
+fn a_reordered_row_changes_the_output_bits() {
+    // One tile, so row 0's three entries are three Fmacs on one slot.
+    // Their coefficients are distinct powers of two, so the inputs below
+    // make the row's updates exactly `2^60`, `-2^60` and `1` in issue
+    // order: the engine's sum is 1, and trading the last two updates
+    // rounds the 1 away.
+    let mut coo = Coo::new(3, 3);
+    for (r, c, v) in [
+        (0, 0, 1.0),
+        (0, 1, 2.0),
+        (0, 2, 4.0),
+        (1, 1, 1.0),
+        (2, 2, 1.0),
+    ] {
+        coo.push(r, c, v).unwrap();
+    }
+    let a = coo.to_csr();
+    let grid = TileGrid::new(1, 1);
+    let prog = Program::compile_spmv(&a, &BlockMapper.map(&a, grid));
+    let cfg = SimConfig::azul(grid);
+    assert!(
+        launch_matches_engine(&cfg, &prog, &[1.0; 3]),
+        "first launch must tick"
+    );
+    let rec = prog.memo().get().expect("first launch records");
+    let k = (0..rec.num_rows())
+        .find(|&k| rec.row(k).0.len() == 3)
+        .expect("row 0 has three updates");
+    let (c, s) = rec.row(k);
+    assert_ne!(c[1], c[2], "the traded updates must differ");
+    let big = 2f64.powi(60);
+    let mut x = vec![0.0; 3];
+    x[s[0] as usize] = big / c[0];
+    x[s[1] as usize] = -big / c[1];
+    x[s[2] as usize] = 1.0 / c[2];
+
+    let (ex, _) = engine_alone(&cfg, &prog, &x);
+    assert_eq!(ex[0], 1.0);
+    assert_eq!(bits(&rec.run(&prog, &x)), bits(&ex));
+    assert_ne!(
+        bits(&rec.with_swapped(k, 1, 2).run(&prog, &x)),
+        bits(&ex),
+        "a row replayed out of issue order must show in the output bits"
+    );
+}
+
+#[test]
+fn replays_match_the_engine_on_non_finite_and_signed_zero_inputs() {
+    // Round-robin placement spreads each row over tiles, so every kernel
+    // also combines partials.
+    let a = azul_sparse::generate::grid_laplacian_2d(6, 6);
+    let grid = TileGrid::new(3, 2);
+    let p = RoundRobinMapper.map(&a, grid);
+    let l = azul_solver::ic0::ic0(&a).expect("SPD factors");
+    let (lower, upper) = Program::compile_sptrsv_pair(&l, &a, &p);
+    let spmv = Program::compile_spmv(&a, &p);
+    let cfg = SimConfig::azul(grid);
+    let n = a.rows();
+    let special = [
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+    ];
+    let inputs: Vec<Vec<f64>> = vec![
+        vec![-0.0; n],
+        (0..n)
+            .map(|i| if i % 3 == 0 { 0.0 } else { -0.0 })
+            .collect(),
+        (0..n).map(|i| special[i % special.len()]).collect(),
+        (0..n)
+            .map(|i| match i % 7 {
+                0 => f64::INFINITY,
+                3 => -0.0,
+                5 => f64::NEG_INFINITY,
+                _ => i as f64 - 10.5,
+            })
+            .collect(),
+        (0..n)
+            .map(|i| {
+                if i == n / 2 {
+                    -f64::NAN
+                } else {
+                    1.0 / (i as f64 + 1.0)
+                }
+            })
+            .collect(),
+    ];
+    for prog in [&spmv, &lower, &upper] {
+        assert!(
+            launch_matches_engine(&cfg, prog, &input(n, 5)),
+            "first launch must tick"
+        );
+        assert!(
+            engine_alone(&cfg, prog, &input(n, 5)).1.ops[1] > 0,
+            "partials combine"
+        );
+        for x in &inputs {
+            assert!(
+                !launch_matches_engine(&cfg, prog, x),
+                "later launches replay"
+            );
+        }
+    }
+}

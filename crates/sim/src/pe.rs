@@ -93,7 +93,7 @@ pub enum Trigger {
         idx: u32,
         /// The partial value.
         val: f64,
-        /// The global slot whose final value `val` is (the flit's `src`).
+        /// The replay record's name for `val` (the flit's `src`).
         src: u32,
     },
     /// Kernel-start: multicast this tile's input element `idx` (SpMV
@@ -137,8 +137,9 @@ enum PendingOp {
     SendV { idx: u32 },
     /// Inject a multicast flit carrying the solved `val` for `idx`.
     SendX { idx: u32, val: f64 },
-    /// Inject a partial-sum flit carrying `val`, the final value of
-    /// global slot `src`, for `target`, starting at tree row `row`.
+    /// Inject a partial-sum flit carrying `val`, a slot's final value,
+    /// which the replay record names `src`, for `target`, starting at
+    /// tree row `row`.
     SendPartial {
         target: u32,
         row: u32,
@@ -153,7 +154,7 @@ struct Task {
     /// Trigger value (multiplicand for SAAC entries).
     value: f64,
     /// Where `value` comes from, for the replay record: the trigger
-    /// index of a SAAC task, the source slot of a combine.
+    /// index of a SAAC task, the record's name for a combine's partial.
     src: u32,
     /// Next entry index in the tile's entry table.
     cur: u32,
@@ -506,13 +507,13 @@ impl Datapath {
                 task.queue(PendingOp::SendPartial {
                     target,
                     row,
-                    src: self.slot_base + slot,
+                    src: rec.send(self.slot_base + slot),
                     val: self.slot_vals[slot as usize],
                 });
             }
             SlotAction::FinalY { target } => {
                 out[target as usize] = self.slot_vals[slot as usize];
-                rec.final_y(self.slot_base + slot, target);
+                rec.output(self.slot_base + slot, target);
             }
             SlotAction::Solve { target } => {
                 task.queue(PendingOp::SolveMul { target, slot });
@@ -594,8 +595,9 @@ impl Datapath {
                     }
                     task.pending = None;
                     self.slot_vals[slot as usize] += task.value;
-                    rec.combine(self.slot_base + slot, task.src);
                     self.slot_remaining[slot as usize] -= 1;
+                    let left = self.slot_remaining[slot as usize];
+                    rec.combine(self.slot_base + slot, left, task.src);
                     self.slot_ready[slot as usize] = now + hazard;
                     stats.count_op_at(self.tile, OpKind::Add);
                     stats.accum_rmw_at(self.tile);
@@ -613,7 +615,7 @@ impl Datapath {
                     task.pending = None;
                     let x = self.slot_vals[slot as usize] * prog.inv_diag[target as usize];
                     out[target as usize] = x;
-                    rec.solve(self.slot_base + slot, target);
+                    rec.output(self.slot_base + slot, target);
                     self.slot_ready[slot as usize] = now + hazard;
                     stats.count_op_at(self.tile, OpKind::Mul);
                     stats.sram_read_at(self.tile); // reciprocal diagonal fetch
@@ -678,8 +680,9 @@ impl Datapath {
             }
             task.cur += 1;
             self.slot_vals[entry.slot as usize] += entry.coeff * task.value;
-            rec.fmac(self.slot_base + entry.slot, task.src, entry.coeff);
             self.slot_remaining[entry.slot as usize] -= 1;
+            let left = self.slot_remaining[entry.slot as usize];
+            rec.fmac(self.slot_base + entry.slot, left, task.src, entry.coeff);
             self.slot_ready[entry.slot as usize] = now + hazard;
             stats.count_op_at(self.tile, OpKind::Fmac);
             stats.sram_read_at(self.tile);
@@ -716,8 +719,9 @@ impl Datapath {
                     match op {
                         PendingOp::Combine { slot } => {
                             self.slot_vals[slot as usize] += task.value;
-                            rec.combine(self.slot_base + slot, task.src);
                             self.slot_remaining[slot as usize] -= 1;
+                            let left = self.slot_remaining[slot as usize];
+                            rec.combine(self.slot_base + slot, left, task.src);
                             stats.count_op_at(self.tile, OpKind::Add);
                             stats.accum_rmw_at(self.tile);
                             trace_op(stats, now, self.tile, OpKind::Add);
@@ -728,7 +732,7 @@ impl Datapath {
                         PendingOp::SolveMul { target, slot } => {
                             let x = self.slot_vals[slot as usize] * prog.inv_diag[target as usize];
                             out[target as usize] = x;
-                            rec.solve(self.slot_base + slot, target);
+                            rec.output(self.slot_base + slot, target);
                             stats.count_op_at(self.tile, OpKind::Mul);
                             stats.sram_read_at(self.tile);
                             trace_op(stats, now, self.tile, OpKind::Mul);
@@ -769,8 +773,9 @@ impl Datapath {
                     let entry = tp.entries[task.cur as usize];
                     task.cur += 1;
                     self.slot_vals[entry.slot as usize] += entry.coeff * task.value;
-                    rec.fmac(self.slot_base + entry.slot, task.src, entry.coeff);
                     self.slot_remaining[entry.slot as usize] -= 1;
+                    let left = self.slot_remaining[entry.slot as usize];
+                    rec.fmac(self.slot_base + entry.slot, left, task.src, entry.coeff);
                     stats.count_op_at(self.tile, OpKind::Fmac);
                     stats.sram_read_at(self.tile);
                     stats.accum_rmw_at(self.tile);

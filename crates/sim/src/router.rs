@@ -44,10 +44,10 @@ pub struct Flit {
     pub row: u32,
     /// The payload value.
     pub val: f64,
-    /// A partial's source: the global slot (slots numbered across tiles
-    /// in tile order) whose final value it carries, so a replayed launch
-    /// (`crate::replay`) can name the value without carrying it.
-    /// Simulator bookkeeping like `row`; 0 on multicast flits.
+    /// A partial's source: the replay record's name for the final value
+    /// it carries, so a replayed launch (`crate::replay`) can name the
+    /// value without carrying it. Simulator bookkeeping like `row`; 0 on
+    /// multicast flits and in launches that do not record.
     pub src: u32,
     /// True while the flit is still at its injection tile (so a partial
     /// injected by a combiner is not re-delivered to the same combiner).
