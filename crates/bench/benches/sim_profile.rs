@@ -21,8 +21,9 @@
 //! re-run program, or a whole PCG solve, which launches the solve pair
 //! twice, would time replays in the probes-off runs and the engine in
 //! the probed ones, which never replay. A first launch also records its
-//! slot arithmetic, a few percent of it, which the probes-off runs pay
-//! and the probed ones do not.
+//! slot arithmetic into one row per accumulator slot, which costs it
+//! about a tenth more (docs/PERFORMANCE.md, "Replay"); the probes-off
+//! runs pay that and the probed ones do not.
 //!
 //! The solve uses Block mapping, the placement of the benchmark's gated
 //! simulator workloads: Block and Azul mapping rank the components
