@@ -10,9 +10,11 @@
 //!    on a freshly built `PcgSim`, so each kernel's first launch ticks;
 //!    a kernel's later launches under the same config replay its first
 //!    launch's record (`azul_sim::program::Program`), which within one
-//!    solve is the setup's SpTRSV pair run again. Two more rows time one
-//!    solve's first launch and the same solve replayed, and the bench
-//!    asserts their telemetry is equal. Then each kernel of one PCG
+//!    solve is the setup's SpTRSV pair run again. Three more rows time
+//!    one solve's first launch, the same solve replayed, and the same
+//!    sim after a values update, which rebinds the value-free record and
+//!    replays with no tick; the bench asserts that the first two report
+//!    equal telemetry and that only the first ticks. Then each kernel of one PCG
 //!    iteration (SpMV and the SpTRSV pair, Block mapping) on nd12k and
 //!    thermal2: its replay against its `azul-solver` reference kernel,
 //!    each the fastest of `REPLAY_LAUNCHES` launches.
@@ -119,16 +121,32 @@ fn main() {
 
     // Section 1, replay: one solve's first launch, then the same solve
     // again, every kernel of which replays. Everything but wall time
-    // must match.
+    // must match. Then the same sim after a values update (every value
+    // doubled), which rebinds the record and replays too.
     let m = prepare(suite::by_name("thermal2").unwrap(), ctx.scale);
     let placement = ctx.azul_mapper().map(&m.a, ctx.grid);
     let cfg = SimConfig::azul(ctx.grid);
-    let sim = PcgSim::build(&m.a, &placement, &cfg).expect("IC(0) succeeds");
+    let mut sim = PcgSim::build(&m.a, &placement, &cfg).expect("IC(0) succeeds");
     let mut launches = Vec::new();
-    for launch in ["first", "replay"] {
+    for launch in ["first", "replay", "rebound"] {
+        if launch == "rebound" {
+            let mut scaled = m.a.clone();
+            for v in scaled.values_mut() {
+                *v *= 2.0;
+            }
+            sim.update_values(&scaled, &placement)
+                .expect("IC(0) succeeds");
+        }
+        profile::reset();
         let t0 = Instant::now();
         let rep = sim.run(&m.b, &ctx.pcg_cfg());
         let wall = t0.elapsed().as_secs_f64();
+        let ticked = profile::snapshot().engine_launches;
+        assert_eq!(
+            ticked > 0,
+            launch == "first",
+            "only the first launch may tick ({launch}: {ticked} engine launches)"
+        );
         let doc = telemetry_report(&m, &cfg, &rep);
         launches.push((launch, wall, doc.to_json()));
         let mut doc = doc;
@@ -137,6 +155,7 @@ fn main() {
         doc.scenario_field("tracing", false);
         doc.scenario_field("wall_seconds", wall);
         doc.scenario_field("replay_bytes", sim.replay_bytes() as u64);
+        doc.scenario_field("record_bytes", sim.record_bytes() as u64);
         reports.push(doc);
         row(
             &format!("thermal2 {launch}"),
@@ -203,6 +222,7 @@ fn main() {
             doc.scenario_field("reference_seconds", reference_s);
             doc.scenario_field("replay_ratio", ratio);
             doc.scenario_field("replay_bytes", prog.replay_bytes() as u64);
+            doc.scenario_field("record_bytes", prog.record_bytes() as u64);
             azul_sim::telemetry::fill_report(&mut doc, &cfg, &stats);
             reports.push(doc);
             row(

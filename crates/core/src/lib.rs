@@ -53,6 +53,7 @@ use azul_solver::SolverError;
 use azul_sparse::coloring::{color_and_permute, ColoringStrategy};
 use azul_sparse::{Csr, Permutation, SparseError};
 use azul_telemetry::span;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Errors from the end-to-end pipeline.
@@ -347,12 +348,14 @@ pub struct PrepareReport {
 /// the expensive placement.
 #[derive(Debug, Clone)]
 pub(crate) struct Preprocessed {
-    pub(crate) pa: Csr,
+    /// The permuted matrix, shared with the sims built on it.
+    pub(crate) pa: Arc<Csr>,
     pub(crate) perm: Option<Permutation>,
     pub(crate) num_colors: usize,
     pub(crate) coloring_seconds: f64,
     pub(crate) mapping_seconds: f64,
-    pub(crate) placement: Placement,
+    /// The placement, shared with the sims built on it.
+    pub(crate) placement: Arc<Placement>,
 }
 
 /// Rejects a right-hand side holding a NaN or infinity: no solver,
@@ -410,7 +413,7 @@ pub struct PreparedSolver {
     perm: Option<Permutation>,
     sim: PcgSim,
     pcg_cfg: PcgSimConfig,
-    placement: Placement,
+    placement: Arc<Placement>,
     prepare: PrepareReport,
     preconditioner: PreconditionerChoice,
     n: usize,
@@ -462,7 +465,13 @@ impl Azul {
         let t2 = Instant::now();
         let compile_span = span::span("prepare/factor_compile");
         let f = factor_for(&pre.pa, self.config.preconditioner)?;
-        let sim = PcgSim::build_with_factor(&pre.pa, &f, &pre.placement, &self.config.sim);
+        let sim = PcgSim::build_shared(
+            Arc::clone(&pre.pa),
+            Arc::new(f),
+            Arc::clone(&pre.placement),
+            &self.config.sim,
+            None,
+        );
         drop(compile_span);
         let compile_seconds = t2.elapsed().as_secs_f64();
         drop(prepare_span);
@@ -569,12 +578,12 @@ impl Azul {
         }
 
         Ok(Preprocessed {
-            pa,
+            pa: Arc::new(pa),
             perm,
             num_colors,
             coloring_seconds,
             mapping_seconds,
-            placement,
+            placement: Arc::new(placement),
         })
     }
 
@@ -599,6 +608,11 @@ impl PreparedSolver {
     /// simulations whose stiffness values evolve with the state (e.g.
     /// elastic bodies). `a_new` is given in the caller's original row
     /// order and must have exactly the original sparsity pattern.
+    ///
+    /// The replay record of the kernels names matrix entries, not their
+    /// values, so it survives: after a solve has recorded, the next
+    /// fault-free solve binds it to the new values and replays, with no
+    /// kernel compiled and none ticked.
     ///
     /// # Errors
     ///
@@ -912,6 +926,37 @@ mod tests {
             prepared.update_values(&small),
             Err(AzulError::Input(_))
         ));
+    }
+
+    #[test]
+    fn updated_values_replay_what_a_fresh_prepare_computes() {
+        let a = generate::fem_mesh_3d(80, 4, 13);
+        let azul = Azul::new(AzulConfig::small_test());
+        let mut prepared = azul.prepare(&a).unwrap();
+        let b = rhs(a.rows());
+        prepared.solve(&b);
+
+        let mut a2 = a.clone();
+        for v in a2.values_mut() {
+            *v *= 3.0;
+        }
+        prepared.update_values(&a2).unwrap();
+        azul_sim::profile::reset();
+        let updated = prepared.solve(&b);
+        assert_eq!(
+            azul_sim::profile::snapshot().engine_launches,
+            0,
+            "the record survives the update: nothing ticks"
+        );
+        let fresh = azul.prepare(&a2).unwrap().solve(&b);
+        let bits = |r: &SolveReport| r.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&updated),
+            bits(&fresh),
+            "bit for bit a fresh prepare's"
+        );
+        assert_eq!(updated.sim.total_cycles, fresh.sim.total_cycles);
+        assert_eq!(updated.sim.stats, fresh.sim.stats);
     }
 
     #[test]

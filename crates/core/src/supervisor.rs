@@ -37,13 +37,14 @@ use azul_mapping::TileGrid;
 use azul_sim::bicgstab::{BiCgStabSim, BiCgStabSimConfig};
 use azul_sim::config::{SimConfig, StagnationPolicy};
 use azul_sim::gmres::{GmresSim, GmresSimConfig};
-use azul_sim::pcg::{PcgSim, PcgSimConfig};
+use azul_sim::pcg::{PcgRecord, PcgSim, PcgSimConfig};
 use azul_sim::stats::KernelStats;
 use azul_sim::{IntegrityAudit, SimError};
 use azul_solver::{BreakdownKind, OperatorChecksum, SolveStatus, SolverError};
 use azul_sparse::Csr;
 use azul_telemetry::report::{EscalationSample, IterationSample, TelemetryReport};
 use azul_telemetry::span;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Which degradation ladder an [`EscalationRecord`] moved.
@@ -371,21 +372,34 @@ struct RunOutcome {
 
 /// The reusable rung-0 prepare products of a supervised solve: the
 /// colored/permuted matrix, its placement and the rung-0 preconditioner
-/// factor, stamped with the configuration they were built for. Produced
-/// by [`SolveSupervisor::prepare_first_rung`], consumed by
+/// factor, stamped with the configuration they were built for, and the
+/// rung-0 PCG replay record once a solve has made it. Produced by
+/// [`SolveSupervisor::prepare_first_rung`], consumed by
 /// [`SolveSupervisor::solve_prepared`] — the unit a service-level
 /// prepare cache stores and shares across requests hitting the same
 /// operator. Opaque: validity is tied to the matrix it was built from,
 /// which only the caller can key on.
+///
+/// The record ([`PcgRecord`]) holds no value: it names entries of the
+/// permuted matrix and the factor by position. The first fault-free
+/// seeded PCG solve fills it; later seeded solves under its config bind
+/// it to the matrix and the factor and replay every kernel launch, with
+/// no program compiled and no kernel ticked. So the permuted matrix and
+/// the factor are the only values a replay reads, and the ABFT checksums
+/// [`PreparedRung::verify_integrity`] checks cover exactly them. The
+/// record's structure has no checksum; a solve with an
+/// [`IntegrityPolicy`](azul_sim::IntegrityPolicy) checks each kernel's
+/// output.
 #[derive(Debug, Clone)]
 pub struct PreparedRung {
-    pre: Preprocessed,
-    factor: Csr,
+    pre: Arc<Preprocessed>,
+    factor: Arc<Csr>,
     grid: TileGrid,
     mapping: String,
     preconditioner: &'static str,
     matrix_checksum: OperatorChecksum,
     factor_checksum: OperatorChecksum,
+    record: OnceLock<PcgRecord>,
 }
 
 impl PreparedRung {
@@ -535,13 +549,14 @@ impl SolveSupervisor {
         let matrix_checksum = OperatorChecksum::new(&pre.pa);
         let factor_checksum = OperatorChecksum::new(&factor);
         Ok(PreparedRung {
-            pre,
-            factor,
+            pre: Arc::new(pre),
+            factor: Arc::new(factor),
             grid: self.base.sim.grid,
             mapping: cfg.mapping.name().to_string(),
             preconditioner: cfg.preconditioner.name(),
             matrix_checksum,
             factor_checksum,
+            record: OnceLock::new(),
         })
     }
 
@@ -603,10 +618,15 @@ impl SolveSupervisor {
         // (which only happen while it is still empty), and factors
         // survive even those. A valid seed pre-fills both caches so
         // repeated-operator traffic skips straight to the solve.
-        let (mut pre, mut factor): (Option<Preprocessed>, Option<Csr>) = match seed {
-            Some(s) if s.compatible(self) => (Some(s.pre.clone()), Some(s.factor.clone())),
+        // A seed is shared, not copied. Every attempt it seeds runs on
+        // its matrix, placement and factor (they never move), so its
+        // record serves every PCG attempt.
+        let seed = seed.filter(|s| s.compatible(self));
+        let (mut pre, mut factor) = match seed {
+            Some(s) => (Some(Arc::clone(&s.pre)), Some(Arc::clone(&s.factor))),
             _ => (Option::None, Option::None),
         };
+        let record = seed.map(|s| &s.record);
 
         for attempt in 1..=policy.max_attempts {
             // Cooperative cancellation is terminal, never an escalation:
@@ -643,7 +663,7 @@ impl SolveSupervisor {
             // mapping/grid rung).
             if pre.is_none() {
                 match Azul::new(cfg.clone()).preprocess(a) {
-                    Ok(done) => pre = Some(done),
+                    Ok(done) => pre = Some(Arc::new(done)),
                     Err(err @ AzulError::Capacity { .. }) => {
                         let (data_bytes, accum_bytes) = match &err {
                             AzulError::Capacity {
@@ -701,7 +721,7 @@ impl SolveSupervisor {
             // mapping/grid moves).
             if factor.is_none() {
                 match factor_for(&pre_ref.pa, policy.preconditioners[pi]) {
-                    Ok(f) => factor = Some(f),
+                    Ok(f) => factor = Some(Arc::new(f)),
                     Err(err) => {
                         failures.push(AttemptFailure {
                             attempt,
@@ -734,7 +754,7 @@ impl SolveSupervisor {
                 Some(p) => p.apply(b),
                 Option::None => b.to_vec(),
             };
-            match self.run_solver(solver, pre_ref, factor_ref, &cfg.sim, &pb) {
+            match self.run_solver(solver, pre_ref, factor_ref, record, &cfg.sim, &pb) {
                 Err(sim_err) => {
                     // A cancelled kernel ends the whole supervised solve,
                     // typed — it must not be journaled as a sim failure
@@ -895,25 +915,39 @@ impl SolveSupervisor {
     }
 
     /// Compiles and runs one attempt's solver rung against the cached
-    /// placement and factor, normalizing the three report shapes.
+    /// placement and factor, normalizing the three report shapes. A PCG
+    /// rung on a seed's placement and factor builds its sim from the
+    /// seed's `record` when it holds one, and fills it when it does not.
     fn run_solver(
         &self,
         solver: SolverChoice,
         pre: &Preprocessed,
-        factor: &Csr,
+        factor: &Arc<Csr>,
+        record: Option<&OnceLock<PcgRecord>>,
         sim_cfg: &SimConfig,
         pb: &[f64],
     ) -> Result<RunOutcome, SimError> {
         let base = &self.base.pcg;
         match solver {
             SolverChoice::Pcg => {
-                let sim = PcgSim::build_with_factor(&pre.pa, factor, &pre.placement, sim_cfg);
+                let sim = PcgSim::build_shared(
+                    Arc::clone(&pre.pa),
+                    Arc::clone(factor),
+                    Arc::clone(&pre.placement),
+                    sim_cfg,
+                    record.and_then(OnceLock::get),
+                );
                 let run_cfg = PcgSimConfig {
                     stagnation: self.policy.stagnation,
                     cycle_budget: self.policy.cycle_budget,
                     ..*base
                 };
                 let r = sim.try_run(pb, &run_cfg)?;
+                if let Some(cell) = record.filter(|c| c.get().is_none()) {
+                    if let Some(made) = sim.record() {
+                        let _ = cell.set(made);
+                    }
+                }
                 Ok(RunOutcome {
                     x: r.x,
                     converged: r.converged,
@@ -1308,6 +1342,52 @@ mod tests {
         );
         // The pristine copy is untouched — corruption does not travel.
         assert!(rung.verify_integrity());
+    }
+
+    /// `x` bits, cycles and statistics of a supervised solve, with the
+    /// engine launches it took on this thread.
+    fn counted(
+        sup: &SolveSupervisor,
+        a: &Csr,
+        b: &[f64],
+        seed: Option<&PreparedRung>,
+    ) -> ((Vec<u64>, u64, KernelStats), u64) {
+        azul_sim::profile::reset();
+        let r = sup.solve_prepared(a, b, seed).unwrap();
+        let launches = azul_sim::profile::snapshot().engine_launches;
+        let bits = r.x.iter().map(|v| v.to_bits()).collect();
+        ((bits, r.total_cycles, r.stats), launches)
+    }
+
+    #[test]
+    fn seeded_solves_fill_the_record_and_replay_under_its_config() {
+        let a = generate::grid_laplacian_2d(8, 8);
+        let b = rhs(a.rows());
+        let sup = SolveSupervisor::with_policy(AzulConfig::small_test(), cheap_mapping_policy());
+        let rung = sup.prepare_first_rung(&a).unwrap();
+        assert!(rung.record.get().is_none(), "a prepare runs no solve");
+        let (cold, launches) = counted(&sup, &a, &b, Some(&rung));
+        assert!(launches > 0, "the first seeded solve ticks");
+        assert!(rung.record.get().is_some(), "and fills the record");
+        let (warm, launches) = counted(&sup, &a, &b, Some(&rung));
+        assert_eq!(
+            launches, 0,
+            "a seeded solve under the record's config replays"
+        );
+        assert_eq!(warm, cold);
+        assert_eq!(counted(&sup, &a, &b, None).0, cold, "unseeded solves agree");
+
+        // `compatible` looks at the grid, mapping and preconditioner only:
+        // a rung seeds a supervisor with another hop latency, whose
+        // launches then run the engine.
+        let mut base = AzulConfig::small_test();
+        base.sim.hop_latency += 2;
+        let slower = SolveSupervisor::with_policy(base, cheap_mapping_policy());
+        let (seeded, launches) = counted(&slower, &a, &b, Some(&rung));
+        assert!(launches > 0, "another config ticks");
+        let (unseeded, _) = counted(&slower, &a, &b, None);
+        assert_eq!(seeded, unseeded);
+        assert_ne!(seeded.1, cold.1, "the hop latency shows in the cycles");
     }
 
     #[test]

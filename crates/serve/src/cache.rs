@@ -15,6 +15,26 @@
 //! the leader fills and followers block on. A follower keeps its own
 //! `Arc<Flight>` handle, so LRU eviction between admission and execution
 //! can never strand it.
+//!
+//! **What an entry holds.** A published flight holds one
+//! [`PreparedRung`]: the permuted matrix, its placement, the rung-0
+//! factor, their ABFT checksums, and, once a solve has run on it, the
+//! rung-0 PCG replay record. The record holds no value and no program:
+//! one `u32` per kernel update naming a matrix or factor entry by
+//! position, and 8 bytes per accumulator slot (about 0.1 MB for a Tiny
+//! operator on 8×8). The leader's fault-free solve fills it; a later
+//! fault-free hit binds it to the rung's matrix and factor and replays
+//! every kernel launch, compiling no program and ticking no kernel. A
+//! hit with a fault plan compiles and ticks, so its faults fire as on a
+//! cold solve. Whether a follower finds the record filled depends on
+//! worker timing, but not its result: a replay returns the engine's bits
+//! and statistics, so journals do not depend on it.
+//!
+//! **What the scrubber covers.** [`FlightCache::admit_scrubbed`]
+//! re-verifies the matrix and the factor bit for bit against their
+//! checksums. Those are the only values a replay reads, so a corrupted
+//! value is never replayed. The record's positions carry no checksum; a
+//! request with an integrity policy checks each kernel's output.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;

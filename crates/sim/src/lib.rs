@@ -22,11 +22,13 @@
 //!   co-simulating function (real `f64` arithmetic, validated against
 //!   `azul-solver`) and timing. A kernel's first fault-free, untraced
 //!   launch under a config records its slot arithmetic, one row of
-//!   updates per accumulator slot in a dependency order; later
-//!   launches under an equal config replay that record on their
-//!   own input instead of ticking, with the engine's output bits and
+//!   updates per accumulator slot in a dependency order, naming matrix
+//!   entries by position and holding no value; later launches under an
+//!   equal config replay that record, bound to the values, on their own
+//!   input instead of ticking, with the engine's output bits and
 //!   statistics (a compiled [`program::Program`] is immutable, and its
-//!   clones share the record);
+//!   clones share the record; a [`pcg::PcgSim`] can be built from a
+//!   record with no program, and keeps it across a values update);
 //! * [`vecops`] — timing of the purely local dense-vector kernels and the
 //!   scalar all-reduce trees of the dot products;
 //! * [`invariants`] — debug-gated runtime audit of the machine's
@@ -94,5 +96,5 @@ pub use faults::{
 };
 pub use gmres::{GmresSim, GmresSimConfig, GmresSimReport};
 pub use machine::SimError;
-pub use pcg::{PcgSim, PcgSimConfig, PcgSimReport};
+pub use pcg::{PcgRecord, PcgSim, PcgSimConfig, PcgSimReport};
 pub use stats::{KernelClass, KernelStats, OpKind};

@@ -21,7 +21,8 @@
 //! config also records its slot arithmetic, and later such launches
 //! under an equal config replay that record instead of ticking
 //! ([`run_kernel_checked`]; `crate::replay`): same output bits, same
-//! statistics, no tick.
+//! statistics, no tick. A record bound to a caller's values replays the
+//! same way with no program (`run_bound`).
 
 use crate::config::SimConfig;
 use crate::faults::{FaultEvent, FaultKind, FaultSession};
@@ -29,7 +30,7 @@ use crate::invariants::Checker;
 use crate::pe::{trace_wake, trigger_code, Pe, PeSkipClass, Trigger};
 use crate::profile::{self, Component};
 use crate::program::Program;
-use crate::replay::{self, Plan, Record};
+use crate::replay::{self, Plan, Record, Replay};
 use crate::router::{tick_router, Accept, Delivery, FlitKind, Router};
 use crate::stats::KernelStats;
 use azul_telemetry::trace::{TraceEvent, TraceKind, CAT_FAULT, CAT_KERNEL};
@@ -428,9 +429,50 @@ pub fn run_kernel_checked(
 ) -> Result<(Vec<f64>, KernelStats), SimError> {
     let (out, stats, counts) = launch(cfg, program, input, faults)?;
     if let Some(c) = counts {
-        profile::count_tile_cycles(c.ticked, c.credited);
+        profile::count_engine_launch(c.ticked, c.credited);
     }
     Ok((out, stats))
+}
+
+/// Launches a kernel that may hold a record bound to its caller's values
+/// (`PcgSim`): a launch that qualifies ([`replay::replayable`]) under
+/// the record's config replays `bound` with no program; any other runs
+/// [`run_kernel_checked`] on `program()`, which may compile it.
+pub(crate) fn run_bound<'p>(
+    cfg: &SimConfig,
+    bound: Option<&Replay>,
+    program: impl FnOnce() -> &'p Program,
+    input: &[f64],
+    faults: Option<&mut FaultSession>,
+) -> Result<(Vec<f64>, KernelStats), SimError> {
+    match bound {
+        Some(r) if replay::replayable(cfg, faults.is_some()) && r.recorded_under(cfg) => {
+            replay_launch(cfg, r, input)
+        }
+        _ => run_kernel_checked(cfg, program(), input, faults),
+    }
+}
+
+/// A replay of `r` on `input`: [`SimError::Input`] on a wrong length,
+/// [`SimError::Cancelled`] at cycle 0 when the token has tripped.
+fn replay_launch(
+    cfg: &SimConfig,
+    r: &Replay,
+    input: &[f64],
+) -> Result<(Vec<f64>, KernelStats), SimError> {
+    if input.len() != r.n() {
+        return Err(SimError::Input {
+            detail: format!(
+                "kernel input has length {}, program expects {}",
+                input.len(),
+                r.n()
+            ),
+        });
+    }
+    if cfg.cancel.as_ref().is_some_and(|tok| tok.is_cancelled()) {
+        return Err(SimError::Cancelled { cycle: 0 });
+    }
+    Ok((r.replay(input), r.stats().clone()))
 }
 
 /// One launch of `program`: a replay of its recorded launch when it
@@ -453,10 +495,7 @@ fn launch(
     match replay::plan(cfg, program) {
         Plan::Replay(r) => {
             check_input(cfg, program, input)?;
-            if cfg.cancel.as_ref().is_some_and(|tok| tok.is_cancelled()) {
-                return Err(SimError::Cancelled { cycle: 0 });
-            }
-            Ok((r.run(program, input), r.stats().clone(), None))
+            replay_launch(cfg, r, input).map(|(out, stats)| (out, stats, None))
         }
         Plan::Record(mut rec) => {
             let (out, stats, c) = run_engine(cfg, program, input, None, true, &mut rec)?;

@@ -1,8 +1,9 @@
 //! End-to-end PCG on the simulated accelerator (Listing 1, Sec. VI).
 //!
 //! [`PcgSim`] compiles the three heavy kernels (SpMV with `A`, the solves
-//! with `L` and `L^T`) once per (matrix, placement) pair, then runs the
-//! PCG loop. The first `timed_iterations` iterations are simulated
+//! with `L` and `L^T`) once per (matrix, placement) pair, or binds a
+//! value-free [`PcgRecord`] of them to new values, then runs the PCG
+//! loop. The first `timed_iterations` iterations are simulated
 //! cycle-by-cycle (the per-iteration cost is steady-state: the same
 //! kernels touch the same data every iteration); remaining iterations use
 //! the reference kernels for functional progress and reuse the measured
@@ -13,6 +14,7 @@ use crate::config::{SimConfig, StagnationPolicy};
 use crate::faults::{FaultRecord, IntegrityAudit, IntegrityPolicy, RecoveryPolicy, RecoveryRecord};
 use crate::machine::SimError;
 use crate::program::Program;
+use crate::replay::{self, KernelRecord, Replay};
 use crate::solve::{ensure, Policy, Solve, Step};
 use crate::stats::{KernelClass, KernelStats};
 use crate::vecops::{VecOp, VecOpModel};
@@ -23,6 +25,7 @@ use azul_solver::kernels::{sptrsv_lower, sptrsv_lower_transpose};
 use azul_solver::{BreakdownKind, SolveStatus, SolverError};
 use azul_sparse::{dense, Csr};
 use azul_telemetry::report::IterationSample;
+use std::sync::{Arc, OnceLock};
 
 /// Run-time configuration of a PCG simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,17 +71,110 @@ impl Default for PcgSimConfig {
     }
 }
 
-/// A PCG instance compiled for the accelerator.
+/// A PCG instance for the accelerator.
+///
+/// It holds the three heavy kernels (SpMV with `A`, the solves with `L`
+/// and `L^T`) in one of two forms: compiled programs, which record their
+/// first replayable launches ([`crate::program::Program`]), or a
+/// [`PcgRecord`] bound to `A` and `L`, which replays with no program and
+/// compiles the programs only when a launch must run the engine (a fault
+/// plan, a trace, per-tile detail, the probes, or a config other than
+/// the record's). `A`, `L` and the placement are shared with the caller.
 #[derive(Debug, Clone)]
 pub struct PcgSim {
     cfg: SimConfig,
-    a: Csr,
-    l: Csr,
-    spmv: Program,
-    /// Triangular-solve programs; `None` runs plain (unpreconditioned) CG.
-    lower: Option<Program>,
-    upper: Option<Program>,
+    a: Arc<Csr>,
+    l: Arc<Csr>,
+    placement: Arc<Placement>,
+    /// `false` runs plain (unpreconditioned) CG: SpMV only.
+    preconditioned: bool,
+    /// The compiled programs; in a sim bound to a record, compiled by the
+    /// first launch that runs the engine.
+    programs: OnceLock<Kernels<Program>>,
+    /// A record bound to `a` and `l`.
+    bound: Option<Arc<Kernels<Replay>>>,
     vec_model: VecOpModel,
+}
+
+/// One item per kernel of a PCG solve: SpMV, then the lower and the
+/// upper solve unless the solve is unpreconditioned.
+#[derive(Debug, Clone)]
+struct Kernels<T> {
+    spmv: T,
+    solves: Option<(T, T)>,
+}
+
+/// A kernel of a PCG solve.
+#[derive(Debug, Clone, Copy)]
+enum Kernel {
+    Spmv,
+    Lower,
+    Upper,
+}
+
+impl<T> Kernels<T> {
+    fn get(&self, k: Kernel) -> Option<&T> {
+        match k {
+            Kernel::Spmv => Some(&self.spmv),
+            Kernel::Lower => self.solves.as_ref().map(|s| &s.0),
+            Kernel::Upper => self.solves.as_ref().map(|s| &s.1),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        std::iter::once(&self.spmv).chain(self.solves.iter().flat_map(|(lo, up)| [lo, up]))
+    }
+
+    /// Each item through `f`, or `None` if `f` gives `None` for any.
+    fn try_map<U>(&self, f: impl Fn(&T) -> Option<U>) -> Option<Kernels<U>> {
+        Some(Kernels {
+            spmv: f(&self.spmv)?,
+            solves: match &self.solves {
+                Some((lo, up)) => Some((f(lo)?, f(up)?)),
+                None => None,
+            },
+        })
+    }
+}
+
+impl Kernels<Program> {
+    /// Compiles SpMV with `a` and, when `preconditioned`, the solves with
+    /// `l`, under `placement`.
+    fn compile(a: &Csr, l: &Csr, placement: &Placement, preconditioned: bool) -> Self {
+        let solves = preconditioned.then(|| Program::compile_sptrsv_pair(l, a, placement));
+        Kernels {
+            spmv: Program::compile_spmv(a, placement),
+            solves,
+        }
+    }
+}
+
+/// The value-free replay records of a PCG solve's kernels, taken from a
+/// solve whose launches recorded ([`PcgSim::record`]). It names matrix
+/// entries by position, so it fits any `A` and `L` with the pattern,
+/// permutation and placement it was recorded on, and replays under the
+/// config it was recorded under ([`PcgSim::build_shared`]).
+#[derive(Debug, Clone)]
+pub struct PcgRecord(Kernels<Arc<KernelRecord>>);
+
+impl PcgRecord {
+    /// Heap bytes the records hold: 4 per update and 8 per row.
+    pub fn bytes(&self) -> usize {
+        self.0.iter().map(|r| r.bytes()).sum()
+    }
+
+    /// The records bound to `a` and `l`, or `None` if they name
+    /// positions `a` or `l` do not have.
+    fn bind(&self, a: &Csr, l: &Csr) -> Option<Kernels<Replay>> {
+        let solves = match &self.0.solves {
+            Some((lo, up)) => Some(replay::bind_solves(lo, up, l)?),
+            None => None,
+        };
+        Some(Kernels {
+            spmv: replay::bind_spmv(&self.0.spmv, a)?,
+            solves,
+        })
+    }
 }
 
 /// Results of a simulated PCG solve.
@@ -144,7 +240,13 @@ impl PcgSim {
     /// Propagates IC(0) breakdowns.
     pub fn build(a: &Csr, placement: &Placement, cfg: &SimConfig) -> Result<Self, SolverError> {
         let l = ic0(a)?;
-        Ok(Self::build_with_factor(a, &l, placement, cfg))
+        Ok(Self::build_shared(
+            Arc::new(a.clone()),
+            Arc::new(l),
+            Arc::new(placement.clone()),
+            cfg,
+            None,
+        ))
     }
 
     /// Builds with a caller-supplied lower-triangular factor sharing
@@ -155,16 +257,37 @@ impl PcgSim {
     /// Panics if the factor pattern does not match `tril(a)` or the
     /// placement does not match `a`.
     pub fn build_with_factor(a: &Csr, l: &Csr, placement: &Placement, cfg: &SimConfig) -> Self {
-        let (lower, upper) = Program::compile_sptrsv_pair(l, a, placement);
-        PcgSim {
-            cfg: cfg.clone(),
-            a: a.clone(),
-            l: l.clone(),
-            spmv: Program::compile_spmv(a, placement),
-            lower: Some(lower),
-            upper: Some(upper),
-            vec_model: VecOpModel::new(placement),
-        }
+        Self::build_shared(
+            Arc::new(a.clone()),
+            Arc::new(l.clone()),
+            Arc::new(placement.clone()),
+            cfg,
+            None,
+        )
+    }
+
+    /// As [`PcgSim::build_with_factor`], sharing `a`, `l` and the
+    /// placement with the caller. With a `record` of this pattern and
+    /// placement ([`PcgSim::record`]), the sim binds it to `a` and `l`
+    /// instead of compiling: a launch under the record's config replays
+    /// it, and the programs are compiled only when a launch must run the
+    /// engine. A record that names positions `a` or `l` do not have, or
+    /// that is of an unpreconditioned solve, is ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`PcgSim::build_with_factor`] does, when it compiles.
+    pub fn build_shared(
+        a: Arc<Csr>,
+        l: Arc<Csr>,
+        placement: Arc<Placement>,
+        cfg: &SimConfig,
+        record: Option<&PcgRecord>,
+    ) -> Self {
+        let bound = record
+            .filter(|r| r.0.solves.is_some())
+            .and_then(|r| r.bind(&a, &l));
+        Self::assemble(a, l, placement, cfg, true, bound)
     }
 
     /// Builds an *unpreconditioned* CG pipeline (Table II's "Conjugate
@@ -175,15 +298,46 @@ impl PcgSim {
     ///
     /// Panics if the placement does not match `a`.
     pub fn build_unpreconditioned(a: &Csr, placement: &Placement, cfg: &SimConfig) -> Self {
-        PcgSim {
+        Self::assemble(
+            Arc::new(a.clone()),
+            Arc::new(Csr::identity(a.rows())),
+            Arc::new(placement.clone()),
+            cfg,
+            false,
+            None,
+        )
+    }
+
+    /// A sim over `bound`, or, without one, over programs compiled now.
+    fn assemble(
+        a: Arc<Csr>,
+        l: Arc<Csr>,
+        placement: Arc<Placement>,
+        cfg: &SimConfig,
+        preconditioned: bool,
+        bound: Option<Kernels<Replay>>,
+    ) -> Self {
+        let sim = PcgSim {
             cfg: cfg.clone(),
-            a: a.clone(),
-            l: Csr::identity(a.rows()),
-            spmv: Program::compile_spmv(a, placement),
-            lower: None,
-            upper: None,
-            vec_model: VecOpModel::new(placement),
+            vec_model: VecOpModel::new(&placement),
+            a,
+            l,
+            placement,
+            preconditioned,
+            programs: OnceLock::new(),
+            bound: bound.map(Arc::new),
+        };
+        if sim.bound.is_none() {
+            sim.programs();
         }
+        sim
+    }
+
+    /// The compiled programs, compiled on first use.
+    fn programs(&self) -> &Kernels<Program> {
+        self.programs.get_or_init(|| {
+            Kernels::compile(&self.a, &self.l, &self.placement, self.preconditioned)
+        })
     }
 
     /// The simulator configuration in use.
@@ -196,28 +350,47 @@ impl PcgSim {
         &self.a
     }
 
-    /// Heap bytes of the three kernels' replay records
-    /// ([`Program::replay_bytes`]): 0 before the first solve.
+    /// The replay record of this sim's kernels: the record it was built
+    /// from or rebound to, or else the records its programs' launches
+    /// made under its config. `None` until every kernel has one, so after
+    /// a first fault-free solve of a compiled sim.
+    pub fn record(&self) -> Option<PcgRecord> {
+        if let Some(b) = &self.bound {
+            return b.try_map(|r| Some(Arc::clone(r.record()))).map(PcgRecord);
+        }
+        let recorded = |p: &Program| {
+            let r = p.memo().get().filter(|r| r.recorded_under(&self.cfg))?;
+            Some(Arc::clone(r.record()))
+        };
+        self.programs.get()?.try_map(recorded).map(PcgRecord)
+    }
+
+    /// Heap bytes of the rows the kernels replay: the bound record's,
+    /// plus any compiled program's ([`Program::replay_bytes`]). 0 before
+    /// the first solve of a compiled sim.
     pub fn replay_bytes(&self) -> usize {
-        [Some(&self.spmv), self.lower.as_ref(), self.upper.as_ref()]
-            .into_iter()
-            .flatten()
-            .map(Program::replay_bytes)
-            .sum()
+        let bound = self.bound.iter().flat_map(|b| b.iter()).map(Replay::bytes);
+        let compiled = self.programs.get().into_iter().flat_map(Kernels::iter);
+        bound.sum::<usize>() + compiled.map(Program::replay_bytes).sum::<usize>()
+    }
+
+    /// Heap bytes of [`PcgSim::record`]: 0 while it is `None`.
+    pub fn record_bytes(&self) -> usize {
+        self.record().map_or(0, |r| r.bytes())
     }
 
     /// Replaces the matrix *values* while keeping the sparsity pattern,
     /// placement and communication trees — the Sec. II-C time-stepping
     /// case where `A`'s stiffness values change but its structure (the
-    /// mesh) does not. Re-factors IC(0) and recompiles the kernel
-    /// programs; the expensive mapping is untouched.
+    /// mesh) does not. Re-factors IC(0); the expensive mapping is
+    /// untouched (see [`PcgSim::update_values_with_factor`]).
     ///
     /// # Errors
     ///
     /// Returns [`SolverError::Dimension`] if `a_new`'s sparsity pattern
     /// differs from the current matrix, or propagates IC(0) breakdowns.
     pub fn update_values(&mut self, a_new: &Csr, placement: &Placement) -> Result<(), SolverError> {
-        if a_new.row_ptr() != self.a.row_ptr() || a_new.col_idx() != self.a.col_idx() {
+        if !same_pattern(a_new, &self.a) {
             return Err(SolverError::Dimension(
                 "update_values requires an identical sparsity pattern".into(),
             ));
@@ -228,6 +401,12 @@ impl PcgSim {
 
     /// As [`PcgSim::update_values`], but with a caller-supplied factor
     /// (e.g. a refreshed Gauss-Seidel/SSOR factor).
+    ///
+    /// The replay record names entries by position, so a new value on
+    /// the same pattern and placement keeps it: the sim binds it to the
+    /// new values, and its next fault-free launches replay with no tick
+    /// and no compile. Without a record (no solve yet, or a new
+    /// placement or factor pattern), the programs are compiled anew.
     ///
     /// # Errors
     ///
@@ -242,17 +421,23 @@ impl PcgSim {
         l_new: &Csr,
         placement: &Placement,
     ) -> Result<(), SolverError> {
-        if a_new.row_ptr() != self.a.row_ptr() || a_new.col_idx() != self.a.col_idx() {
+        if !same_pattern(a_new, &self.a) {
             return Err(SolverError::Dimension(
                 "update_values requires an identical sparsity pattern".into(),
             ));
         }
-        let (lower, upper) = Program::compile_sptrsv_pair(l_new, a_new, placement);
-        self.spmv = Program::compile_spmv(a_new, placement);
-        self.lower = Some(lower);
-        self.upper = Some(upper);
-        self.a = a_new.clone();
-        self.l = l_new.clone();
+        let same_placement = *placement == *self.placement;
+        let record = self
+            .record()
+            .filter(|_| same_placement && same_pattern(l_new, &self.l));
+        let placement = if same_placement {
+            Arc::clone(&self.placement)
+        } else {
+            Arc::new(placement.clone())
+        };
+        let (a, l) = (Arc::new(a_new.clone()), Arc::new(l_new.clone()));
+        let bound = record.and_then(|r| r.bind(&a, &l));
+        *self = Self::assemble(a, l, placement, &self.cfg, self.preconditioned, bound);
         Ok(())
     }
 
@@ -260,11 +445,26 @@ impl PcgSim {
     /// to re-derive the recurrence vectors after a rollback so corrupted
     /// state cannot leak through a recovery.
     fn functional_precond(&self, r: &[f64]) -> Vec<f64> {
-        if self.lower.is_some() {
+        if self.preconditioned {
             sptrsv_lower_transpose(&self.l, &sptrsv_lower(&self.l, r))
         } else {
             r.to_vec()
         }
+    }
+
+    /// Launches kernel `k` on `input` in solve `d`: a replay of the bound
+    /// record when it may, else the compiled program.
+    fn launch(&self, d: &mut Solve, k: Kernel, input: &[f64]) -> Result<Vec<f64>, SimError> {
+        let class = match k {
+            Kernel::Spmv => KernelClass::Spmv,
+            Kernel::Lower | Kernel::Upper => KernelClass::Sptrsv,
+        };
+        let bound = self.bound.as_deref().and_then(|b| b.get(k));
+        let program = || match self.programs().get(k) {
+            Some(p) => p,
+            None => unreachable!("an unpreconditioned solve launches no triangular solve"),
+        };
+        d.launch(bound, program, input, class)
     }
 
     /// Runs PCG with right-hand side `b`.
@@ -304,16 +504,15 @@ impl PcgSim {
             cycle_budget: run_cfg.cycle_budget,
             integrity: run_cfg.integrity,
         };
-        let factor = self.lower.as_ref().map(|_| &self.l);
+        let factor = self.preconditioned.then_some(&*self.l);
         let mut d = Solve::new(&self.cfg, &self.a, factor, &self.vec_model, b, policy)?;
 
         // Setup (timed): r = b; z = p = L^-T L^-1 r; rz = r.z
-        let z = match (&self.lower, &self.upper) {
-            (Some(lo), Some(up)) => {
-                let y = d.timed(lo, b, KernelClass::Sptrsv)?;
-                d.timed(up, &y, KernelClass::Sptrsv)?
-            }
-            _ => b.to_vec(),
+        let z = if self.preconditioned {
+            let y = self.launch(&mut d, Kernel::Lower, b)?;
+            self.launch(&mut d, Kernel::Upper, &y)?
+        } else {
+            b.to_vec()
         };
         d.vec_ops(VecOp::Dot, 1);
         let mut st = Recurrence {
@@ -342,11 +541,7 @@ impl PcgSim {
         }
 
         let f = d.finish()?;
-        let nnz_l = if self.lower.is_some() {
-            self.l.nnz()
-        } else {
-            0
-        };
+        let nnz_l = if self.preconditioned { self.l.nnz() } else { 0 };
         let flops_per_iteration = flops::pcg_iteration_breakdown(&self.a, nnz_l);
         let gflops = if f.cycles_per_iteration > 0.0 {
             flops_per_iteration.total() as f64 / f.cycles_per_iteration * self.cfg.clock_ghz
@@ -378,7 +573,7 @@ impl PcgSim {
     fn iterate(&self, d: &mut Solve, st: &mut Recurrence) -> Step<f64> {
         // Ap = A p, checksum-verified when timed.
         let ap = if d.timing {
-            let ap = d.timed(&self.spmv, &st.p, KernelClass::Spmv)?;
+            let ap = self.launch(d, Kernel::Spmv, &st.p)?;
             d.verify_spmv(&st.p, &ap)?;
             ap
         } else {
@@ -402,10 +597,10 @@ impl PcgSim {
         // z = L^-T L^-1 r (identity when unpreconditioned). Both solves
         // are checksum-verified when timed: the forward solve against the
         // column checksums of L, the transpose solve against its rows.
-        st.z = match (&self.lower, &self.upper) {
-            (Some(lo), Some(up)) if d.timing => {
-                let y = d.timed(lo, &st.r, KernelClass::Sptrsv)?;
-                let z = d.timed(up, &y, KernelClass::Sptrsv)?;
+        st.z = match (self.preconditioned, d.timing) {
+            (true, true) => {
+                let y = self.launch(d, Kernel::Lower, &st.r)?;
+                let z = self.launch(d, Kernel::Upper, &y)?;
                 let checks = d.factor_checksum().map(|cs| {
                     [
                         ("checksum_sptrsv", cs.verify_solve(&y, &st.r)),
@@ -421,8 +616,8 @@ impl PcgSim {
                 }
                 z
             }
-            (Some(_), Some(_)) => self.functional_precond(&st.r),
-            _ => st.r.clone(),
+            (true, false) => self.functional_precond(&st.r),
+            (false, _) => st.r.clone(),
         };
         // beta = rz_new / rz_old ; p = z + beta p
         d.vec_ops(VecOp::Dot, 1);
@@ -457,6 +652,11 @@ impl PcgSim {
             z,
         }
     }
+}
+
+/// Whether `a` and `b` have one sparsity pattern.
+fn same_pattern(a: &Csr, b: &Csr) -> bool {
+    a.row_ptr() == b.row_ptr() && a.col_idx() == b.col_idx()
 }
 
 /// PCG's recurrence state; `x` lives in the driver.
@@ -621,6 +821,131 @@ mod tests {
         // A different pattern is rejected.
         let other = generate::grid_laplacian_2d(4, 9);
         assert!(sim.update_values(&other, &p).is_err());
+    }
+
+    /// `x` bits, total cycles and statistics of a report.
+    fn outcome(r: &PcgSimReport) -> (Vec<u64>, u64, KernelStats) {
+        let bits = r.x.iter().map(|v| v.to_bits()).collect();
+        (bits, r.total_cycles, r.stats.clone())
+    }
+
+    /// Runs `sim` on `b`, returning the outcome and the engine launches
+    /// it took.
+    fn counted(sim: &PcgSim, b: &[f64]) -> ((Vec<u64>, u64, KernelStats), u64) {
+        crate::profile::reset();
+        let out = outcome(&sim.run(b, &PcgSimConfig::default()));
+        (out, crate::profile::snapshot().engine_launches)
+    }
+
+    fn shared(sim: &PcgSim, cfg: &SimConfig, record: Option<&PcgRecord>) -> PcgSim {
+        PcgSim::build_shared(
+            Arc::clone(&sim.a),
+            Arc::clone(&sim.l),
+            Arc::clone(&sim.placement),
+            cfg,
+            record,
+        )
+    }
+
+    #[test]
+    fn a_sim_built_from_a_record_replays_without_programs() {
+        let a = generate::fem_mesh_3d(120, 5, 3);
+        let grid = TileGrid::new(2, 2);
+        let p = AzulMapper::default().map(&a, grid);
+        let cfg = SimConfig::azul(grid);
+        let sim = PcgSim::build(&a, &p, &cfg).unwrap();
+        let b = rhs(a.rows());
+        assert!(sim.record().is_none(), "nothing launched yet");
+        let (cold, launches) = counted(&sim, &b);
+        assert!(launches > 0, "a compiled sim's first solve ticks");
+        let record = sim.record().expect("a fault-free solve records");
+        assert!(record.bytes() > 0);
+
+        let bound = shared(&sim, &cfg, Some(&record));
+        assert!(
+            bound.programs.get().is_none(),
+            "a bound sim compiles nothing"
+        );
+        let (warm, launches) = counted(&bound, &b);
+        assert_eq!(launches, 0, "every launch replays");
+        assert!(bound.programs.get().is_none(), "and compiles nothing");
+        assert_eq!(warm, cold, "a replay reports what the engine did");
+        assert_eq!(bound.record_bytes(), sim.record_bytes());
+
+        // A record made under another config runs the engine, and gives
+        // what a compiled sim under that config gives.
+        let mut other = cfg.clone();
+        other.hop_latency += 1;
+        let moved = shared(&sim, &other, Some(&record));
+        let (got, launches) = counted(&moved, &b);
+        assert!(launches > 0, "another config ticks");
+        let compiled = shared(&sim, &other, None);
+        assert_eq!(got, counted(&compiled, &b).0);
+    }
+
+    #[test]
+    fn update_values_rebinds_the_record_and_ticks_nothing() {
+        let a = generate::fem_mesh_3d(120, 5, 3);
+        let grid = TileGrid::new(2, 2);
+        let p = AzulMapper::default().map(&a, grid);
+        let cfg = SimConfig::azul(grid);
+        let mut sim = PcgSim::build(&a, &p, &cfg).unwrap();
+        let b = rhs(a.rows());
+        sim.run(&b, &PcgSimConfig::default());
+        let bytes = sim.record_bytes();
+        assert!(bytes > 0);
+
+        // New values on the same pattern, still SPD: a heavier diagonal.
+        let mut a2 = a.clone();
+        let diag: Vec<bool> = a.iter().map(|(r, c, _)| r == c).collect();
+        for (v, d) in a2.values_mut().iter_mut().zip(diag) {
+            *v *= if d { 2.0 } else { 1.25 };
+        }
+        sim.update_values(&a2, &p).unwrap();
+        assert_eq!(sim.record_bytes(), bytes, "the record survives");
+        let (got, launches) = counted(&sim, &b);
+        assert_eq!(launches, 0, "a rebound solve ticks nothing");
+        assert!(sim.programs.get().is_none(), "nor compiles");
+        let fresh = PcgSim::build(&a2, &p, &cfg).unwrap();
+        assert_eq!(got, counted(&fresh, &b).0, "bit for bit a fresh sim's");
+
+        // Another placement drops the record: the programs compile anew.
+        let other = RoundRobinMapper.map(&a, grid);
+        sim.update_values(&a2, &other).unwrap();
+        assert_eq!(sim.record_bytes(), 0);
+        let (got, launches) = counted(&sim, &b);
+        assert!(launches > 0);
+        let fresh = PcgSim::build(&a2, &other, &cfg).unwrap();
+        assert_eq!(got, counted(&fresh, &b).0);
+    }
+
+    #[test]
+    fn fault_plans_tick_a_bound_sim() {
+        let a = generate::grid_laplacian_2d(8, 8);
+        let grid = TileGrid::new(2, 2);
+        let p = RoundRobinMapper.map(&a, grid);
+        let cfg = SimConfig::azul(grid);
+        let sim = PcgSim::build(&a, &p, &cfg).unwrap();
+        let b = rhs(a.rows());
+        sim.run(&b, &PcgSimConfig::default());
+        let record = sim.record().unwrap();
+        let mut faulty = cfg.clone();
+        faulty.faults = Some(crate::faults::FaultPlan::new(vec![crate::FaultEvent {
+            at_cycle: 0,
+            kind: crate::FaultKind::LinkDegrade {
+                tile: 0,
+                extra_latency: 4,
+                for_cycles: 1_000_000,
+            },
+        }]));
+        let bound = shared(&sim, &faulty, Some(&record));
+        crate::profile::reset();
+        let got = bound.run(&b, &PcgSimConfig::default());
+        assert!(crate::profile::snapshot().engine_launches > 0);
+        assert!(!got.fault_events.is_empty(), "the fault fires");
+        let compiled = shared(&sim, &faulty, None).run(&b, &PcgSimConfig::default());
+        assert_eq!(outcome(&got), outcome(&compiled));
+        assert_eq!(got.fault_events, compiled.fault_events);
     }
 
     #[test]

@@ -682,7 +682,13 @@ impl Datapath {
             self.slot_vals[entry.slot as usize] += entry.coeff * task.value;
             self.slot_remaining[entry.slot as usize] -= 1;
             let left = self.slot_remaining[entry.slot as usize];
-            rec.fmac(self.slot_base + entry.slot, left, task.src, entry.coeff);
+            rec.fmac(
+                self.slot_base + entry.slot,
+                left,
+                task.src,
+                entry.pos,
+                entry.coeff,
+            );
             self.slot_ready[entry.slot as usize] = now + hazard;
             stats.count_op_at(self.tile, OpKind::Fmac);
             stats.sram_read_at(self.tile);
@@ -775,7 +781,13 @@ impl Datapath {
                     self.slot_vals[entry.slot as usize] += entry.coeff * task.value;
                     self.slot_remaining[entry.slot as usize] -= 1;
                     let left = self.slot_remaining[entry.slot as usize];
-                    rec.fmac(self.slot_base + entry.slot, left, task.src, entry.coeff);
+                    rec.fmac(
+                        self.slot_base + entry.slot,
+                        left,
+                        task.src,
+                        entry.pos,
+                        entry.coeff,
+                    );
                     stats.count_op_at(self.tile, OpKind::Fmac);
                     stats.sram_read_at(self.tile);
                     stats.accum_rmw_at(self.tile);

@@ -20,9 +20,10 @@
 //! runs itself; kernels on other threads of the process (other tests,
 //! other service workers) record nothing into its totals.
 //!
-//! Besides wall time, every kernel adds its host work in tile-cycles —
-//! tiles ticked, and cycles parked tiles were credited for instead —
-//! to the calling thread's totals, probes enabled or not. These counts
+//! Besides wall time, every kernel that runs the engine adds one launch
+//! and its host work in tile-cycles — tiles ticked, and cycles parked
+//! tiles were credited for instead — to the calling thread's totals,
+//! probes enabled or not; a replayed launch adds nothing. These counts
 //! are exact and host-independent; the `sim_perf` bench gates parking
 //! on them.
 //!
@@ -107,6 +108,8 @@ struct Profiler {
     calls: [Cell<u64>; 6],
     /// Tile-cycles ticked and credited by kernels on this thread.
     tile_cycles: [Cell<u64>; 2],
+    /// Kernel launches on this thread that ran the engine.
+    engine_launches: Cell<u64>,
 }
 
 thread_local! {
@@ -116,6 +119,7 @@ thread_local! {
             wall_ns: [const { Cell::new(0) }; 6],
             calls: [const { Cell::new(0) }; 6],
             tile_cycles: [const { Cell::new(0) }; 2],
+            engine_launches: Cell::new(0),
         }
     };
 }
@@ -148,17 +152,19 @@ pub fn reset() {
         for c in &p.tile_cycles {
             c.set(0);
         }
+        p.engine_launches.set(0);
     });
 }
 
-/// Adds one kernel's tile-cycle counts (see
+/// Adds one engine launch and its tile-cycle counts (see
 /// [`ProfileSnapshot::ticked_tile_cycles`]) to the calling thread's
-/// totals. Recorded whether or not probes are enabled: two adds per
+/// totals. Recorded whether or not probes are enabled: three adds per
 /// kernel cost nothing, and counting needs no timestamps.
-pub(crate) fn count_tile_cycles(ticked: u64, credited: u64) {
+pub(crate) fn count_engine_launch(ticked: u64, credited: u64) {
     PROFILER.with(|p| {
         p.tile_cycles[0].set(p.tile_cycles[0].get() + ticked);
         p.tile_cycles[1].set(p.tile_cycles[1].get() + credited);
+        p.engine_launches.set(p.engine_launches.get() + 1);
     });
 }
 
@@ -205,6 +211,9 @@ pub struct ProfileSnapshot {
     /// Tile-cycles parked tiles were credited for instead of ticking;
     /// `ticked + credited` is what the per-cycle loop would tick.
     pub credited_tile_cycles: u64,
+    /// Kernel launches that ran the engine; a replayed launch is not
+    /// one.
+    pub engine_launches: u64,
 }
 
 impl ProfileSnapshot {
@@ -250,6 +259,7 @@ pub fn snapshot() -> ProfileSnapshot {
         calls: p.calls.each_ref().map(Cell::get),
         ticked_tile_cycles: p.tile_cycles[0].get(),
         credited_tile_cycles: p.tile_cycles[1].get(),
+        engine_launches: p.engine_launches.get(),
     })
 }
 

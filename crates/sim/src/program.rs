@@ -102,6 +102,10 @@ impl SlotDesc {
 pub struct Entry {
     /// Tile-local accumulator slot.
     pub slot: u32,
+    /// Where the coefficient sits in the values of the matrix the
+    /// program was compiled from: `A` for SpMV, `L` for both solves. A
+    /// replay record names an entry by it, never by its value.
+    pub pos: u32,
     /// Matrix coefficient.
     pub coeff: f64,
 }
@@ -163,9 +167,11 @@ pub enum ProgramKind {
 /// A compiled program is immutable: its first replayable launch records
 /// its slot arithmetic, and later launches under the same config replay
 /// that record instead of ticking (`crate::replay`), so every field must
-/// keep the value it was compiled with. To run other values, compile
-/// anew (as `PcgSim::update_values` does); a new program starts with no
-/// record. Clones share the record.
+/// keep the value it was compiled with. The record itself names entries
+/// by position and holds no value; a program with other values on the
+/// same pattern and placement is a new program, with no record, unless
+/// its caller binds the old record to the new values (as
+/// `PcgSim::update_values` does). Clones share the record.
 #[derive(Debug, Clone)]
 pub struct Program {
     /// Kernel kind.
@@ -201,6 +207,8 @@ pub struct Program {
 struct WorkItem {
     trigger: u32,
     target: u32,
+    /// The coefficient's position in the compiled matrix's values.
+    pos: u32,
     coeff: f64,
     tile: TileId,
 }
@@ -221,6 +229,7 @@ impl Program {
             .map(|(p, (r, c, v))| WorkItem {
                 trigger: c as u32,
                 target: r as u32,
+                pos: p as u32,
                 coeff: v,
                 tile: placement.nnz_tile(p),
             })
@@ -342,10 +351,17 @@ impl Program {
         &self.memo
     }
 
-    /// Heap bytes of the replay record: 0 until a replayable launch has
-    /// run (`crate::replay`).
+    /// Heap bytes of the rows a replay runs, the record bound to this
+    /// program's values: 0 until a replayable launch has run
+    /// (`crate::replay`).
     pub fn replay_bytes(&self) -> usize {
         self.memo.get().map_or(0, Replay::bytes)
+    }
+
+    /// Heap bytes of the value-free record behind the replay: 0 until a
+    /// replayable launch has run.
+    pub fn record_bytes(&self) -> usize {
+        self.memo.get().map_or(0, |r| r.record().bytes())
     }
 }
 
@@ -371,12 +387,14 @@ fn lower_items_and_diag(
     );
     let items = l
         .iter()
-        .filter(|&(r, c, _)| c <= r)
+        .enumerate()
+        .filter(|&(_, (r, c, _))| c <= r)
         .zip(tile_of)
-        .filter(|&((r, c, _), _)| c < r)
-        .map(|((r, c, v), tile)| WorkItem {
+        .filter(|&((_, (r, c, _)), _)| c < r)
+        .map(|((p, (r, c, v)), tile)| WorkItem {
             trigger: c as u32,
             target: r as u32,
+            pos: p as u32,
             coeff: -v,
             tile,
         })
@@ -711,6 +729,7 @@ fn assemble(
         let tp = &mut tiles[it.tile as usize];
         tp.entries.push(Entry {
             slot: slot_of_pair[targets.pair_of[k as usize] as usize],
+            pos: it.pos,
             coeff: it.coeff,
         });
         let end = tp.entries.len() as u32;

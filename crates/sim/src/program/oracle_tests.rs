@@ -20,6 +20,7 @@ fn reference_spmv(a: &Csr, placement: &Placement) -> Program {
         .map(|(p, (r, c, v))| WorkItem {
             trigger: c as u32,
             target: r as u32,
+            pos: p as u32,
             coeff: v,
             tile: placement.nnz_tile(p),
         })
@@ -39,12 +40,14 @@ fn reference_sptrsv(l: &Csr, a_pattern: &Csr, placement: &Placement, upper: bool
     let tile_of = placement.restrict(a_pattern, |r, c| c <= r);
     let inv_diag: Vec<f64> = l.diagonal().iter().map(|&d| 1.0 / d).collect();
     let mut items = Vec::new();
-    for (k, (r, c, v)) in l.iter().filter(|&(r, c, _)| c <= r).enumerate() {
+    let lower = l.iter().enumerate().filter(|&(_, (r, c, _))| c <= r);
+    for (k, (pos, (r, c, v))) in lower.enumerate() {
         if c < r {
             let (trigger, target) = if upper { (r, c) } else { (c, r) };
             items.push(WorkItem {
                 trigger: trigger as u32,
                 target: target as u32,
+                pos: pos as u32,
                 coeff: -v,
                 tile: tile_of[k],
             });
@@ -207,6 +210,7 @@ fn reference_compile(
             .expect("slot allocated for every local target");
         tp.entries.push(Entry {
             slot,
+            pos: it.pos,
             coeff: it.coeff,
         });
         let end = tp.entries.len() as u32;

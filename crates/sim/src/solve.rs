@@ -22,8 +22,9 @@ use crate::faults::{
     DriftSample, FaultRecord, FaultSession, IntegrityAudit, IntegrityPolicy, IntegrityRecord,
     RecoveryPolicy, RecoveryRecord,
 };
-use crate::machine::{run_kernel_checked, SimError};
+use crate::machine::{run_bound, SimError};
 use crate::program::Program;
+use crate::replay::Replay;
 use crate::stats::{KernelClass, KernelStats};
 use crate::vecops::{VecOp, VecOpModel};
 use azul_solver::abft::{ChecksumCheck, OperatorChecksum};
@@ -329,7 +330,20 @@ impl<'a> Solve<'a> {
         input: &[f64],
         class: KernelClass,
     ) -> Result<Vec<f64>, SimError> {
-        let (out, s) = run_kernel_checked(self.cfg, prog, input, self.session.as_mut())?;
+        self.launch(None, || prog, input, class)
+    }
+
+    /// As [`Solve::timed`] for a kernel that may hold a record bound to
+    /// the solve's values: a launch that may replay it does, with no
+    /// program; any other runs `program()` (`machine::run_bound`).
+    pub fn launch<'p>(
+        &mut self,
+        bound: Option<&Replay>,
+        program: impl FnOnce() -> &'p Program,
+        input: &[f64],
+        class: KernelClass,
+    ) -> Result<Vec<f64>, SimError> {
+        let (out, s) = run_bound(self.cfg, bound, program, input, self.session.as_mut())?;
         self.kernel_cycles[class as usize] += s.cycles;
         self.this_iter += s.cycles;
         self.stats.merge(&s);
