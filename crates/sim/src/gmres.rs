@@ -16,7 +16,7 @@ use crate::stats::{KernelClass, KernelStats};
 use crate::vecops::{VecOp, VecOpModel};
 use azul_mapping::Placement;
 use azul_solver::ic0::ic0;
-use azul_solver::kernels::{sptrsv_lower, sptrsv_lower_transpose};
+use azul_solver::kernels::{sptrsv_lower_into, sptrsv_lower_transpose_into};
 use azul_solver::{BreakdownKind, SolveStatus, SolverError};
 use azul_sparse::{dense, Csr};
 use azul_telemetry::report::IterationSample;
@@ -276,6 +276,9 @@ impl GmresSim {
         let mut g = vec![0.0f64; k_max + 1];
         g[0] = beta;
         let mut k_done = 0usize;
+        // `mz = M^-1 v_k` of the functional preconditioner and its scratch
+        // `my`, reused by every Arnoldi step of the cycle.
+        let (mut my, mut mz) = (vec![0.0f64; n], vec![0.0f64; n]);
 
         for k in 0..k_max {
             d.begin();
@@ -299,16 +302,17 @@ impl GmresSim {
                     });
                 if let Some(checks) = checks {
                     d.abft(&checks, |bad| {
-                        let rz = self.functional_precond(&v[k]);
-                        let rw = self.a.spmv(&rz);
-                        let dev = dense::norm2(&dense::sub(&z, &rz))
+                        self.functional_precond(&v[k], &mut my, &mut mz);
+                        let rw = self.a.spmv(&mz);
+                        let dev = dense::norm2(&dense::sub(&z, &mz))
                             .max(dense::norm2(&dense::sub(&w, &rw)));
                         dev > bad.bound
                     })?;
                 }
                 w
             } else {
-                self.a.spmv(&self.functional_precond(&v[k]))
+                self.functional_precond(&v[k], &mut my, &mut mz);
+                self.a.spmv(&mz)
             };
 
             // Modified Gram-Schmidt: k+1 dots and k+1 axpys.
@@ -386,9 +390,11 @@ impl GmresSim {
         Ok(false)
     }
 
-    /// `M^-1 v = L^-T (L^-1 v)` with the reference kernels.
-    fn functional_precond(&self, v: &[f64]) -> Vec<f64> {
-        sptrsv_lower_transpose(&self.l, &sptrsv_lower(&self.l, v))
+    /// `z = M^-1 v = L^-T (L^-1 v)` with the reference kernels, through
+    /// the scratch `y`.
+    fn functional_precond(&self, v: &[f64], y: &mut [f64], z: &mut [f64]) {
+        sptrsv_lower_into(&self.l, v, y);
+        sptrsv_lower_transpose_into(&self.l, y, z);
     }
 
     /// Back-solves the small least-squares system and applies the
@@ -410,7 +416,9 @@ impl GmresSim {
         for (j, &yj) in y.iter().enumerate() {
             dense::axpy(yj, &v[j], &mut update);
         }
-        dense::axpy(1.0, &self.functional_precond(&update), x);
+        let (mut scratch, mut z) = (vec![0.0f64; n], vec![0.0f64; n]);
+        self.functional_precond(&update, &mut scratch, &mut z);
+        dense::axpy(1.0, &z, x);
     }
 }
 

@@ -21,7 +21,7 @@ use crate::vecops::{VecOp, VecOpModel};
 use azul_mapping::Placement;
 use azul_solver::flops::{self, FlopBreakdown};
 use azul_solver::ic0::ic0;
-use azul_solver::kernels::{sptrsv_lower, sptrsv_lower_transpose};
+use azul_solver::kernels::{sptrsv_lower_into, sptrsv_lower_transpose_into};
 use azul_solver::{BreakdownKind, SolveStatus, SolverError};
 use azul_sparse::{dense, Csr};
 use azul_telemetry::report::IterationSample;
@@ -441,14 +441,17 @@ impl PcgSim {
         Ok(())
     }
 
-    /// Applies the preconditioner functionally (reference kernels) — used
-    /// to re-derive the recurrence vectors after a rollback so corrupted
-    /// state cannot leak through a recovery.
-    fn functional_precond(&self, r: &[f64]) -> Vec<f64> {
+    /// Applies the preconditioner functionally (reference kernels):
+    /// `z = L^-T L^-1 r` through the scratch `y`, or `z = r` when
+    /// unpreconditioned. Untimed iterations run it on the recurrence's
+    /// own buffers; a rollback uses it to re-derive the recurrence
+    /// vectors so corrupted state cannot leak through a recovery.
+    fn functional_precond(&self, r: &[f64], y: &mut [f64], z: &mut [f64]) {
         if self.preconditioned {
-            sptrsv_lower_transpose(&self.l, &sptrsv_lower(&self.l, r))
+            sptrsv_lower_into(&self.l, r, y);
+            sptrsv_lower_transpose_into(&self.l, y, z);
         } else {
-            r.to_vec()
+            z.copy_from_slice(r);
         }
     }
 
@@ -515,12 +518,7 @@ impl PcgSim {
             b.to_vec()
         };
         d.vec_ops(VecOp::Dot, 1);
-        let mut st = Recurrence {
-            r: b.to_vec(),
-            p: z.clone(),
-            rz: dense::dot(b, &z),
-            z,
-        };
+        let mut st = Recurrence::new(b.to_vec(), z);
         d.start();
 
         while !d.converged && d.iterations < run_cfg.max_iters {
@@ -572,16 +570,15 @@ impl PcgSim {
     /// One PCG iteration (Listing 1's loop body); returns `||r||`.
     fn iterate(&self, d: &mut Solve, st: &mut Recurrence) -> Step<f64> {
         // Ap = A p, checksum-verified when timed.
-        let ap = if d.timing {
-            let ap = self.launch(d, Kernel::Spmv, &st.p)?;
-            d.verify_spmv(&st.p, &ap)?;
-            ap
+        if d.timing {
+            st.ap = self.launch(d, Kernel::Spmv, &st.p)?;
+            d.verify_spmv(&st.p, &st.ap)?;
         } else {
-            self.a.spmv(&st.p)
-        };
+            self.a.spmv_into(&st.p, &mut st.ap);
+        }
         // alpha = rz / (p . Ap)
         d.vec_ops(VecOp::Dot, 1);
-        let p_ap = dense::dot(&st.p, &ap);
+        let p_ap = dense::dot(&st.p, &st.ap);
         ensure(p_ap.is_finite(), BreakdownKind::NonFinite, || {
             format!("non-finite p.Ap = {p_ap}")
         })?;
@@ -591,34 +588,32 @@ impl PcgSim {
         let alpha = st.rz / p_ap;
         // x += alpha p ; r -= alpha Ap ; convergence check (norm)
         dense::axpy(alpha, &st.p, &mut d.x);
-        dense::axpy(-alpha, &ap, &mut st.r);
+        dense::axpy(-alpha, &st.ap, &mut st.r);
         d.vec_ops(VecOp::Axpy, 2);
         d.vec_ops(VecOp::Dot, 1);
         // z = L^-T L^-1 r (identity when unpreconditioned). Both solves
         // are checksum-verified when timed: the forward solve against the
         // column checksums of L, the transpose solve against its rows.
-        st.z = match (self.preconditioned, d.timing) {
-            (true, true) => {
-                let y = self.launch(d, Kernel::Lower, &st.r)?;
-                let z = self.launch(d, Kernel::Upper, &y)?;
-                let checks = d.factor_checksum().map(|cs| {
-                    [
-                        ("checksum_sptrsv", cs.verify_solve(&y, &st.r)),
-                        ("checksum_sptrsv", cs.verify_solve_transpose(&z, &y)),
-                    ]
-                });
-                if let Some(checks) = checks {
-                    let bound = checks[0].1.bound.max(checks[1].1.bound);
-                    d.abft(&checks, |_| {
-                        let reference = self.functional_precond(&st.r);
-                        dense::norm2(&dense::sub(&z, &reference)) > bound
-                    })?;
-                }
-                z
+        if self.preconditioned && d.timing {
+            let y = self.launch(d, Kernel::Lower, &st.r)?;
+            let z = self.launch(d, Kernel::Upper, &y)?;
+            let checks = d.factor_checksum().map(|cs| {
+                [
+                    ("checksum_sptrsv", cs.verify_solve(&y, &st.r)),
+                    ("checksum_sptrsv", cs.verify_solve_transpose(&z, &y)),
+                ]
+            });
+            if let Some(checks) = checks {
+                let bound = checks[0].1.bound.max(checks[1].1.bound);
+                d.abft(&checks, |_| {
+                    self.functional_precond(&st.r, &mut st.y, &mut st.z);
+                    dense::norm2(&dense::sub(&z, &st.z)) > bound
+                })?;
             }
-            (true, false) => self.functional_precond(&st.r),
-            (false, _) => st.r.clone(),
-        };
+            st.z = z;
+        } else {
+            self.functional_precond(&st.r, &mut st.y, &mut st.z);
+        }
         // beta = rz_new / rz_old ; p = z + beta p
         d.vec_ops(VecOp::Dot, 1);
         let rz_new = dense::dot(&st.r, &st.z);
@@ -642,15 +637,12 @@ impl PcgSim {
     /// reference kernels, so corrupted state cannot leak through a
     /// recovery.
     fn restart(&self, d: &mut Solve) -> Recurrence {
+        let n = d.x.len();
         let r = dense::sub(d.b, &self.a.spmv(&d.x));
-        let z = self.functional_precond(&r);
+        let mut z = vec![0.0; n];
+        self.functional_precond(&r, &mut vec![0.0; n], &mut z);
         d.reset_best(dense::norm2(&r));
-        Recurrence {
-            p: z.clone(),
-            rz: dense::dot(&r, &z),
-            r,
-            z,
-        }
+        Recurrence::new(r, z)
     }
 }
 
@@ -659,13 +651,34 @@ fn same_pattern(a: &Csr, b: &Csr) -> bool {
     a.row_ptr() == b.row_ptr() && a.col_idx() == b.col_idx()
 }
 
-/// PCG's recurrence state; `x` lives in the driver.
+/// PCG's recurrence state; `x` lives in the driver. An untimed
+/// iteration writes `ap`, `y` and `z` in place, so it allocates nothing.
 struct Recurrence {
     r: Vec<f64>,
     z: Vec<f64>,
     p: Vec<f64>,
     /// `r · z` of the previous iteration.
     rz: f64,
+    /// `A p` of the current iteration.
+    ap: Vec<f64>,
+    /// Scratch for the forward solve's output, `L^-1 r`.
+    y: Vec<f64>,
+}
+
+impl Recurrence {
+    /// The state at the start of a (re)started solve: `p = z`, and the
+    /// buffers sized to `r`.
+    fn new(r: Vec<f64>, z: Vec<f64>) -> Self {
+        let n = r.len();
+        Recurrence {
+            p: z.clone(),
+            rz: dense::dot(&r, &z),
+            r,
+            z,
+            ap: vec![0.0; n],
+            y: vec![0.0; n],
+        }
+    }
 }
 
 #[cfg(test)]

@@ -55,7 +55,8 @@
 //! operations on the same operands, in each slot's issue order, as the
 //! engine: the coefficient is the bits compile stored, the operand the
 //! same finished value. Operations on different slots commute exactly, so
-//! every output bit is the engine's; a partial's `1.0 *`, and a partial
+//! every output bit is the engine's, a NaN's sign and payload aside
+//! (below); a partial's `1.0 *`, and a partial
 //! row's final `* 1.0`, change no bit, NaN, infinity and signed zero
 //! included. Any other topological order gives the same bits, so the rows
 //! are stored by level — one more than the highest level among the rows a
@@ -64,6 +65,14 @@
 //! or per kind of row: one multiply-add per update, one store per row.
 //! The rows hold no timing: the engine stays the only place the schedule
 //! is decided.
+//!
+//! **A NaN's sign and payload are not part of this contract.** An output
+//! is NaN in a replay exactly when it is NaN in the engine, and every
+//! other output bit, ±0.0 and ±inf included, is the engine's. But when
+//! both operands of an `a + b` are NaN, Rust does not fix which operand's
+//! sign and payload the result carries, and the engine and the replay
+//! loop are compiled apart, so an optimised build may return `0x7ff8…`
+//! from one and `0xfff8…` from the other.
 //!
 //! A later launch under an equal config skips the engine: it replays the
 //! rows on its own input and returns the recorded

@@ -217,13 +217,17 @@ impl Csr {
     pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "spmv operand length mismatch");
         assert_eq!(y.len(), self.rows, "spmv output length mismatch");
-        #[allow(clippy::needless_range_loop)] // indexes several arrays
-        for r in 0..self.rows {
+        // Each row's `row_ptr` range of the entry arrays, sliced once per
+        // row: the summation order is the row's column order, as through
+        // `row`, and only `x` is bounds-checked per entry.
+        let (ptr, cols, vals) = (&self.row_ptr, &self.col_idx, &self.values);
+        for (r, out) in y.iter_mut().enumerate() {
+            let (lo, hi) = (ptr[r], ptr[r + 1]);
             let mut acc = 0.0;
-            for (c, v) in self.row(r) {
+            for (&c, &v) in cols[lo..hi].iter().zip(&vals[lo..hi]) {
                 acc += v * x[c];
             }
-            y[r] = acc;
+            *out = acc;
         }
     }
 
@@ -365,10 +369,27 @@ impl Csr {
     }
 }
 
+/// The SpMV loop before it sliced each row's range once: through the
+/// zipped `row` iterator. Kept as the oracle `spmv_into` must match bit
+/// for bit.
+#[cfg(test)]
+fn reference_spmv(a: &Csr, x: &[f64]) -> Vec<f64> {
+    (0..a.rows())
+        .map(|r| {
+            let mut acc = 0.0;
+            for (c, v) in a.row(r) {
+                acc += v * x[c];
+            }
+            acc
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Coo;
+    use proptest::prelude::*;
 
     fn sample() -> Csr {
         // [ 1 0 2 ]
@@ -486,5 +507,39 @@ mod tests {
     fn footprint_accounts_values_and_metadata() {
         let a = sample();
         assert_eq!(a.footprint_bytes(), 5 * 12 + 4 * 4);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `spmv_into` matches the row-iterator loop bit for bit, on
+        /// rectangular matrices with empty rows and operands and values
+        /// that hold `0.0` and `-0.0`.
+        #[test]
+        fn spmv_matches_the_row_iterator_oracle_bit_for_bit(
+            (a, x) in (1usize..=30, 1usize..=30).prop_flat_map(|(rows, cols)| {
+                let value = (0usize..8, -3.0f64..3.0).prop_map(|(k, v)| match k {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => v,
+                });
+                (
+                    proptest::collection::vec((0..rows, 0..cols, value.clone()), 0..rows * cols)
+                        .prop_map(move |es| {
+                            let mut coo = Coo::new(rows, cols);
+                            for (r, c, v) in es {
+                                coo.push(r, c, v).unwrap();
+                            }
+                            coo.to_csr()
+                        }),
+                    proptest::collection::vec(value, cols),
+                )
+            }),
+        ) {
+            let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            let mut y = vec![f64::NAN; a.rows()];
+            a.spmv_into(&x, &mut y);
+            prop_assert_eq!(bits(&y), bits(&reference_spmv(&a, &x)));
+        }
     }
 }
