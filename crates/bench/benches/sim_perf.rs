@@ -134,8 +134,9 @@ fn main() {
             for v in scaled.values_mut() {
                 *v *= 2.0;
             }
-            sim.update_values(&scaled, &placement)
-                .expect("IC(0) succeeds");
+            let l = ic0(&scaled).expect("IC(0) succeeds");
+            sim.update_values_with_factor(&scaled, &l, &placement)
+                .expect("the pattern is the same");
         }
         profile::reset();
         let t0 = Instant::now();

@@ -40,20 +40,20 @@
 pub mod supervisor;
 
 pub use supervisor::{
-    EscalationPolicy, EscalationRecord, EscalationStage, EscalationTrigger, PreparedRung,
-    SolveSupervisor, SolverChoice, SupervisedSolveReport,
+    EscalationPolicy, EscalationRecord, EscalationStage, EscalationTrigger, SolveSupervisor,
+    SolverChoice, SupervisedSolveReport,
 };
 
 use azul_mapping::strategies::{AzulMapper, BlockMapper, Mapper, RoundRobinMapper, SparsePMapper};
 use azul_mapping::{Placement, TileGrid};
 use azul_sim::config::SimConfig;
-use azul_sim::pcg::{PcgSim, PcgSimConfig, PcgSimReport};
+use azul_sim::pcg::{PcgRecord, PcgSim, PcgSimConfig, PcgSimReport};
 use azul_sim::SimError;
-use azul_solver::SolverError;
+use azul_solver::{OperatorChecksum, SolverError};
 use azul_sparse::coloring::{color_and_permute, ColoringStrategy};
 use azul_sparse::{Csr, Permutation, SparseError};
 use azul_telemetry::span;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Errors from the end-to-end pipeline.
@@ -325,7 +325,7 @@ pub struct Azul {
 }
 
 /// Preprocessing metadata produced by [`Azul::prepare`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct PrepareReport {
     /// Colors used by the parallelism-improving permutation (0 when
     /// coloring is disabled).
@@ -341,21 +341,61 @@ pub struct PrepareReport {
     pub nnz_imbalance: f64,
 }
 
-/// The reusable products of the prepare pipeline's matrix-shaping stages
-/// (coloring/permutation, mapping, capacity check). [`Azul::prepare`]
-/// consumes one directly; the [`supervisor::SolveSupervisor`] caches one
-/// per (mapping, grid) rung so preconditioner/solver escalations reuse
-/// the expensive placement.
+/// The structure layer of a [`PreparedSolver`]. Coloring and every
+/// mapper read only the pattern, so it is what a fresh prepare of new
+/// values on the pattern would compute.
+#[derive(Debug)]
+pub(crate) struct Structure {
+    perm: Option<Permutation>,
+    placement: Arc<Placement>,
+    /// The stamp: what it was prepared under.
+    grid: TileGrid,
+    mapping: &'static str,
+    preconditioner: PreconditionerChoice,
+    /// The rung-0 PCG record once a fault-free solve has made it. It
+    /// names entries by position, so it fits every values layer here.
+    record: OnceLock<PcgRecord>,
+}
+
+impl Structure {
+    /// Keeps `sim`'s record if this structure has none yet.
+    fn keep_record(&self, sim: &PcgSim) {
+        if self.record.get().is_none() {
+            let _ = sim.record().map(|made| self.record.set(made));
+        }
+    }
+}
+
+/// The permuted matrix, structure layer and report of the prepare
+/// pipeline's matrix-shaping stages. The [`supervisor::SolveSupervisor`]
+/// caches one per (mapping, grid) rung so preconditioner/solver
+/// escalations reuse the expensive placement.
 #[derive(Debug, Clone)]
 pub(crate) struct Preprocessed {
-    /// The permuted matrix, shared with the sims built on it.
     pub(crate) pa: Arc<Csr>,
-    pub(crate) perm: Option<Permutation>,
-    pub(crate) num_colors: usize,
-    pub(crate) coloring_seconds: f64,
-    pub(crate) mapping_seconds: f64,
-    /// The placement, shared with the sims built on it.
-    pub(crate) placement: Arc<Placement>,
+    pub(crate) structure: Arc<Structure>,
+    report: PrepareReport,
+}
+
+/// Rejects, as [`AzulError::Input`], an operator that is non-square,
+/// holds a NaN or infinity, or is non-symmetric.
+fn check_operator(a: &Csr) -> Result<(), AzulError> {
+    if a.rows() != a.cols() {
+        return Err(AzulError::Input(format!(
+            "matrix must be square, got {}x{}",
+            a.rows(),
+            a.cols()
+        )));
+    }
+    if let Some((r, c, v)) = a.iter().find(|&(_, _, v)| !v.is_finite()) {
+        return Err(AzulError::Input(format!(
+            "matrix entry ({r}, {c}) is not finite: {v}"
+        )));
+    }
+    if !a.is_symmetric(1e-9 * a.inf_norm().max(1.0)) {
+        return Err(AzulError::Input("PCG requires a symmetric matrix".into()));
+    }
+    Ok(())
 }
 
 /// Rejects a right-hand side holding a NaN or infinity: no solver,
@@ -407,16 +447,33 @@ pub(crate) fn factor_for(pa: &Csr, choice: PreconditionerChoice) -> Result<Csr, 
     }
 }
 
-/// A matrix prepared for repeated solves (Fig. 8's time-stepping loop).
+/// A matrix prepared for repeated solves (Fig. 8's time-stepping loop),
+/// in two layers split by what invalidates them (Sec. II-C):
+///
+/// - the **structure layer**, shared behind an `Arc` by every values
+///   layer on one pattern: the permutation, the placement, the stamp it
+///   was prepared under (grid, mapping, preconditioner) and the
+///   value-free rung-0 PCG record once a solve has made it;
+/// - the **values layer**: the permuted matrix, the preconditioner
+///   factor and their ABFT checksums, which
+///   [`PreparedSolver::verify_integrity`] checks. A replay reads no
+///   other value; the record has no checksum.
+///
+/// [`PreparedSolver::with_values`] builds a values layer on the same
+/// structure, whose solves bind the record and replay: new values on a
+/// known pattern color, map and compile nothing.
 #[derive(Debug, Clone)]
 pub struct PreparedSolver {
-    perm: Option<Permutation>,
-    sim: PcgSim,
-    pcg_cfg: PcgSimConfig,
-    placement: Arc<Placement>,
+    structure: Arc<Structure>,
+    a: Arc<Csr>,
+    factor: Arc<Csr>,
+    matrix_checksum: OperatorChecksum,
+    factor_checksum: OperatorChecksum,
     prepare: PrepareReport,
-    preconditioner: PreconditionerChoice,
-    n: usize,
+    sim_cfg: SimConfig,
+    pcg_cfg: PcgSimConfig,
+    /// Built once, by [`Azul::prepare`] or else by the first solve.
+    sim: OnceLock<PcgSim>,
 }
 
 /// The result of one accelerated solve.
@@ -458,39 +515,28 @@ impl Azul {
     /// placement overflows a tile's SRAM, and [`AzulError::Numeric`] for
     /// factorization breakdowns.
     pub fn prepare(&self, a: &Csr) -> Result<PreparedSolver, AzulError> {
-        let prepare_span = span::span("prepare");
+        self.prepare_compiling(a, true)
+    }
+
+    /// [`Azul::prepare`], compiling the kernels now when `compile` and
+    /// at the first solve that needs them otherwise.
+    pub(crate) fn prepare_compiling(
+        &self,
+        a: &Csr,
+        compile: bool,
+    ) -> Result<PreparedSolver, AzulError> {
+        let _prepare_span = span::span("prepare");
         let pre = self.preprocess(a)?;
 
         // 3+4. Factor + compile.
-        let t2 = Instant::now();
-        let compile_span = span::span("prepare/factor_compile");
-        let f = factor_for(&pre.pa, self.config.preconditioner)?;
-        let sim = PcgSim::build_shared(
-            Arc::clone(&pre.pa),
-            Arc::new(f),
-            Arc::clone(&pre.placement),
-            &self.config.sim,
-            None,
-        );
-        drop(compile_span);
-        let compile_seconds = t2.elapsed().as_secs_f64();
-        drop(prepare_span);
-
-        Ok(PreparedSolver {
-            perm: pre.perm,
-            n: a.rows(),
-            preconditioner: self.config.preconditioner,
-            pcg_cfg: self.config.pcg,
-            prepare: PrepareReport {
-                num_colors: pre.num_colors,
-                coloring_seconds: pre.coloring_seconds,
-                mapping_seconds: pre.mapping_seconds,
-                compile_seconds,
-                nnz_imbalance: pre.placement.nnz_imbalance(),
-            },
-            placement: pre.placement,
-            sim,
-        })
+        let t = Instant::now();
+        let _compile_span = span::span("prepare/factor_compile");
+        let mut prepared = PreparedSolver::new(pre, self.config.sim.clone(), self.config.pcg)?;
+        if compile {
+            prepared.sim();
+        }
+        prepared.prepare.compile_seconds = t.elapsed().as_secs_f64();
+        Ok(prepared)
     }
 
     /// The matrix-shaping front half of [`Azul::prepare`]: input checks,
@@ -510,21 +556,7 @@ impl Azul {
             }
         };
         check_cancel("input-checks")?;
-        if a.rows() != a.cols() {
-            return Err(AzulError::Input(format!(
-                "matrix must be square, got {}x{}",
-                a.rows(),
-                a.cols()
-            )));
-        }
-        if let Some((r, c, v)) = a.iter().find(|&(_, _, v)| !v.is_finite()) {
-            return Err(AzulError::Input(format!(
-                "matrix entry ({r}, {c}) is not finite: {v}"
-            )));
-        }
-        if !a.is_symmetric(1e-9 * a.inf_norm().max(1.0)) {
-            return Err(AzulError::Input("PCG requires a symmetric matrix".into()));
-        }
+        check_operator(a)?;
 
         // 1. Parallelism-improving preprocessing.
         let t0 = Instant::now();
@@ -579,11 +611,21 @@ impl Azul {
 
         Ok(Preprocessed {
             pa: Arc::new(pa),
-            perm,
-            num_colors,
-            coloring_seconds,
-            mapping_seconds,
-            placement: Arc::new(placement),
+            report: PrepareReport {
+                num_colors,
+                coloring_seconds,
+                mapping_seconds,
+                compile_seconds: 0.0,
+                nnz_imbalance: placement.nnz_imbalance(),
+            },
+            structure: Arc::new(Structure {
+                perm,
+                placement: Arc::new(placement),
+                grid: self.config.sim.grid,
+                mapping: self.config.mapping.name(),
+                preconditioner: self.config.preconditioner,
+                record: OnceLock::new(),
+            }),
         })
     }
 
@@ -598,58 +640,112 @@ impl Azul {
 }
 
 impl PreparedSolver {
+    /// The values layer on `pre`: factors the permuted matrix with the
+    /// structure's preconditioner and checksums both. Builds no sim.
+    fn new(pre: Preprocessed, sim_cfg: SimConfig, pcg: PcgSimConfig) -> Result<Self, AzulError> {
+        let factor = factor_for(&pre.pa, pre.structure.preconditioner)?;
+        Ok(PreparedSolver {
+            matrix_checksum: OperatorChecksum::new(&pre.pa),
+            factor_checksum: OperatorChecksum::new(&factor),
+            structure: pre.structure,
+            a: pre.pa,
+            factor: Arc::new(factor),
+            prepare: pre.report,
+            sim_cfg,
+            pcg_cfg: pcg,
+            sim: OnceLock::new(),
+        })
+    }
+
     /// Preprocessing metadata (mapping cost, coloring stats).
     pub fn prepare_report(&self) -> &PrepareReport {
         &self.prepare
     }
 
+    /// New values on this structure layer, which it shares: `a` is in
+    /// the caller's original row order with exactly the prepared
+    /// sparsity pattern. Runs [`Azul::prepare`]'s input checks, then
+    /// permutes, factors and checksums; it colors, maps and compiles
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`AzulError::Input`] for a matrix [`Azul::prepare`] rejects or
+    /// another pattern, [`AzulError::Numeric`] on factor breakdowns.
+    pub fn with_values(&self, a: &Csr) -> Result<PreparedSolver, AzulError> {
+        check_operator(a)?;
+        let pa = match &self.structure.perm {
+            Some(p) if a.rows() == self.a.rows() => a.permute_symmetric(p),
+            _ => a.clone(),
+        };
+        if pa.row_ptr() != self.a.row_ptr() || pa.col_idx() != self.a.col_idx() {
+            return Err(AzulError::Input(
+                "new values require an identical sparsity pattern".into(),
+            ));
+        }
+        let pre = Preprocessed {
+            pa: Arc::new(pa),
+            structure: Arc::clone(&self.structure),
+            report: self.prepare,
+        };
+        PreparedSolver::new(pre, self.sim_cfg.clone(), self.pcg_cfg)
+    }
+
     /// Replaces the matrix values while keeping the sparsity pattern and
     /// the (expensive) mapping — the paper's Sec. II-C pattern for
     /// simulations whose stiffness values evolve with the state (e.g.
-    /// elastic bodies). `a_new` is given in the caller's original row
-    /// order and must have exactly the original sparsity pattern.
-    ///
-    /// The replay record of the kernels names matrix entries, not their
-    /// values, so it survives: after a solve has recorded, the next
-    /// fault-free solve binds it to the new values and replays, with no
+    /// elastic bodies). After a solve has recorded, the next fault-free
+    /// solve binds the record to the new values and replays, with no
     /// kernel compiled and none ticked.
     ///
     /// # Errors
     ///
-    /// Returns [`AzulError::Input`] on a pattern mismatch and
-    /// [`AzulError::Numeric`] on factorization breakdowns.
+    /// As [`PreparedSolver::with_values`], leaving `self` unchanged.
     pub fn update_values(&mut self, a_new: &Csr) -> Result<(), AzulError> {
-        if a_new.rows() != self.n || a_new.cols() != self.n {
-            return Err(AzulError::Input(format!(
-                "expected a {}x{} matrix, got {}x{}",
-                self.n,
-                self.n,
-                a_new.rows(),
-                a_new.cols()
-            )));
-        }
-        let pa = match &self.perm {
-            Some(p) => a_new.permute_symmetric(p),
-            None => a_new.clone(),
-        };
-        let result = match self.preconditioner {
-            PreconditionerChoice::IncompleteCholesky => {
-                self.sim.update_values(&pa, &self.placement)
-            }
-            choice => match factor_for(&pa, choice) {
-                Ok(f) => self.sim.update_values_with_factor(&pa, &f, &self.placement),
-                Err(e) => return Err(e),
-            },
-        };
-        result.map_err(|e| match e {
-            SolverError::Dimension(msg) => AzulError::Input(msg),
-            other => AzulError::Numeric(other),
-        })
+        *self = self.with_values(a_new)?;
+        Ok(())
     }
 
     /// The operand placement in use.
     pub fn placement(&self) -> &Placement {
-        &self.placement
+        &self.structure.placement
+    }
+
+    /// The coloring permutation in use (`None` with coloring disabled).
+    pub fn permutation(&self) -> Option<&Permutation> {
+        self.structure.perm.as_ref()
+    }
+
+    /// Re-verifies the values layer's ABFT checksums against the
+    /// permuted matrix and factor as they sit in memory *now*. Bit-exact:
+    /// any silent mutation of a cached artifact (a flip in a long-lived
+    /// cache entry, a buggy in-place pass) fails it. The serve layer's
+    /// cache scrubber calls this on every hit before trusting the entry.
+    pub fn verify_integrity(&self) -> bool {
+        self.matrix_checksum.matches(&self.a) && self.factor_checksum.matches(&self.factor)
+    }
+
+    /// Corruption hook for scrub testing: flips one bit of the stored
+    /// matrix checksum so the artifact and its checksum disagree and
+    /// the next [`PreparedSolver::verify_integrity`] fails. This poisons
+    /// only the copy it is called on — exactly what a cached-entry
+    /// corruption looks like from the scrubber's seat.
+    pub fn flip_checksum_bit(&mut self, index: usize, bit: u32) {
+        self.matrix_checksum.flip_bit(index, bit);
+    }
+
+    /// The persistent sim, built on first use: bound to the structure's
+    /// record when it holds one, else compiled.
+    fn sim(&self) -> &PcgSim {
+        self.sim.get_or_init(|| {
+            PcgSim::build_shared(
+                Arc::clone(&self.a),
+                Arc::clone(&self.factor),
+                Arc::clone(&self.structure.placement),
+                &self.sim_cfg,
+                self.structure.record.get(),
+            )
+        })
     }
 
     /// Solves `A x = b` on the accelerator.
@@ -677,20 +773,23 @@ impl PreparedSolver {
     /// [`AzulError::Sim`] when the simulated machine fails.
     #[must_use = "a dropped result discards both the solve report and the structured failure"]
     pub fn try_solve(&self, b: &[f64]) -> Result<SolveReport, AzulError> {
-        if b.len() != self.n {
+        if b.len() != self.a.rows() {
             return Err(AzulError::Input(format!(
                 "rhs length {} does not match the prepared dimension {}",
                 b.len(),
-                self.n
+                self.a.rows()
             )));
         }
         check_finite_rhs(b)?;
-        let pb = match &self.perm {
+        let perm = &self.structure.perm;
+        let pb = match perm {
             Some(p) => p.apply(b),
             None => b.to_vec(),
         };
-        let report = self.sim.try_run(&pb, &self.pcg_cfg)?;
-        let x = match &self.perm {
+        let sim = self.sim();
+        let report = sim.try_run(&pb, &self.pcg_cfg)?;
+        self.structure.keep_record(sim);
+        let x = match perm {
             Some(p) => p.apply_inverse(&report.x),
             None => report.x.clone(),
         };
@@ -960,6 +1059,50 @@ mod tests {
     }
 
     #[test]
+    fn update_values_rejects_non_finite_values() {
+        let a = generate::grid_laplacian_2d(6, 6);
+        let mut prepared = Azul::new(AzulConfig::small_test()).prepare(&a).unwrap();
+        let mut nan = a.clone();
+        nan.values_mut()[3] = f64::NAN;
+        match prepared.update_values(&nan) {
+            Err(AzulError::Input(msg)) => assert!(msg.contains("not finite"), "{msg}"),
+            other => panic!("expected AzulError::Input, got {other:?}"),
+        }
+        assert!(prepared.solve(&rhs(a.rows())).converged, "left as it was");
+    }
+
+    #[test]
+    fn update_values_rejects_asymmetric_values() {
+        let a = generate::grid_laplacian_2d(6, 6);
+        let mut prepared = Azul::new(AzulConfig::small_test()).prepare(&a).unwrap();
+        let mut asym = a.clone();
+        let off = a.col_idx().iter().position(|&c| c != 0).unwrap();
+        asym.values_mut()[off] *= 2.0;
+        match prepared.update_values(&asym) {
+            Err(AzulError::Input(msg)) => assert!(msg.contains("symmetric"), "{msg}"),
+            other => panic!("expected AzulError::Input, got {other:?}"),
+        }
+        assert!(prepared.solve(&rhs(a.rows())).converged, "left as it was");
+    }
+
+    #[test]
+    fn with_values_shares_what_a_cold_prepare_computes() {
+        let a = generate::fem_mesh_3d(80, 4, 13);
+        let mut a2 = a.clone();
+        for v in a2.values_mut() {
+            *v *= 3.0;
+        }
+        let azul = Azul::new(AzulConfig::small_test());
+        let prepared = azul.prepare(&a).unwrap();
+        let updated = prepared.with_values(&a2).unwrap();
+        let cold = azul.prepare(&a2).unwrap();
+        assert!(Arc::ptr_eq(&updated.structure, &prepared.structure));
+        assert_eq!(updated.permutation(), cold.permutation());
+        assert_eq!(updated.placement(), cold.placement());
+        assert!(updated.verify_integrity());
+    }
+
+    #[test]
     fn capacity_enforcement_rejects_oversized_matrices() {
         // A single tile (72 KB data SRAM) cannot hold a ~100k-nonzero
         // matrix (~1.2 MB + vectors).
@@ -1167,7 +1310,7 @@ mod tests {
         let mut cfg2 = cfg;
         cfg2.enforce_capacity = false;
         let pre = Azul::new(cfg2).preprocess(&a).unwrap();
-        let usage = pre.placement.sram_usage(&pre.pa, 8);
+        let usage = pre.structure.placement.sram_usage(&pre.pa, 8);
         let (data, accum) = usage[tile];
         let expected_data = data + data / 2; // L factor adds ~50%
         let rel = |reported: usize, actual: usize| {

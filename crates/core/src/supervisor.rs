@@ -30,21 +30,21 @@
 
 use crate::{
     factor_for, AttemptFailure, Azul, AzulConfig, AzulError, MappingStrategy, PreconditionerChoice,
-    Preprocessed,
+    PreparedSolver, Preprocessed,
 };
 use azul_mapping::strategies::AzulMapper;
 use azul_mapping::TileGrid;
 use azul_sim::bicgstab::{BiCgStabSim, BiCgStabSimConfig};
 use azul_sim::config::{SimConfig, StagnationPolicy};
 use azul_sim::gmres::{GmresSim, GmresSimConfig};
-use azul_sim::pcg::{PcgRecord, PcgSim, PcgSimConfig};
+use azul_sim::pcg::{PcgSim, PcgSimConfig};
 use azul_sim::stats::KernelStats;
 use azul_sim::{IntegrityAudit, SimError};
-use azul_solver::{BreakdownKind, OperatorChecksum, SolveStatus, SolverError};
+use azul_solver::{BreakdownKind, SolveStatus, SolverError};
 use azul_sparse::Csr;
 use azul_telemetry::report::{EscalationSample, IterationSample, TelemetryReport};
 use azul_telemetry::span;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which degradation ladder an [`EscalationRecord`] moved.
@@ -370,69 +370,6 @@ struct RunOutcome {
     stats: KernelStats,
 }
 
-/// The reusable rung-0 prepare products of a supervised solve: the
-/// colored/permuted matrix, its placement and the rung-0 preconditioner
-/// factor, stamped with the configuration they were built for, and the
-/// rung-0 PCG replay record once a solve has made it. Produced by
-/// [`SolveSupervisor::prepare_first_rung`], consumed by
-/// [`SolveSupervisor::solve_prepared`] — the unit a service-level
-/// prepare cache stores and shares across requests hitting the same
-/// operator. Opaque: validity is tied to the matrix it was built from,
-/// which only the caller can key on.
-///
-/// The record ([`PcgRecord`]) holds no value: it names entries of the
-/// permuted matrix and the factor by position. The first fault-free
-/// seeded PCG solve fills it; later seeded solves under its config bind
-/// it to the matrix and the factor and replay every kernel launch, with
-/// no program compiled and no kernel ticked. So the permuted matrix and
-/// the factor are the only values a replay reads, and the ABFT checksums
-/// [`PreparedRung::verify_integrity`] checks cover exactly them. The
-/// record's structure has no checksum; a solve with an
-/// [`IntegrityPolicy`](azul_sim::IntegrityPolicy) checks each kernel's
-/// output.
-#[derive(Debug, Clone)]
-pub struct PreparedRung {
-    pre: Arc<Preprocessed>,
-    factor: Arc<Csr>,
-    grid: TileGrid,
-    mapping: String,
-    preconditioner: &'static str,
-    matrix_checksum: OperatorChecksum,
-    factor_checksum: OperatorChecksum,
-    record: OnceLock<PcgRecord>,
-}
-
-impl PreparedRung {
-    /// Whether this rung still matches the supervisor's rung-0
-    /// configuration (grid, first mapping, first preconditioner). A
-    /// stale seed is ignored by `solve_prepared`, never trusted.
-    fn compatible(&self, sup: &SolveSupervisor) -> bool {
-        self.grid == sup.base.sim.grid
-            && sup.policy.mappings.first().map(MappingStrategy::name) == Some(self.mapping.as_str())
-            && sup.policy.preconditioners.first().map(|p| p.name()) == Some(self.preconditioner)
-    }
-
-    /// Re-verifies the ABFT checksums stored beside the artifacts at
-    /// prepare time against the permuted matrix and preconditioner
-    /// factor as they sit in memory *now*. Bit-exact: any silent
-    /// mutation of a cached rung — a radiation flip in a long-lived
-    /// cache entry, a buggy in-place pass — flips the verdict to
-    /// `false`. The serve layer's cache scrubber calls this on every
-    /// hit before trusting the entry.
-    pub fn verify_integrity(&self) -> bool {
-        self.matrix_checksum.matches(&self.pre.pa) && self.factor_checksum.matches(&self.factor)
-    }
-
-    /// Corruption hook for scrub testing: flips one bit of the stored
-    /// matrix checksum so the artifact and its checksum disagree and
-    /// the next [`PreparedRung::verify_integrity`] fails. This poisons
-    /// only the copy it is called on — exactly what a cached-entry
-    /// corruption looks like from the scrubber's seat.
-    pub fn flip_checksum_bit(&mut self, index: usize, bit: u32) {
-        self.matrix_checksum.flip_bit(index, bit);
-    }
-}
-
 /// The bounded, deterministic retry/degradation engine around
 /// prepare + solve. See the [module docs](self) for the ladder
 /// semantics, and [`EscalationPolicy`] for the knobs.
@@ -513,25 +450,28 @@ impl SolveSupervisor {
         self.solve_prepared(a, b, None)
     }
 
-    /// Computes the rung-0 prepare products (coloring/permutation,
-    /// mapping, capacity check, preconditioner factor) without running a
-    /// solve, as a reusable [`PreparedRung`].
-    ///
-    /// This is the unit a service-level prepare cache stores: for
-    /// repeated-operator traffic (same matrix, many right-hand sides)
-    /// the expensive partitioning and factorization run once and every
-    /// subsequent [`SolveSupervisor::solve_prepared`] call starts from
-    /// the seed. A rung-0 failure here (capacity overflow, factor
-    /// breakdown) is *not* terminal for the solve itself — callers fall
-    /// back to the plain [`SolveSupervisor::solve`], which walks the
-    /// degradation ladders.
+    /// A rung-0 [`Azul::prepare`] (first mapping and preconditioner, base
+    /// grid) that compiles nothing: the seeded solve compiles or binds
+    /// its own sim. The unit a service-level prepare cache stores. A
+    /// rung-0 failure here is *not* terminal for the solve itself —
+    /// callers fall back to the plain [`SolveSupervisor::solve`], which
+    /// walks the degradation ladders.
     ///
     /// # Errors
     ///
     /// Returns exactly what rung 0 of a supervised solve would hit:
     /// [`AzulError::Input`], [`AzulError::Capacity`],
     /// [`AzulError::Numeric`] or [`AzulError::Cancelled`].
-    pub fn prepare_first_rung(&self, a: &Csr) -> Result<PreparedRung, AzulError> {
+    pub fn prepare_first_rung(&self, a: &Csr) -> Result<PreparedSolver, AzulError> {
+        self.check_ladders()?;
+        let mut cfg = self.base.clone();
+        cfg.mapping = self.policy.mappings[0].clone();
+        cfg.preconditioner = self.policy.preconditioners[0];
+        Azul::new(cfg).prepare_compiling(a, false)
+    }
+
+    /// Rejects a policy with an empty ladder.
+    fn check_ladders(&self) -> Result<(), AzulError> {
         let policy = &self.policy;
         if policy.mappings.is_empty()
             || policy.preconditioners.is_empty()
@@ -541,33 +481,27 @@ impl SolveSupervisor {
                 "escalation policy needs at least one rung on every ladder".into(),
             ));
         }
-        let mut cfg = self.base.clone();
-        cfg.mapping = policy.mappings[0].clone();
-        cfg.preconditioner = policy.preconditioners[0];
-        let pre = Azul::new(cfg.clone()).preprocess(a)?;
-        let factor = factor_for(&pre.pa, cfg.preconditioner)?;
-        let matrix_checksum = OperatorChecksum::new(&pre.pa);
-        let factor_checksum = OperatorChecksum::new(&factor);
-        Ok(PreparedRung {
-            pre: Arc::new(pre),
-            factor: Arc::new(factor),
-            grid: self.base.sim.grid,
-            mapping: cfg.mapping.name().to_string(),
-            preconditioner: cfg.preconditioner.name(),
-            matrix_checksum,
-            factor_checksum,
-            record: OnceLock::new(),
-        })
+        Ok(())
+    }
+
+    /// Whether `seed` was prepared for this supervisor's rung 0 (grid,
+    /// first mapping, first preconditioner) on an operator with `a`'s
+    /// rows and nonzeros.
+    fn seeds(&self, seed: &PreparedSolver, a: &Csr) -> bool {
+        let st = &seed.structure;
+        st.grid == self.base.sim.grid
+            && self.policy.mappings.first().map(MappingStrategy::name) == Some(st.mapping)
+            && self.policy.preconditioners.first() == Some(&st.preconditioner)
+            && seed.a.rows() == a.rows()
+            && seed.a.nnz() == a.nnz()
     }
 
     /// Like [`SolveSupervisor::solve`], but seeds the attempt loop's
-    /// preprocess/factor caches from a [`PreparedRung`] previously
-    /// computed by [`SolveSupervisor::prepare_first_rung`] **on the same
-    /// matrix** — handing it a rung from a different operator silently
-    /// solves the wrong system, so cache keys must cover the matrix
-    /// content (the serve layer hashes it). A seed whose grid, mapping
-    /// or preconditioner no longer matches this supervisor's rung 0 is
-    /// ignored rather than trusted.
+    /// preprocess/factor caches from a [`PreparedSolver`] prepared **on
+    /// the same matrix** — one of another operator silently solves the
+    /// wrong system, so cache keys must cover the matrix content. A
+    /// stale seed (another grid, mapping, preconditioner, row count or
+    /// nonzero count than rung 0 on `a`) is ignored, never trusted.
     ///
     /// # Errors
     ///
@@ -577,17 +511,10 @@ impl SolveSupervisor {
         &self,
         a: &Csr,
         b: &[f64],
-        seed: Option<&PreparedRung>,
+        seed: Option<&PreparedSolver>,
     ) -> Result<SupervisedSolveReport, AzulError> {
+        self.check_ladders()?;
         let policy = &self.policy;
-        if policy.mappings.is_empty()
-            || policy.preconditioners.is_empty()
-            || policy.solvers.is_empty()
-        {
-            return Err(AzulError::Input(
-                "escalation policy needs at least one rung on every ladder".into(),
-            ));
-        }
         if policy.max_attempts == 0 {
             return Err(AzulError::Input("max_attempts must be at least 1".into()));
         }
@@ -616,17 +543,16 @@ impl SolveSupervisor {
         // The permuted matrix is identical for every rung, so the
         // preprocessing cache survives everything but mapping/grid moves
         // (which only happen while it is still empty), and factors
-        // survive even those. A valid seed pre-fills both caches so
-        // repeated-operator traffic skips straight to the solve.
-        // A seed is shared, not copied. Every attempt it seeds runs on
-        // its matrix, placement and factor (they never move), so its
-        // record serves every PCG attempt.
-        let seed = seed.filter(|s| s.compatible(self));
-        let (mut pre, mut factor) = match seed {
-            Some(s) => (Some(Arc::clone(&s.pre)), Some(Arc::clone(&s.factor))),
-            _ => (Option::None, Option::None),
-        };
-        let record = seed.map(|s| &s.record);
+        // survive even those. A valid seed, shared and not copied,
+        // pre-fills both, so its structure's record serves every PCG
+        // attempt: they all run on its matrix, placement and factor.
+        let seed = seed.filter(|s| self.seeds(s, a));
+        let mut pre = seed.map(|s| Preprocessed {
+            pa: Arc::clone(&s.a),
+            structure: Arc::clone(&s.structure),
+            report: s.prepare,
+        });
+        let mut factor = seed.map(|s| Arc::clone(&s.factor));
 
         for attempt in 1..=policy.max_attempts {
             // Cooperative cancellation is terminal, never an escalation:
@@ -663,16 +589,14 @@ impl SolveSupervisor {
             // mapping/grid rung).
             if pre.is_none() {
                 match Azul::new(cfg.clone()).preprocess(a) {
-                    Ok(done) => pre = Some(Arc::new(done)),
-                    Err(err @ AzulError::Capacity { .. }) => {
-                        let (data_bytes, accum_bytes) = match &err {
-                            AzulError::Capacity {
-                                data_bytes,
-                                accum_bytes,
-                                ..
-                            } => (*data_bytes, *accum_bytes),
-                            _ => (0, 0),
-                        };
+                    Ok(done) => pre = Some(done),
+                    Err(
+                        err @ AzulError::Capacity {
+                            data_bytes,
+                            accum_bytes,
+                            ..
+                        },
+                    ) => {
                         failures.push(AttemptFailure {
                             attempt,
                             config: desc,
@@ -711,10 +635,7 @@ impl SolveSupervisor {
                     Err(other) => return Err(other),
                 }
             }
-            let pre_ref = match &pre {
-                Some(p) => p,
-                Option::None => continue,
-            };
+            let Some(pre_ref) = &pre else { continue };
 
             // Stage B: preconditioner factor (cached per rung; the
             // permuted matrix never changes, so a factor outlives
@@ -744,17 +665,15 @@ impl SolveSupervisor {
                     }
                 }
             }
-            let factor_ref = match &factor {
-                Some(f) => f,
-                Option::None => continue,
-            };
+            let Some(factor_ref) = &factor else { continue };
 
             // Stage C: compile + run this solver rung.
-            let pb = match &pre_ref.perm {
+            let perm = &pre_ref.structure.perm;
+            let pb = match perm {
                 Some(p) => p.apply(b),
                 Option::None => b.to_vec(),
             };
-            match self.run_solver(solver, pre_ref, factor_ref, record, &cfg.sim, &pb) {
+            match self.run_solver(solver, pre_ref, factor_ref, &cfg.sim, &pb) {
                 Err(sim_err) => {
                     // A cancelled kernel ends the whole supervised solve,
                     // typed — it must not be journaled as a sim failure
@@ -786,7 +705,7 @@ impl SolveSupervisor {
                     }
                 }
                 Ok(outcome) if outcome.converged => {
-                    let x = match &pre_ref.perm {
+                    let x = match perm {
                         Some(p) => p.apply_inverse(&outcome.x),
                         Option::None => outcome.x.clone(),
                     };
@@ -916,26 +835,26 @@ impl SolveSupervisor {
 
     /// Compiles and runs one attempt's solver rung against the cached
     /// placement and factor, normalizing the three report shapes. A PCG
-    /// rung on a seed's placement and factor builds its sim from the
-    /// seed's `record` when it holds one, and fills it when it does not.
+    /// rung builds its sim from the structure's record when it holds
+    /// one, and fills it when it does not.
     fn run_solver(
         &self,
         solver: SolverChoice,
         pre: &Preprocessed,
         factor: &Arc<Csr>,
-        record: Option<&OnceLock<PcgRecord>>,
         sim_cfg: &SimConfig,
         pb: &[f64],
     ) -> Result<RunOutcome, SimError> {
         let base = &self.base.pcg;
+        let (pa, st) = (&pre.pa, &pre.structure);
         match solver {
             SolverChoice::Pcg => {
                 let sim = PcgSim::build_shared(
-                    Arc::clone(&pre.pa),
+                    Arc::clone(pa),
                     Arc::clone(factor),
-                    Arc::clone(&pre.placement),
+                    Arc::clone(&st.placement),
                     sim_cfg,
-                    record.and_then(OnceLock::get),
+                    st.record.get(),
                 );
                 let run_cfg = PcgSimConfig {
                     stagnation: self.policy.stagnation,
@@ -943,11 +862,7 @@ impl SolveSupervisor {
                     ..*base
                 };
                 let r = sim.try_run(pb, &run_cfg)?;
-                if let Some(cell) = record.filter(|c| c.get().is_none()) {
-                    if let Some(made) = sim.record() {
-                        let _ = cell.set(made);
-                    }
-                }
+                st.keep_record(&sim);
                 Ok(RunOutcome {
                     x: r.x,
                     converged: r.converged,
@@ -963,7 +878,7 @@ impl SolveSupervisor {
                 })
             }
             SolverChoice::BiCgStab => {
-                let sim = BiCgStabSim::build_with_factor(&pre.pa, factor, &pre.placement, sim_cfg);
+                let sim = BiCgStabSim::build_with_factor(pa, factor, &st.placement, sim_cfg);
                 let run_cfg = BiCgStabSimConfig {
                     tol: base.tol,
                     max_iters: base.max_iters,
@@ -990,7 +905,7 @@ impl SolveSupervisor {
                 })
             }
             SolverChoice::Gmres { restart } => {
-                let sim = GmresSim::build_with_factor(&pre.pa, factor, &pre.placement, sim_cfg);
+                let sim = GmresSim::build_with_factor(pa, factor, &st.placement, sim_cfg);
                 let run_cfg = GmresSimConfig {
                     tol: base.tol,
                     restart,
@@ -1350,7 +1265,7 @@ mod tests {
         sup: &SolveSupervisor,
         a: &Csr,
         b: &[f64],
-        seed: Option<&PreparedRung>,
+        seed: Option<&PreparedSolver>,
     ) -> ((Vec<u64>, u64, KernelStats), u64) {
         azul_sim::profile::reset();
         let r = sup.solve_prepared(a, b, seed).unwrap();
@@ -1365,10 +1280,16 @@ mod tests {
         let b = rhs(a.rows());
         let sup = SolveSupervisor::with_policy(AzulConfig::small_test(), cheap_mapping_policy());
         let rung = sup.prepare_first_rung(&a).unwrap();
-        assert!(rung.record.get().is_none(), "a prepare runs no solve");
+        assert!(
+            rung.structure.record.get().is_none(),
+            "a prepare runs no solve"
+        );
         let (cold, launches) = counted(&sup, &a, &b, Some(&rung));
         assert!(launches > 0, "the first seeded solve ticks");
-        assert!(rung.record.get().is_some(), "and fills the record");
+        assert!(
+            rung.structure.record.get().is_some(),
+            "and fills the record"
+        );
         let (warm, launches) = counted(&sup, &a, &b, Some(&rung));
         assert_eq!(
             launches, 0,
@@ -1377,7 +1298,7 @@ mod tests {
         assert_eq!(warm, cold);
         assert_eq!(counted(&sup, &a, &b, None).0, cold, "unseeded solves agree");
 
-        // `compatible` looks at the grid, mapping and preconditioner only:
+        // `seeds` looks at the grid, mapping, preconditioner and size only:
         // a rung seeds a supervisor with another hop latency, whose
         // launches then run the engine.
         let mut base = AzulConfig::small_test();
@@ -1388,6 +1309,18 @@ mod tests {
         let (unseeded, _) = counted(&slower, &a, &b, None);
         assert_eq!(seeded, unseeded);
         assert_ne!(seeded.1, cold.1, "the hop latency shows in the cycles");
+    }
+
+    #[test]
+    fn a_seed_of_another_size_is_stale_and_ignored() {
+        let sup = SolveSupervisor::with_policy(AzulConfig::small_test(), cheap_mapping_policy());
+        let small = sup
+            .prepare_first_rung(&generate::grid_laplacian_2d(6, 6))
+            .unwrap();
+        let a = generate::grid_laplacian_2d(8, 8);
+        let b = rhs(a.rows());
+        let (seeded, _) = counted(&sup, &a, &b, Some(&small));
+        assert_eq!(seeded, counted(&sup, &a, &b, None).0);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Keyed prepare cache with single-flight deduplication.
 //!
-//! Preparing the supervisor's first rung (preprocessing + preconditioner
-//! factorization) is the expensive, operator-dependent part of a solve.
+//! Preparing the supervisor's first rung (coloring, mapping, factor) is the expensive, operator-dependent part of a solve.
 //! When several queued requests target the same operator under the same
 //! base configuration, only one of them — the *leader* — should pay for
 //! it; the others — *followers* — share the result.
@@ -17,67 +16,105 @@
 //! can never strand it.
 //!
 //! **What an entry holds.** A published flight holds one
-//! [`PreparedRung`]: the permuted matrix, its placement, the rung-0
-//! factor, their ABFT checksums, and, once a solve has run on it, the
-//! rung-0 PCG replay record. The record holds no value and no program:
-//! one `u32` per kernel update naming a matrix or factor entry by
-//! position, and 8 bytes per accumulator slot (about 0.1 MB for a Tiny
-//! operator on 8×8). The leader's fault-free solve fills it; a later
-//! fault-free hit binds it to the rung's matrix and factor and replays
-//! every kernel launch, compiling no program and ticking no kernel. A
-//! hit with a fault plan compiles and ticks, so its faults fire as on a
-//! cold solve. Whether a follower finds the record filled depends on
-//! worker timing, but not its result: a replay returns the engine's bits
-//! and statistics, so journals do not depend on it.
+//! [`PreparedSolver`] in two layers. The structure layer (permutation,
+//! placement and, once a solve has run on it, the rung-0 PCG replay
+//! record) depends on the sparsity pattern alone; the values layer (the
+//! permuted matrix, the rung-0 factor and their ABFT checksums) on the
+//! values. The record holds no value and no program: one `u32` per
+//! kernel update naming a matrix or factor entry, and 8 bytes per
+//! accumulator slot (about 0.1 MB for a Tiny operator on 8×8). The
+//! leader's fault-free solve fills it; a later fault-free solve on the
+//! structure binds it and replays every kernel launch, compiling no
+//! program and ticking no kernel. A request with a fault plan compiles
+//! and ticks, so its faults fire as on a cold solve. Whether the record
+//! is filled yet depends on worker timing, but no result does: a replay
+//! returns the engine's bits and statistics.
+//!
+//! **Same-pattern misses.** Entries carry both [`prepare_keys`]; a hit
+//! matches the operator key. A leader gets, at admission, the latest
+//! entry of another operator with its structure key as its *donor*. If
+//! the donor has published when the leader runs, the leader builds on
+//! its structure layer with [`PreparedSolver::with_values`] and colors,
+//! maps and compiles nothing; otherwise it prepares cold, without
+//! waiting. Coloring and mapping read only the pattern, so both paths
+//! give the same bits and the same journal.
 //!
 //! **What the scrubber covers.** [`FlightCache::admit_scrubbed`]
-//! re-verifies the matrix and the factor bit for bit against their
-//! checksums. Those are the only values a replay reads, so a corrupted
-//! value is never replayed. The record's positions carry no checksum; a
-//! request with an integrity policy checks each kernel's output.
+//! re-verifies the values layer bit for bit against its checksums. The
+//! matrix and the factor are the only values a replay reads, so a
+//! corrupted value is never replayed. The structure layer carries no
+//! checksum; a request with an integrity policy checks each kernel's
+//! output.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use azul_core::PreparedRung;
+use azul_core::PreparedSolver;
 use azul_mapping::TileGrid;
 use azul_sim::CancelToken;
 use azul_sparse::Csr;
 
-/// Cache key for a prepare: operator contents plus every knob that
-/// changes the first rung's preprocessing or factorization.
-///
-/// FNV-1a over the CSR structure and values (bit patterns, so `-0.0`
-/// and `0.0` key differently — exact-bytes identity, no tolerance),
-/// the tile grid, and the first-rung mapping and preconditioner names.
-pub fn operator_key(a: &Csr, grid: &TileGrid, mapping: &str, preconditioner: &str) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |bytes: &[u8]| {
+/// A lock's guard, or a condvar wait's, recovered from a poisoned
+/// lock: a worker that panicked mid-request must not take the whole
+/// service down with it, and every mutation made under these locks is
+/// transactional (no half-written outcomes).
+pub(crate) fn unpoison<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Locks a mutex, recovering the data from a poisoned lock.
+pub(crate) fn hold<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    unpoison(m.lock())
+}
+
+/// FNV-1a state.
+#[derive(Clone, Copy)]
+struct Fnv(u64);
+
+impl Fnv {
+    fn eat(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
-    };
-    eat(&(a.rows() as u64).to_le_bytes());
-    eat(&(a.cols() as u64).to_le_bytes());
-    eat(&(a.nnz() as u64).to_le_bytes());
+    }
+}
+
+/// The two cache keys of a prepare, `(operator, structure)`: FNV-1a over
+/// the CSR dimensions and structure, then the tile grid and the
+/// first-rung mapping and preconditioner names. The operator key also
+/// hashes the value bits between the two (`-0.0` and `0.0` key
+/// differently: exact-bytes identity, no tolerance); the structure key
+/// leaves them out, so every operator on one pattern shares it.
+pub fn prepare_keys(a: &Csr, grid: &TileGrid, mapping: &str, preconditioner: &str) -> (u64, u64) {
+    let mut pattern = Fnv(0xcbf2_9ce4_8422_2325);
+    pattern.eat(&(a.rows() as u64).to_le_bytes());
+    pattern.eat(&(a.cols() as u64).to_le_bytes());
+    pattern.eat(&(a.nnz() as u64).to_le_bytes());
     for &p in a.row_ptr() {
-        eat(&(p as u64).to_le_bytes());
+        pattern.eat(&(p as u64).to_le_bytes());
     }
     for &c in a.col_idx() {
-        eat(&(c as u64).to_le_bytes());
+        pattern.eat(&(c as u64).to_le_bytes());
     }
+    let mut operator = pattern;
     for &v in a.values() {
-        eat(&v.to_bits().to_le_bytes());
+        operator.eat(&v.to_bits().to_le_bytes());
     }
-    eat(&(grid.width() as u64).to_le_bytes());
-    eat(&(grid.height() as u64).to_le_bytes());
-    eat(mapping.as_bytes());
-    eat(&[0xff]); // separator: ("ab","c") must not collide with ("a","bc")
-    eat(preconditioner.as_bytes());
-    h
+    let knobs = |mut h: Fnv| {
+        h.eat(&(grid.width() as u64).to_le_bytes());
+        h.eat(&(grid.height() as u64).to_le_bytes());
+        h.eat(mapping.as_bytes());
+        h.eat(&[0xff]); // separator: ("ab","c") must not collide with ("a","bc")
+        h.eat(preconditioner.as_bytes());
+        h.0
+    };
+    (knobs(operator), knobs(pattern))
+}
+
+/// The operator key of [`prepare_keys`], which full cache hits match.
+pub fn operator_key(a: &Csr, grid: &TileGrid, mapping: &str, preconditioner: &str) -> u64 {
+    prepare_keys(a, grid, mapping, preconditioner).0
 }
 
 /// State of a single-flight prepare.
@@ -86,7 +123,7 @@ enum FlightState {
     /// The leader has not published yet.
     Pending,
     /// The prepare succeeded; followers seed their solve with this rung.
-    Ready(Arc<PreparedRung>),
+    Ready(Arc<PreparedSolver>),
     /// The prepare failed or its leader was cancelled; followers fall
     /// back to preparing inside their own solve (no shared result).
     Failed,
@@ -96,7 +133,7 @@ enum FlightState {
 #[derive(Debug)]
 pub enum FlightWait {
     /// The leader published a usable rung.
-    Ready(Arc<PreparedRung>),
+    Ready(Arc<PreparedSolver>),
     /// The leader failed or was cancelled; prepare individually.
     Failed,
     /// The *waiter's own* token tripped while blocked.
@@ -122,11 +159,8 @@ impl Flight {
     /// effect; later calls are ignored, so a drop-guard can safely
     /// publish `Failed` on every exit path without clobbering a
     /// success.
-    pub fn publish(&self, rung: Option<Arc<PreparedRung>>) {
-        let mut st = match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+    pub fn publish(&self, rung: Option<Arc<PreparedSolver>>) {
+        let mut st = hold(&self.state);
         if matches!(*st, FlightState::Pending) {
             *st = match rung {
                 Some(r) => FlightState::Ready(r),
@@ -144,10 +178,7 @@ impl Flight {
     /// latency on this path is in-budget and keeps the token type a
     /// plain atomic flag.
     pub fn wait(&self, token: &CancelToken) -> FlightWait {
-        let mut st = match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut st = hold(&self.state);
         loop {
             match &*st {
                 FlightState::Ready(r) => return FlightWait::Ready(Arc::clone(r)),
@@ -156,38 +187,18 @@ impl Flight {
                     if token.is_cancelled() {
                         return FlightWait::Cancelled;
                     }
-                    let (guard, _timeout) =
-                        match self.cv.wait_timeout(st, Duration::from_millis(25)) {
-                            Ok(pair) => pair,
-                            Err(poisoned) => {
-                                let (guard, timeout) = poisoned.into_inner();
-                                (guard, timeout)
-                            }
-                        };
-                    st = guard;
+                    st = unpoison(self.cv.wait_timeout(st, Duration::from_millis(25))).0;
                 }
             }
         }
     }
 
-    /// Non-blocking peek used by tests and the batch summary.
-    pub fn is_ready(&self) -> bool {
-        let st = match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        matches!(*st, FlightState::Ready(_))
-    }
-
     /// Non-blocking peek at the published rung, if any. Used by the
-    /// cache scrubber: only a `Ready` entry has an artifact to verify
-    /// (a `Pending` leader is still computing, a `Failed` flight shares
-    /// nothing).
-    fn ready_rung(&self) -> Option<Arc<PreparedRung>> {
-        let st = match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+    /// cache scrubber (only a `Ready` entry has an artifact to verify: a
+    /// `Pending` leader is still computing, a `Failed` flight shares
+    /// nothing) and by a leader whose donor may lend it a structure.
+    pub fn ready_rung(&self) -> Option<Arc<PreparedSolver>> {
+        let st = hold(&self.state);
         match &*st {
             FlightState::Ready(r) => Some(Arc::clone(r)),
             _ => None,
@@ -195,8 +206,8 @@ impl Flight {
     }
 }
 
-/// Bounded LRU of in-flight and completed prepares, keyed by
-/// [`operator_key`].
+/// Bounded LRU of in-flight and completed prepares, keyed by both
+/// [`prepare_keys`].
 ///
 /// Touched **only at admission**, under the service state lock — the
 /// recency order and every leader/follower decision are functions of
@@ -208,7 +219,8 @@ pub struct FlightCache {
     /// Front = least recently admitted-against; back = most recent.
     /// A `Vec` scan beats a map here: capacities are single-digit and
     /// the deterministic eviction order falls out of position.
-    entries: Vec<(u64, Arc<Flight>)>,
+    /// Each entry: operator key, structure key, flight.
+    entries: Vec<(u64, u64, Arc<Flight>)>,
     hits: u64,
     misses: u64,
     scrub_checks: u64,
@@ -229,22 +241,23 @@ impl FlightCache {
         }
     }
 
-    /// Admits a request against `key`, returning its flight handle and
-    /// whether it leads (`true`) or follows (`false`).
-    pub fn admit(&mut self, key: u64) -> (Arc<Flight>, bool) {
+    /// Admits a request against its operator `key` and `structure` key,
+    /// returning its flight handle and whether it leads (`true`) or
+    /// follows (`false`).
+    pub fn admit(&mut self, key: u64, structure: u64) -> (Arc<Flight>, bool) {
         if self.cap == 0 {
             self.misses += 1;
             return (Arc::new(Flight::new()), true);
         }
-        if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
+        if let Some(pos) = self.entries.iter().position(|e| e.0 == key) {
             let entry = self.entries.remove(pos);
-            let flight = Arc::clone(&entry.1);
+            let flight = Arc::clone(&entry.2);
             self.entries.push(entry);
             self.hits += 1;
             return (flight, false);
         }
         let flight = Arc::new(Flight::new());
-        self.entries.push((key, Arc::clone(&flight)));
+        self.entries.push((key, structure, Arc::clone(&flight)));
         if self.entries.len() > self.cap {
             // Followers hold their own Arc, so dropping the cache's
             // reference only stops *future* admissions from sharing it.
@@ -255,16 +268,16 @@ impl FlightCache {
     }
 
     /// Like [`FlightCache::admit`], but re-verifies a cached entry's
-    /// ABFT checksums ([`PreparedRung::verify_integrity`]) before
+    /// ABFT checksums ([`PreparedSolver::verify_integrity`]) before
     /// sharing it. A published rung that fails the scrub is evicted on
     /// the spot and this admission becomes the leader of a fresh
     /// flight — the poisoned artifact is re-prepared, never served.
     /// Entries still `Pending` (leader computing) or `Failed` carry no
     /// artifact and are admitted against unscrubbed.
-    pub fn admit_scrubbed(&mut self, key: u64) -> (Arc<Flight>, bool) {
+    pub fn admit_scrubbed(&mut self, key: u64, structure: u64) -> (Arc<Flight>, bool) {
         if self.cap > 0 {
-            if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
-                if let Some(rung) = self.entries[pos].1.ready_rung() {
+            if let Some(pos) = self.entries.iter().position(|e| e.0 == key) {
+                if let Some(rung) = self.entries[pos].2.ready_rung() {
                     self.scrub_checks += 1;
                     if !rung.verify_integrity() {
                         self.scrub_evictions += 1;
@@ -273,7 +286,16 @@ impl FlightCache {
                 }
             }
         }
-        self.admit(key)
+        self.admit(key, structure)
+    }
+
+    /// The donor for a leader of `key`: the latest flight of another
+    /// operator on the same `structure`. Its values are never read, so
+    /// it is not scrubbed.
+    pub fn donor(&self, key: u64, structure: u64) -> Option<Arc<Flight>> {
+        let mut same = self.entries.iter().rev();
+        let found = same.find(|e| e.1 == structure && e.0 != key)?;
+        Some(Arc::clone(&found.2))
     }
 
     /// Admissions that shared an existing flight.
@@ -376,8 +398,8 @@ mod tests {
     #[test]
     fn first_admission_leads_and_repeats_follow() {
         let mut cache = FlightCache::new(2);
-        let (f1, lead1) = cache.admit(42);
-        let (f2, lead2) = cache.admit(42);
+        let (f1, lead1) = cache.admit(42, 0);
+        let (f2, lead2) = cache.admit(42, 0);
         assert!(lead1, "first admission for a key is the leader");
         assert!(!lead2, "second admission shares the flight");
         assert!(Arc::ptr_eq(&f1, &f2), "both hold the same flight");
@@ -388,17 +410,17 @@ mod tests {
     #[test]
     fn eviction_is_lru_and_does_not_strand_followers() {
         let mut cache = FlightCache::new(2);
-        let (f_old, _) = cache.admit(1);
-        cache.admit(2);
-        cache.admit(1); // touch: 1 is now most recent, 2 is LRU
-        cache.admit(3); // evicts 2
-        let (_, lead_again_1) = cache.admit(1);
+        let (f_old, _) = cache.admit(1, 0);
+        cache.admit(2, 0);
+        cache.admit(1, 0); // touch: 1 is now most recent, 2 is LRU
+        cache.admit(3, 0); // evicts 2
+        let (_, lead_again_1) = cache.admit(1, 0);
         assert!(!lead_again_1, "touched key survived the eviction");
-        let (_, lead_again_2) = cache.admit(2);
+        let (_, lead_again_2) = cache.admit(2, 0);
         assert!(lead_again_2, "evicted key re-admits as a fresh leader");
         // The evicted flight handle still works for whoever held it.
         f_old.publish(None);
-        assert!(!f_old.is_ready());
+        assert!(f_old.ready_rung().is_none());
     }
 
     #[test]
@@ -412,10 +434,10 @@ mod tests {
 
         // A healthy published rung survives the scrub and is shared.
         let mut cache = FlightCache::new(2);
-        let (flight, lead) = cache.admit_scrubbed(42);
+        let (flight, lead) = cache.admit_scrubbed(42, 0);
         assert!(lead);
         flight.publish(Some(Arc::new(rung.clone())));
-        let (_, lead) = cache.admit_scrubbed(42);
+        let (_, lead) = cache.admit_scrubbed(42, 0);
         assert!(!lead, "clean cached rung is shared");
         assert_eq!(cache.scrub_checks(), 1);
         assert_eq!(cache.scrub_evictions(), 0);
@@ -424,9 +446,9 @@ mod tests {
         let mut poisoned = rung;
         poisoned.flip_checksum_bit(0, 61);
         let mut cache = FlightCache::new(2);
-        let (flight, _) = cache.admit_scrubbed(42);
+        let (flight, _) = cache.admit_scrubbed(42, 0);
         flight.publish(Some(Arc::new(poisoned)));
-        let (refreshed, lead) = cache.admit_scrubbed(42);
+        let (refreshed, lead) = cache.admit_scrubbed(42, 0);
         assert!(lead, "poisoned rung is evicted, not served");
         assert!(!Arc::ptr_eq(&flight, &refreshed), "fresh flight");
         assert_eq!(cache.scrub_checks(), 1);
@@ -435,16 +457,35 @@ mod tests {
         // Unscrubbed admission would have trusted the cache blindly;
         // the scrubbed path repaired it, so the next hit is clean.
         refreshed.publish(None);
-        let (_, lead) = cache.admit_scrubbed(42);
+        let (_, lead) = cache.admit_scrubbed(42, 0);
         assert!(!lead, "failed flight still shares (no artifact to scrub)");
         assert_eq!(cache.scrub_checks(), 1, "failed flights are not scrubbed");
     }
 
     #[test]
+    fn a_donor_is_the_latest_other_operator_on_the_structure() {
+        let mut cache = FlightCache::new(4);
+        let (first, _) = cache.admit(1, 10);
+        assert!(
+            cache.donor(1, 10).is_none(),
+            "a leader is not its own donor"
+        );
+        cache.admit(2, 20);
+        let (second, _) = cache.admit(3, 10);
+        let donor = cache.donor(4, 10).expect("same structure");
+        assert!(Arc::ptr_eq(&donor, &second), "the most recent one");
+        assert!(Arc::ptr_eq(&cache.donor(3, 10).expect("key 1"), &first));
+        assert!(
+            cache.donor(5, 30).is_none(),
+            "another structure lends nothing"
+        );
+    }
+
+    #[test]
     fn zero_capacity_disables_sharing() {
         let mut cache = FlightCache::new(0);
-        let (_, lead_a) = cache.admit(7);
-        let (_, lead_b) = cache.admit(7);
+        let (_, lead_a) = cache.admit(7, 0);
+        let (_, lead_b) = cache.admit(7, 0);
         assert!(lead_a && lead_b, "every admission leads when cap is 0");
         assert_eq!(cache.hits(), 0);
     }

@@ -7,39 +7,29 @@
 //! Every decision that ends up in a request's journal is made **at
 //! admission time, under the state lock, as a function of the
 //! submission order alone**: the queue position, the shed/admit
-//! verdict, and the prepare leader/follower role. Worker threads only
-//! ever *execute* those decisions, so running the same batch on a
-//! 1-worker and a 16-worker pool produces byte-identical per-request
-//! journals. Wall-clock quantities (queue wait, backoff sleeps) are
-//! deliberately excluded from the journal; the backoff *schedule* is
-//! recorded in virtual ticks instead.
+//! verdict, the prepare leader/follower role and a leader's donor
+//! (whether the leader builds on it depends on timing, not its bits).
+//! Worker threads only ever *execute* those decisions, so running the
+//! same batch on a 1-worker and a 16-worker pool produces byte-identical
+//! per-request journals. Wall-clock quantities (queue wait, backoff
+//! sleeps) are deliberately excluded from the journal; the backoff
+//! *schedule* is recorded in virtual ticks instead.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use azul_core::supervisor::fill_supervisor_report;
 use azul_core::{
-    AzulConfig, AzulError, EscalationPolicy, PreparedRung, SolveSupervisor, SupervisedSolveReport,
+    AzulConfig, AzulError, EscalationPolicy, PreparedSolver, SolveSupervisor, SupervisedSolveReport,
 };
 use azul_sim::{CancelToken, FaultPlan};
 use azul_sparse::Csr;
 use azul_telemetry::report::{ServeSummary, TelemetryReport};
 
-use crate::cache::{operator_key, Flight, FlightCache, FlightWait};
+use crate::cache::{hold, prepare_keys, unpoison, Flight, FlightCache, FlightWait};
 use crate::error::ServeError;
-
-/// Locks a mutex, recovering the data from a poisoned lock: a worker
-/// that panicked mid-request must not take the whole service down with
-/// it, and every mutation the service makes under this lock is
-/// transactional (no half-written outcomes).
-fn hold<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// Deterministic capped-exponential retry schedule for transient solve
 /// failures.
@@ -239,6 +229,8 @@ struct Job {
     flight: Arc<Flight>,
     /// Decided at admission: leads the flight or follows it.
     leader: bool,
+    /// Decided at admission, for a leader: see [`FlightCache::donor`].
+    donor: Option<Arc<Flight>>,
     /// Cache key, journaled for cross-request correlation.
     operator_key: u64,
     /// Resolved per-attempt cycle budget.
@@ -394,14 +386,16 @@ impl ServeService {
             .first()
             .map(|p| p.name())
             .unwrap_or("none");
-        let key = operator_key(&req.matrix, &cfg.base.sim.grid, mapping, preconditioner);
+        let (key, structure) =
+            prepare_keys(&req.matrix, &cfg.base.sim.grid, mapping, preconditioner);
         let (scrubs_before, evictions_before) =
             (st.cache.scrub_checks(), st.cache.scrub_evictions());
         let (flight, leader) = if cfg.scrub_cache {
-            st.cache.admit_scrubbed(key)
+            st.cache.admit_scrubbed(key, structure)
         } else {
-            st.cache.admit(key)
+            st.cache.admit(key, structure)
         };
+        let donor = leader.then(|| st.cache.donor(key, structure)).flatten();
         let scrub_checks = st.cache.scrub_checks() - scrubs_before;
         let scrub_evictions = st.cache.scrub_evictions() - evictions_before;
         let token = CancelToken::new();
@@ -424,6 +418,7 @@ impl ServeService {
             queue_position,
             flight,
             leader,
+            donor,
             operator_key: key,
             cycle_budget,
             deadline,
@@ -447,10 +442,7 @@ impl ServeService {
     pub fn wait_all(&self) {
         let mut st = hold(&self.inner.state);
         while !(st.queue.is_empty() && st.running == 0) {
-            st = match self.inner.done_cv.wait(st) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            st = unpoison(self.inner.done_cv.wait(st));
         }
     }
 
@@ -564,10 +556,7 @@ fn worker_loop(inner: &Inner) {
                 } else if st.shutdown {
                     return;
                 }
-                st = match inner.work_cv.wait(st) {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
+                st = unpoison(inner.work_cv.wait(st));
             }
         };
         let slot = job.queue_position as usize;
@@ -605,15 +594,9 @@ fn monitor_loop(inner: &Inner) {
         st = match next {
             Some(deadline) => {
                 let wait = deadline.saturating_duration_since(now);
-                match inner.monitor_cv.wait_timeout(st, wait) {
-                    Ok((guard, _)) => guard,
-                    Err(poisoned) => poisoned.into_inner().0,
-                }
+                unpoison(inner.monitor_cv.wait_timeout(st, wait)).0
             }
-            Option::None => match inner.monitor_cv.wait(st) {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            },
+            Option::None => unpoison(inner.monitor_cv.wait(st)),
         };
     }
 }
@@ -705,17 +688,23 @@ fn run_request(inner: &Inner, job: Job) -> RequestOutcome {
         return finish(&job, "none", attempts, backoff, Err(err), Option::None);
     }
 
-    // Prepare stage: the leader computes the first rung and publishes;
+    // Prepare stage: the leader computes the first rung, on its donor's
+    // structure layer if the donor has published, and publishes;
     // followers block on the flight. A failed or cancelled prepare is
     // not terminal for followers — they fall back to an unseeded solve,
     // which walks the degradation ladders itself.
-    let seed: Option<Arc<PreparedRung>> = if job.leader {
+    let seed: Option<Arc<PreparedSolver>> = if job.leader {
         prepare_role = "leader";
         let guard = PublishGuard {
             flight: &job.flight,
         };
-        let sup = supervisor_for(cfg, &job, false);
-        match sup.prepare_first_rung(&job.req.matrix) {
+        let a = &job.req.matrix;
+        let donor = job.donor.as_ref().and_then(|d| d.ready_rung());
+        let warm = donor.and_then(|d| d.with_values(a).ok());
+        match warm.map_or_else(
+            || supervisor_for(cfg, &job, false).prepare_first_rung(a),
+            Ok,
+        ) {
             Ok(rung) => {
                 let rung = Arc::new(rung);
                 job.flight.publish(Some(Arc::clone(&rung)));

@@ -239,14 +239,7 @@ impl PcgSim {
     ///
     /// Propagates IC(0) breakdowns.
     pub fn build(a: &Csr, placement: &Placement, cfg: &SimConfig) -> Result<Self, SolverError> {
-        let l = ic0(a)?;
-        Ok(Self::build_shared(
-            Arc::new(a.clone()),
-            Arc::new(l),
-            Arc::new(placement.clone()),
-            cfg,
-            None,
-        ))
+        Ok(Self::build_with_factor(a, &ic0(a)?, placement, cfg))
     }
 
     /// Builds with a caller-supplied lower-triangular factor sharing
@@ -379,34 +372,13 @@ impl PcgSim {
         self.record().map_or(0, |r| r.bytes())
     }
 
-    /// Replaces the matrix *values* while keeping the sparsity pattern,
-    /// placement and communication trees — the Sec. II-C time-stepping
-    /// case where `A`'s stiffness values change but its structure (the
-    /// mesh) does not. Re-factors IC(0); the expensive mapping is
-    /// untouched (see [`PcgSim::update_values_with_factor`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::Dimension`] if `a_new`'s sparsity pattern
-    /// differs from the current matrix, or propagates IC(0) breakdowns.
-    pub fn update_values(&mut self, a_new: &Csr, placement: &Placement) -> Result<(), SolverError> {
-        if !same_pattern(a_new, &self.a) {
-            return Err(SolverError::Dimension(
-                "update_values requires an identical sparsity pattern".into(),
-            ));
-        }
-        let l = ic0(a_new)?;
-        self.update_values_with_factor(a_new, &l, placement)
-    }
-
-    /// As [`PcgSim::update_values`], but with a caller-supplied factor
-    /// (e.g. a refreshed Gauss-Seidel/SSOR factor).
-    ///
-    /// The replay record names entries by position, so a new value on
-    /// the same pattern and placement keeps it: the sim binds it to the
-    /// new values, and its next fault-free launches replay with no tick
-    /// and no compile. Without a record (no solve yet, or a new
-    /// placement or factor pattern), the programs are compiled anew.
+    /// Replaces the matrix *values* and the caller's factor `l_new`
+    /// (IC(0), or a refreshed SGS/SSOR factor), keeping the pattern,
+    /// placement and communication trees (Sec. II-C). The record names
+    /// entries by position, so on the same pattern and placement the sim
+    /// binds it to the new values and its next fault-free launches
+    /// replay; otherwise (no solve yet, another placement or factor
+    /// pattern) the programs are compiled anew.
     ///
     /// # Errors
     ///
@@ -824,7 +796,8 @@ mod tests {
         for v in a2.values_mut() {
             *v *= 2.0;
         }
-        sim.update_values(&a2, &p).unwrap();
+        sim.update_values_with_factor(&a2, &ic0(&a2).unwrap(), &p)
+            .unwrap();
         let after = sim.run(&b, &PcgSimConfig::default());
         assert!(after.converged);
         for i in 0..a.rows() {
@@ -833,7 +806,9 @@ mod tests {
 
         // A different pattern is rejected.
         let other = generate::grid_laplacian_2d(4, 9);
-        assert!(sim.update_values(&other, &p).is_err());
+        assert!(sim
+            .update_values_with_factor(&other, &ic0(&other).unwrap(), &p)
+            .is_err());
     }
 
     /// `x` bits, total cycles and statistics of a report.
@@ -914,7 +889,8 @@ mod tests {
         for (v, d) in a2.values_mut().iter_mut().zip(diag) {
             *v *= if d { 2.0 } else { 1.25 };
         }
-        sim.update_values(&a2, &p).unwrap();
+        sim.update_values_with_factor(&a2, &ic0(&a2).unwrap(), &p)
+            .unwrap();
         assert_eq!(sim.record_bytes(), bytes, "the record survives");
         let (got, launches) = counted(&sim, &b);
         assert_eq!(launches, 0, "a rebound solve ticks nothing");
@@ -924,7 +900,8 @@ mod tests {
 
         // Another placement drops the record: the programs compile anew.
         let other = RoundRobinMapper.map(&a, grid);
-        sim.update_values(&a2, &other).unwrap();
+        sim.update_values_with_factor(&a2, &ic0(&a2).unwrap(), &other)
+            .unwrap();
         assert_eq!(sim.record_bytes(), 0);
         let (got, launches) = counted(&sim, &b);
         assert!(launches > 0);

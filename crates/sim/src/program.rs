@@ -171,7 +171,7 @@ pub enum ProgramKind {
 /// by position and holds no value; a program with other values on the
 /// same pattern and placement is a new program, with no record, unless
 /// its caller binds the old record to the new values (as
-/// `PcgSim::update_values` does). Clones share the record.
+/// `PcgSim::update_values_with_factor` does). Clones share the record.
 #[derive(Debug, Clone)]
 pub struct Program {
     /// Kernel kind.

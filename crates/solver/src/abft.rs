@@ -27,7 +27,7 @@
 //! it is corruption.
 //!
 //! The checksum vectors are computed host-side at prepare/factor time
-//! (`azul_core` carries one per cached `PreparedRung`) and each
+//! (`azul_core` carries one per `PreparedSolver` values layer) and each
 //! verification is O(n) — negligible next to the kernels it guards, and
 //! never charged simulated cycles (the cycle model prices the fault-free
 //! pipeline, consistent with the recovery machinery).

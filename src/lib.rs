@@ -22,8 +22,8 @@ pub use azul_core::{Azul, AzulConfig, AzulError, MappingStrategy, PreparedSolver
 /// mapping, preconditioner, and solver layers.
 pub use azul_core::supervisor;
 pub use azul_core::{
-    EscalationPolicy, EscalationRecord, EscalationStage, EscalationTrigger, PreparedRung,
-    SolveSupervisor, SolverChoice, SupervisedSolveReport,
+    EscalationPolicy, EscalationRecord, EscalationStage, EscalationTrigger, SolveSupervisor,
+    SolverChoice, SupervisedSolveReport,
 };
 
 /// Sparse-matrix substrate.
